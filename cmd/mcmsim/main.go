@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"sort"
 	"time"
 
 	"mcmgpu/internal/config"
@@ -57,7 +57,7 @@ func main() { os.Exit(run()) }
 func run() (code int) {
 	var (
 		system  = flag.String("system", "mcm-baseline", "system preset to simulate")
-		app     = flag.String("workload", "Stream", "workload name, a category (m-intensive, c-intensive, limited), or 'all'")
+		app     = flag.String("workload", "Stream", "workload name, a category (m-intensive, c-intensive, limited), 'dense', or 'all'")
 		scale   = flag.Float64("scale", 1.0, "work scale factor (trades fidelity for speed)")
 		list    = flag.Bool("list", false, "list systems and workloads, then exit")
 		linkBW  = flag.Float64("link", 0, "override inter-GPM link bandwidth in GB/s")
@@ -113,7 +113,12 @@ func run() (code int) {
 
 	if *list {
 		fmt.Println("systems:")
+		names := make([]string, 0, len(systems))
 		for name := range systems {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
 			fmt.Printf("  %s\n", name)
 		}
 		fmt.Println("workloads:")
@@ -140,7 +145,7 @@ func run() (code int) {
 		cfg.Name = fmt.Sprintf("%s@%.0fGB/s", cfg.Name, *linkBW)
 	}
 
-	specs, err := selectWorkloads(*app)
+	specs, err := workload.Select(*app)
 	if err != nil {
 		return fail(err)
 	}
@@ -366,23 +371,4 @@ func characterize(specs []*workload.Spec, scale float64) error {
 			s.Ops, s.UniqueLines, s.FootprintMB, s.WriteFraction, s.ReuseFactor)
 	}
 	return t.WriteText(os.Stdout)
-}
-
-// selectWorkloads resolves the -workload flag value to specs.
-func selectWorkloads(sel string) ([]*workload.Spec, error) {
-	switch strings.ToLower(sel) {
-	case "all":
-		return workload.Suite(), nil
-	case "m-intensive":
-		return workload.MIntensive(), nil
-	case "c-intensive":
-		return workload.CIntensive(), nil
-	case "limited":
-		return workload.Limited(), nil
-	}
-	s, err := workload.ByName(sel)
-	if err != nil {
-		return nil, err
-	}
-	return []*workload.Spec{s}, nil
 }

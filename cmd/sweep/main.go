@@ -80,7 +80,7 @@ func run() (code int) {
 	var (
 		links     = flag.String("links", "384,768,1536,3072", "comma-separated inter-GPM link bandwidths (GB/s)")
 		l15s      = flag.String("l15", "0,8,16", "comma-separated total L1.5 capacities (MB, 0 = none)")
-		wl        = flag.String("workloads", "all", "workload selection (all, m-intensive, c-intensive, limited)")
+		wl        = flag.String("workloads", "all", "workload selection (all, m-intensive, c-intensive, limited, dense, or one workload name)")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		opts      = flag.Bool("optimized", true, "apply distributed scheduling + first touch at every grid point")
 		tiled     = flag.Bool("tiled", false, "apply tiled 2-D scheduling + region-aware placement at every grid point instead of -optimized (the dense-workload pairing; see -workloads dense)")
@@ -124,7 +124,7 @@ func run() (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	specs, err := selectWorkloads(*wl)
+	specs, err := workload.Select(*wl)
 	if err != nil {
 		return fail(err)
 	}
@@ -615,26 +615,6 @@ func writeBench(path string, b benchReport) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func selectWorkloads(sel string) ([]*workload.Spec, error) {
-	switch strings.ToLower(sel) {
-	case "all":
-		return workload.Suite(), nil
-	case "m-intensive":
-		return workload.MIntensive(), nil
-	case "c-intensive":
-		return workload.CIntensive(), nil
-	case "limited":
-		return workload.Limited(), nil
-	case "dense":
-		return workload.Dense(), nil
-	}
-	s, err := workload.ByName(sel)
-	if err != nil {
-		return nil, err
-	}
-	return []*workload.Spec{s}, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -297,8 +297,8 @@ func (e *Estimator) Estimate(spec *workload.Spec, scale float64) (*Estimate, err
 	pLocal := e.localProb(spec, &p, residentCTAs)
 	// When the page map is statically determined — LinearInit pre-binding or
 	// the region-aware binder — replace the probabilistic locality laws with
-	// the exact per-class page-home census, mirroring core.setupPlacement.
-	homeQ := e.placementHomes(spec, &p, dOwnCTA, &pLocal)
+	// the exact per-class census of the map the engine installs.
+	homeQ := e.placementHomes(spec, core.StaticPageMap(cfg, spec), dOwnCTA, &pLocal)
 
 	var postL1, localPost float64
 	for c := 0; c < nClasses; c++ {
@@ -569,50 +569,22 @@ func (e *Estimator) localProb(spec *workload.Spec, p *workload.AccessProfile, re
 // placementHomes is the exact counterpart of localProb for statically
 // determined page maps. When the workload is LinearInit (pages pre-bound by
 // the init sweep) or the placement is region-aware (pages bound by the
-// binder), the page→module map the engine will build is known in advance;
-// this reconstructs it exactly as core.setupPlacement does, walks each
-// class's touched lines against its consumers' modules, and overwrites
-// pLocal with the resulting per-class locality. The return value is each
-// class's distribution of accesses over page-home modules (for the hotspot
-// derate); nil means the page map is race-determined and the probabilistic
-// laws stand.
-func (e *Estimator) placementHomes(spec *workload.Spec, p *workload.AccessProfile,
+// binder), pm is the page→module map the engine installs; this walks each
+// class's touched lines against pm.Homes and its consumers' modules, and
+// overwrites pLocal with the resulting per-class locality. The return value
+// is each class's distribution of accesses over page-home modules (for the
+// hotspot derate); nil means the page map is race-determined and the
+// probabilistic laws stand.
+func (e *Estimator) placementHomes(spec *workload.Spec, pm core.PageMap,
 	dOwnCTA float64, pLocal *[nClasses]float64) *[nClasses][]float64 {
 
-	cfg := e.cfg
-	G := cfg.Modules
-	if G <= 1 || cfg.Placement == config.PlaceInterleave {
+	G := e.cfg.Modules
+	if G <= 1 || pm.Homes == nil {
 		return nil
 	}
-	if !spec.LinearInit && cfg.Placement != config.PlaceRegionAware {
-		return nil
-	}
-
-	w, h, rp, cp := spec.TileGrid()
-	grid := cta.Grid{CTAs: spec.CTAs, W: w, H: h, RowPanelLines: rp, ColPanelLines: cp}
-	layout, _ := cta.New(cfg, grid).(cta.Layout) // centralized → nil
-	lpp := uint64(cfg.LinesPerPage())
-	var binder func(page uint64) int
-	if cfg.Placement == config.PlaceRegionAware && layout != nil {
-		binder = func(page uint64) int { return spec.RegionHome(page*lpp, layout.Module) }
-	}
-	pages := (spec.FootprintLines + lpp - 1) / lpp
-	homes := make([]int, pages)
-	for pg := uint64(0); pg < pages; pg++ {
-		home := -1
-		if binder != nil {
-			home = binder(pg)
-		}
-		if home < 0 && spec.LinearInit {
-			initCTA := int(pg * uint64(spec.CTAs) / pages)
-			if layout != nil {
-				home = layout.Module(initCTA)
-			} else {
-				home = int(pg) % G
-			}
-		}
-		homes[pg] = home // -1: bound by a runtime race, uniform in expectation
-	}
+	homes, layout := pm.Homes, pm.Layout // home -1: bound by a runtime race, uniform in expectation
+	lpp := uint64(e.cfg.LinesPerPage())
+	pages := uint64(len(homes))
 
 	uni := 1.0 / float64(G)
 	q := new([nClasses][]float64)
@@ -918,9 +890,7 @@ func (e *Estimator) panelSpan(spec *workload.Spec) (mw, mh int) {
 	}
 	switch cfg.Scheduler {
 	case config.SchedTiled2D:
-		w, h, rp, cp := spec.TileGrid()
-		return cta.TileFactor(cta.Grid{CTAs: spec.CTAs, W: w, H: h,
-			RowPanelLines: rp, ColPanelLines: cp}, cfg.Modules)
+		return cta.TileFactor(core.KernelGrid(spec), cfg.Modules)
 	case config.SchedDistributed, config.SchedDynamic:
 		return 1, cfg.Modules
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"mcmgpu/internal/config"
+	"mcmgpu/internal/core"
 	"mcmgpu/internal/workload"
 )
 
@@ -116,6 +117,32 @@ func TestEstimateDeterministic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCensusReadsStaticPageMap pins that the placement census walks the
+// page homes core.StaticPageMap hands it rather than recomputing them:
+// rehoming every page of the map onto module 0 must move the whole uniform
+// class there, while the real map spreads it.
+func TestCensusReadsStaticPageMap(t *testing.T) {
+	cfg := config.TiledRegionMCM()
+	e, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Dense()[0]
+	pm := core.StaticPageMap(cfg, spec)
+	if pm.Homes == nil {
+		t.Fatalf("%s on %s has no static page map", spec.Name, cfg.Name)
+	}
+	var pLocal [nClasses]float64
+	if q := e.placementHomes(spec, pm, 1, &pLocal); q == nil || q[clUniform][0] == 1 {
+		t.Fatalf("census of the real map puts the whole uniform class on module 0: %v", q)
+	}
+	moved := pm
+	moved.Homes = make([]int, len(pm.Homes))
+	if q := e.placementHomes(spec, moved, 1, &pLocal); q == nil || q[clUniform][0] != 1 {
+		t.Fatalf("census ignored the rehomed map: uniform class on module 0 = %v", q[clUniform][0])
+	}
 }
 
 func TestModelValidate(t *testing.T) {

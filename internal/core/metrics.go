@@ -56,7 +56,8 @@ func (m *Machine) attachMetrics(rec *metrics.Recorder) {
 			InFlightStores: m.liveStores,
 		}
 	})
-	m.sim.SetSample(DefaultSampleEvery, func() {
+	m.sim.AddHook(DefaultSampleEvery, func() error {
 		rec.Tick(m.sim.Now(), m.sim.Processed())
+		return nil
 	})
 }

@@ -86,12 +86,16 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 	m.spec = spec
 	m.opts = opts
 	m.setupPlacement()
+	// Engine hooks run in install order. The budget check goes first so a
+	// run that is both over budget and inconsistent reports the budget trip
+	// (the established failure mode) rather than whichever invariant the
+	// corruption reached first; the sampler goes last.
 	if opts.bounded() {
-		m.sim.SetCheck(opts.checkEvery(), m.checkBudgets)
+		m.sim.AddHook(opts.checkEvery(), m.checkBudgets)
 	}
 	if opts.Audit || audit.Forced() {
 		m.aud = m.newAuditor()
-		m.sim.SetAudit(DefaultAuditEvery, m.periodicAudit)
+		m.sim.AddHook(DefaultAuditEvery, m.periodicAudit)
 	}
 	if opts.Metrics != nil {
 		m.attachMetrics(opts.Metrics)
@@ -131,63 +135,91 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 	return m.collect(), nil
 }
 
-// grid returns the kernel's CTA grid shape for the scheduler.
-func (m *Machine) grid() cta.Grid {
-	w, h, rp, cp := m.spec.TileGrid()
-	return cta.Grid{CTAs: m.spec.CTAs, W: w, H: h, RowPanelLines: rp, ColPanelLines: cp}
+// KernelGrid returns the CTA grid shape the schedulers partition for spec:
+// its 2-D grid and panel sizes, or a flat index space for 1-D workloads.
+func KernelGrid(spec *workload.Spec) cta.Grid {
+	return cta.Grid{CTAs: spec.CTAs, W: spec.GridW, H: spec.GridH,
+		RowPanelLines: spec.RowPanelLines, ColPanelLines: spec.ColPanelLines}
 }
 
-// setupPlacement installs the region-aware page binder and, for LinearInit
-// workloads, pre-binds the pages the init sweep first-touched before the
-// first compute kernel.
-func (m *Machine) setupPlacement() {
-	if m.cfg.Placement == config.PlaceInterleave {
-		return
+// PageMap is the part of a run's page→module map that is fixed before the
+// first kernel runs. The engine installs it (Machine.setupPlacement) and the
+// analytic estimator takes its locality census from it, so the two models
+// read one placement.
+type PageMap struct {
+	// Layout is the kernel's static CTA→module layout; nil under centralized
+	// scheduling, or when Homes is nil.
+	Layout cta.Layout
+	// Binder is the region-aware page binder; nil unless the placement is
+	// region-aware.
+	Binder func(page uint64) int
+	// Homes holds each footprint page's static home module, or -1 for a
+	// page bound at run time by a first-touch race. It is nil when no page
+	// is statically placed (interleave, or first touch without LinearInit).
+	Homes []int
+}
+
+// StaticPageMap computes the page→module map that cfg's placement policy
+// fixes before spec's first kernel: the region-aware binder's homes and, for
+// LinearInit workloads, the pages the init sweep first-touched.
+func StaticPageMap(cfg *config.Config, spec *workload.Spec) PageMap {
+	if cfg.Placement == config.PlaceInterleave ||
+		(cfg.Placement == config.PlaceFirstTouch && !spec.LinearInit) {
+		return PageMap{}
 	}
 	// A throwaway scheduler instance supplies the static CTA-to-module
 	// layout; the centralized scheduler has none (layout stays nil).
-	layout, _ := cta.New(m.cfg, m.grid()).(cta.Layout)
-	var binder func(page uint64) int
-	if m.cfg.Placement == config.PlaceRegionAware && layout != nil {
-		lpp := m.amap.LinesPerPage()
-		spec := m.spec
-		binder = func(page uint64) int { return spec.RegionHome(page*lpp, layout.Module) }
-		m.amap.SetBinder(binder)
-	}
-	if !m.spec.LinearInit {
-		return
+	layout, _ := cta.New(cfg, KernelGrid(spec)).(cta.Layout)
+	pm := PageMap{Layout: layout}
+	lpp := uint64(cfg.LinesPerPage())
+	if cfg.Placement == config.PlaceRegionAware && layout != nil {
+		pm.Binder = func(page uint64) int { return spec.RegionHome(page*lpp, layout.Module) }
 	}
 	// The init sweep wrote the footprint linearly before the first compute
 	// kernel: its CTA j first-touched the j-th contiguous slice, and page
-	// mappings persist. Pre-bind each page accordingly — the region-aware
-	// binder overrides the sweep where it knows the owning region; pages
-	// outside any region go to the module the sweep's layout ran the
-	// covering CTA on. A centralized init race has no static layout, so
-	// those pages spread round-robin.
-	lpp := m.amap.LinesPerPage()
-	pages := (m.spec.FootprintLines + lpp - 1) / lpp
-	for page := uint64(0); page < pages; page++ {
+	// mappings persist. The region-aware binder overrides the sweep where it
+	// knows the owning region; other pages go to the module the sweep's
+	// layout ran the covering CTA on. A centralized init race has no static
+	// layout, so those pages spread round-robin.
+	pages := (spec.FootprintLines + lpp - 1) / lpp
+	pm.Homes = make([]int, pages)
+	for page := range pm.Homes {
 		home := -1
-		if binder != nil {
-			home = binder(page)
+		if pm.Binder != nil {
+			home = pm.Binder(uint64(page))
 		}
-		if home < 0 {
-			initCTA := int(page * uint64(m.spec.CTAs) / pages)
+		if home < 0 && spec.LinearInit {
 			if layout != nil {
-				home = layout.Module(initCTA)
+				home = layout.Module(int(uint64(page) * uint64(spec.CTAs) / pages))
 			}
 			if home < 0 {
-				home = int(page) % m.cfg.Modules
+				home = page % cfg.Modules
 			}
 		}
-		m.amap.Prebind(page, home)
+		pm.Homes[page] = home
+	}
+	return pm
+}
+
+// setupPlacement installs the static page map: the region-aware binder,
+// which homes region pages at first touch, and for LinearInit workloads the
+// init sweep's bindings of every page.
+func (m *Machine) setupPlacement() {
+	pm := StaticPageMap(m.cfg, m.spec)
+	if pm.Binder != nil {
+		m.amap.SetBinder(pm.Binder)
+	}
+	if m.spec.LinearInit {
+		for page, home := range pm.Homes {
+			m.amap.Prebind(uint64(page), home)
+		}
 	}
 }
 
 // runKernel launches all CTAs of one kernel and drains the event queue. It
 // returns the budget error that stopped the drain, if any.
 func (m *Machine) runKernel() error {
-	m.sched = cta.New(m.cfg, m.grid())
+	m.sched = cta.New(m.cfg, KernelGrid(m.spec))
 	// Initial fill: pass over SMs (which alternate across modules) until
 	// no SM can accept another CTA. With the centralized scheduler this
 	// spreads consecutive CTAs across GPMs (Figure 8a); the distributed

@@ -81,23 +81,6 @@ func BenchmarkTypedSchedule(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkClosureSchedule is the closure-form comparison point for
-// BenchmarkTypedSchedule; the delta is the per-event closure+boxing cost the
-// typed API removes.
-func BenchmarkClosureSchedule(b *testing.B) {
-	s := New()
-	n := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.At(s.Now()+Cycle(i&255), func() { n++ })
-		if i&1023 == 1023 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
 // BenchmarkResourceReserve measures the next-free-time reservation rule.
 func BenchmarkResourceReserve(b *testing.B) {
 	r := NewResource("dram", 768)

@@ -7,13 +7,15 @@
 // the same cycle fire in scheduling order, so a simulation with a fixed
 // configuration and seed always produces identical results.
 //
-// Two scheduling forms share one queue. The closure form (At/After) is
-// convenient for tests and cold paths. The typed form (AtEvent/AfterEvent)
-// dispatches to a long-lived receiver implementing Event with a small kind
-// tag, so hot paths that fire millions of events can schedule without
-// allocating a closure per event; see core's pooled warp/load/store
-// contexts. Both forms share the (at, seq) total order, so mixing them
-// cannot reorder anything.
+// Events are scheduled with AtEvent/AfterEvent, which dispatch to a
+// long-lived receiver implementing Event with a small kind tag, so the hot
+// paths that fire millions of events schedule without allocating; see
+// core's pooled warp/load/store contexts.
+//
+// Run and RunUntil consult an ordered list of periodic hooks (AddHook): the
+// budget check, the invariant auditor and the metrics sampler. Hooks only
+// observe the simulation, so a hooked run is byte-identical to an unhooked
+// one until a hook stops it.
 package engine
 
 import "fmt"
@@ -24,22 +26,28 @@ import "fmt"
 // bytes per cycle.
 type Cycle uint64
 
-// Event is the receiver side of the closure-free scheduling API. A receiver
-// with more than one schedulable action distinguishes them by the kind tag
-// it passed to AtEvent/AfterEvent. Implementations are typically pooled,
-// long-lived objects, which is what makes this form allocation-free: an
-// interface value holding an existing pointer does not allocate.
+// Event is the receiver side of the scheduling API. A receiver with more
+// than one schedulable action distinguishes them by the kind tag it passed
+// to AtEvent/AfterEvent. Implementations are typically pooled, long-lived
+// objects, which is what makes scheduling allocation-free: an interface
+// value holding an existing pointer does not allocate.
 type Event interface {
 	Dispatch(kind uint8)
 }
 
-// event is one queue entry. Exactly one of fn and ev is set.
+// event is one queue entry.
 type event struct {
 	at   Cycle
 	seq  uint64
-	fn   func()
 	ev   Event
 	kind uint8
+}
+
+// hook is one periodic hook installed by AddHook.
+type hook struct {
+	fn    func() error
+	every uint64
+	since uint64
 }
 
 // before reports whether e fires ahead of o: earlier cycle first, and within
@@ -67,27 +75,11 @@ type Sim struct {
 	nRun    uint64
 	clamped uint64
 
-	// Periodic stop-check state (see SetCheck). check == nil is the common
-	// case and costs one predictable branch per event in Run/RunUntil.
-	check      func() error
-	checkEvery uint64
-	sinceCheck uint64
-	stopErr    error
-
-	// Periodic audit state (see SetAudit): a second hook with its own
-	// interval, independent of the budget check so auditing can run at a
-	// coarser cadence than budget enforcement (invariant sweeps walk cache
-	// arrays; budget checks are a few integer compares).
-	audit      func() error
-	auditEvery uint64
-	sinceAudit uint64
-
-	// Periodic sample state (see SetSample): a third hook for the metrics
-	// sampler. Unlike check and audit it cannot stop the loop — sampling is
-	// strictly observational — so it has no error return.
-	sample      func()
-	sampleEvery uint64
-	sinceSample uint64
+	// Periodic hooks in install order (see AddHook). Each keeps its own
+	// interval, so the invariant auditor can sweep at a coarser cadence than
+	// the budget check. With no hook installed Run takes its unhooked loop.
+	hooks   []hook
+	stopErr error
 }
 
 // New returns an empty simulator positioned at cycle 0.
@@ -120,23 +112,11 @@ func (s *Sim) clamp(t Cycle) Cycle {
 	return t
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the caller; the engine clamps it to the current time (counted by
-// Clamped) so the simulation still makes forward progress, which keeps small
-// floating-point slop in callers from wedging a run.
-func (s *Sim) At(t Cycle, fn func()) {
-	s.seq++
-	s.push(event{at: s.clamp(t), seq: s.seq, fn: fn})
-}
-
-// After schedules fn to run delay cycles from now.
-func (s *Sim) After(delay Cycle, fn func()) {
-	s.At(s.now+delay, fn)
-}
-
-// AtEvent schedules ev.Dispatch(kind) at absolute time t. Past times are
-// clamped exactly as in At. The event entry stores the receiver and tag
-// inline, so scheduling allocates nothing.
+// AtEvent schedules ev.Dispatch(kind) at absolute time t. Scheduling in the
+// past is an error in the caller; the engine clamps it to the current time
+// (counted by Clamped) so the simulation still makes forward progress, which
+// keeps small floating-point slop in callers from wedging a run. The event
+// entry stores the receiver and tag inline, so scheduling allocates nothing.
 func (s *Sim) AtEvent(t Cycle, ev Event, kind uint8) {
 	s.seq++
 	s.push(event{at: s.clamp(t), seq: s.seq, ev: ev, kind: kind})
@@ -171,7 +151,7 @@ func (s *Sim) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	e := h[n]
-	h[n] = event{} // release the vacated slot's fn/ev references
+	h[n] = event{} // release the vacated slot's receiver reference
 	h = h[:n]
 	s.events = h
 	if n > 0 {
@@ -211,114 +191,51 @@ func (s *Sim) Step() bool {
 	e := s.pop()
 	s.now = e.at
 	s.nRun++
-	if e.ev != nil {
-		e.ev.Dispatch(e.kind)
-	} else {
-		e.fn()
-	}
+	e.ev.Dispatch(e.kind)
 	return true
 }
 
-// SetCheck installs fn to be consulted every interval dispatched events
-// during Run and RunUntil. A non-nil return from fn stops the loop; the error
-// is retrievable through StopErr until the next Run/RunUntil call. fn must
-// not mutate simulation state — it may only observe (Now, Processed, Pending)
-// and decide — which is what keeps a run with an installed-but-untripped
-// check byte-identical to an unchecked run. Passing fn == nil or
-// interval == 0 removes the check, restoring the unchecked fast path.
-func (s *Sim) SetCheck(interval uint64, fn func() error) {
-	if interval == 0 {
-		fn = nil
-	}
-	s.check = fn
-	s.checkEvery = interval
-	s.sinceCheck = 0
-	s.stopErr = nil
+// AddHook appends fn to the periodic hooks Run and RunUntil consult: fn runs
+// once every `every` dispatched events, after the hooks added before it. A
+// non-nil return stops the loop with the queue intact, skips the hooks after
+// fn for that event, and is retrievable through StopErr until the next
+// Run/RunUntil call. fn must only observe the simulation (Now, Processed,
+// Pending and the model's counters) and decide, which is what keeps a run
+// with installed-but-untripped hooks byte-identical to an unhooked run.
+// Hooks stay installed for the simulator's lifetime.
+func (s *Sim) AddHook(every uint64, fn func() error) {
+	s.hooks = append(s.hooks, hook{fn: fn, every: every})
 }
 
-// SetAudit installs fn as a second periodic hook, consulted every interval
-// dispatched events alongside (and after) the SetCheck hook. It obeys the
-// same contract: fn must only observe, a non-nil return stops the loop and
-// is retrievable through StopErr, and fn == nil or interval == 0 removes the
-// hook. The two hooks are independent so the invariant auditor can sweep at
-// a coarser cadence than the budget check without either perturbing the
-// other's interval arithmetic.
-func (s *Sim) SetAudit(interval uint64, fn func() error) {
-	if interval == 0 {
-		fn = nil
-	}
-	s.audit = fn
-	s.auditEvery = interval
-	s.sinceAudit = 0
-	s.stopErr = nil
-}
-
-// SetSample installs fn as a third periodic hook, invoked every interval
-// dispatched events after the SetCheck and SetAudit hooks. It is the
-// engine-side attachment point for the metrics sampler: fn must only observe
-// (it has no way to stop the loop and no error return), which is what keeps
-// a sampled run byte-identical to an unsampled one. Passing fn == nil or
-// interval == 0 removes the hook.
-func (s *Sim) SetSample(interval uint64, fn func()) {
-	if interval == 0 {
-		fn = nil
-	}
-	s.sample = fn
-	s.sampleEvery = interval
-	s.sinceSample = 0
-}
-
-// StopErr returns the error with which an installed hook (SetCheck or
-// SetAudit) stopped the most recent Run/RunUntil call, or nil if the queue
-// drained (or the limit was reached) normally.
+// StopErr returns the error with which a hook stopped the most recent
+// Run/RunUntil call, or nil if the queue drained (or the limit was reached)
+// normally.
 func (s *Sim) StopErr() error { return s.stopErr }
 
-// hooked reports whether any periodic hook is installed.
-func (s *Sim) hooked() bool { return s.check != nil || s.audit != nil || s.sample != nil }
-
-// tick advances the periodic hook state by one dispatched event and reports
-// whether the loop must stop. Callers only invoke it when a hook is
-// installed. The budget check runs before the audit so a run that is both
-// over budget and inconsistent reports the budget trip (the established
-// failure mode) rather than whichever invariant the corruption reached
-// first.
+// tick advances every hook by one dispatched event, in install order, and
+// reports whether one stopped the loop. Callers only invoke it when a hook
+// is installed.
 func (s *Sim) tick() bool {
-	if s.check != nil {
-		s.sinceCheck++
-		if s.sinceCheck >= s.checkEvery {
-			s.sinceCheck = 0
-			if err := s.check(); err != nil {
+	for i := range s.hooks {
+		h := &s.hooks[i]
+		h.since++
+		if h.since >= h.every {
+			h.since = 0
+			if err := h.fn(); err != nil {
 				s.stopErr = err
 				return true
 			}
-		}
-	}
-	if s.audit != nil {
-		s.sinceAudit++
-		if s.sinceAudit >= s.auditEvery {
-			s.sinceAudit = 0
-			if err := s.audit(); err != nil {
-				s.stopErr = err
-				return true
-			}
-		}
-	}
-	if s.sample != nil {
-		s.sinceSample++
-		if s.sinceSample >= s.sampleEvery {
-			s.sinceSample = 0
-			s.sample()
 		}
 	}
 	return false
 }
 
 // Run executes events until the queue drains and returns the number of
-// events processed by this call. If an installed hook (SetCheck/SetAudit)
-// stops the loop, the queue is left intact and StopErr reports why.
+// events processed by this call. If a hook stops the loop, the queue is left
+// intact and StopErr reports why.
 func (s *Sim) Run() uint64 {
 	start := s.nRun
-	if !s.hooked() {
+	if len(s.hooks) == 0 {
 		for s.Step() {
 		}
 		return s.nRun - start
@@ -334,10 +251,10 @@ func (s *Sim) Run() uint64 {
 
 // RunUntil executes events with timestamps <= limit. It returns the number
 // of events processed by this call. Events beyond the limit remain queued.
-// Installed hooks (SetCheck/SetAudit) are honored exactly as in Run.
+// Hooks are honored exactly as in Run.
 func (s *Sim) RunUntil(limit Cycle) uint64 {
 	start := s.nRun
-	hooked := s.hooked()
+	hooked := len(s.hooks) > 0
 	if hooked {
 		s.stopErr = nil
 	}

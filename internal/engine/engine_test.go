@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// funcEvent adapts a closure to Event so tests can schedule one-off actions
+// without declaring a receiver type.
+type funcEvent func()
+
+func (f funcEvent) Dispatch(uint8) { f() }
+
+// schedAt schedules fn at absolute time t.
+func schedAt(s *Sim, t Cycle, fn func()) { s.AtEvent(t, funcEvent(fn), 0) }
+
+// schedAfter schedules fn delay cycles from now.
+func schedAfter(s *Sim, delay Cycle, fn func()) { s.AfterEvent(delay, funcEvent(fn), 0) }
+
 func TestSimEmptyRun(t *testing.T) {
 	s := New()
 	if n := s.Run(); n != 0 {
@@ -20,9 +32,9 @@ func TestSimEmptyRun(t *testing.T) {
 func TestSimOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
+	schedAt(s, 30, func() { got = append(got, 3) })
+	schedAt(s, 10, func() { got = append(got, 1) })
+	schedAt(s, 20, func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,7 +52,7 @@ func TestSimSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		schedAt(s, 5, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -53,9 +65,9 @@ func TestSimSameCycleFIFO(t *testing.T) {
 func TestSimScheduleDuringRun(t *testing.T) {
 	s := New()
 	var got []Cycle
-	s.At(10, func() {
+	schedAt(s, 10, func() {
 		got = append(got, s.Now())
-		s.After(5, func() { got = append(got, s.Now()) })
+		schedAfter(s, 5, func() { got = append(got, s.Now()) })
 	})
 	s.Run()
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
@@ -66,8 +78,8 @@ func TestSimScheduleDuringRun(t *testing.T) {
 func TestSimPastClamped(t *testing.T) {
 	s := New()
 	fired := Cycle(0)
-	s.At(100, func() {
-		s.At(50, func() { fired = s.Now() })
+	schedAt(s, 100, func() {
+		schedAt(s, 50, func() { fired = s.Now() })
 	})
 	s.Run()
 	if fired != 100 {
@@ -77,11 +89,11 @@ func TestSimPastClamped(t *testing.T) {
 
 func TestSimClampedCounter(t *testing.T) {
 	s := New()
-	s.At(100, func() {
-		s.At(50, func() {})            // past: clamped
+	schedAt(s, 100, func() {
+		schedAt(s, 50, func() {})      // past: clamped
 		s.AtEvent(10, countEv(nil), 0) // past: clamped
-		s.At(100, func() {})           // now: not clamped
-		s.After(5, func() {})          // future: not clamped
+		schedAt(s, 100, func() {})     // now: not clamped
+		schedAfter(s, 5, func() {})    // future: not clamped
 	})
 	if s.Clamped() != 0 {
 		t.Fatalf("Clamped = %d before any past scheduling", s.Clamped())
@@ -128,15 +140,15 @@ func TestSimTypedEvents(t *testing.T) {
 	}
 }
 
-// Typed and closure events share one queue and one total order: interleaving
-// the two forms at the same cycle preserves global scheduling order.
+// Events of different receiver types share one queue and one total order:
+// interleaving them at the same cycle preserves global scheduling order.
 func TestSimMixedFormsSameCycleFIFO(t *testing.T) {
 	s := New()
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
 		if i%2 == 0 {
-			s.At(5, func() { got = append(got, i) })
+			schedAt(s, 5, func() { got = append(got, i) })
 		} else {
 			s.AtEvent(5, appendEv{&got, i}, 0)
 		}
@@ -160,7 +172,7 @@ func TestSimRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for _, at := range []Cycle{5, 10, 15, 20} {
-		s.At(at, func() { count++ })
+		schedAt(s, at, func() { count++ })
 	}
 	if n := s.RunUntil(12); n != 2 {
 		t.Fatalf("RunUntil(12) processed %d, want 2", n)
@@ -193,7 +205,7 @@ func TestSimOrderingProperty(t *testing.T) {
 		var fired []Cycle
 		for _, tm := range times {
 			at := Cycle(tm)
-			s.At(at, func() { fired = append(fired, s.Now()) })
+			schedAt(s, at, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		if len(fired) != len(times) {
@@ -305,7 +317,7 @@ func TestResourceMonotoneProperty(t *testing.T) {
 
 // Property: all events scheduled for one cycle fire in exact scheduling
 // order, no matter how bursts at different cycles interleave, how large the
-// bursts are, or which scheduling form (closure or typed) each event uses.
+// bursts are, or which receiver type each event uses.
 // This pins the (at, seq) FIFO contract the specialized heap must preserve.
 func TestSimSameCycleBurstOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -322,7 +334,7 @@ func TestSimSameCycleBurstOrderProperty(t *testing.T) {
 			if i%3 == 0 {
 				s.AtEvent(at, appendEv{&order, i}, 0)
 			} else {
-				s.At(at, func() { order = append(order, i) })
+				schedAt(s, at, func() { order = append(order, i) })
 			}
 		}
 		s.Run()
@@ -367,11 +379,11 @@ func TestSimHeapMatchesReferenceOrder(t *testing.T) {
 		if remaining > 0 {
 			remaining--
 			// Future-dated relative to now, keeping the queue churning.
-			s.After(Cycle(rng.Intn(50)), schedule)
+			schedAfter(s, Cycle(rng.Intn(50)), schedule)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		s.At(Cycle(rng.Intn(100)), schedule)
+		schedAt(s, Cycle(rng.Intn(100)), schedule)
 	}
 	s.Run()
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -386,7 +398,7 @@ func BenchmarkSimScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for j := 0; j < 1000; j++ {
-			s.At(Cycle(j%97), func() {})
+			schedAt(s, Cycle(j%97), func() {})
 		}
 		s.Run()
 	}

@@ -1,7 +1,8 @@
 // Package metrics is the simulator's time-series observability layer: a
-// periodic sampler that rides the engine's third hook (engine.Sim.SetSample,
-// alongside SetCheck/SetAudit) and exports per-interval *deltas* of the
-// machine's bandwidth and cache counters as NDJSON or CSV.
+// periodic sampler that rides a periodic engine hook (engine.Sim.AddHook,
+// installed after the budget check and the auditor) and exports
+// per-interval *deltas* of the machine's bandwidth and cache counters as
+// NDJSON or CSV.
 //
 // The sampler is strictly observational. Every quantity it reads is either a
 // cumulative counter or engine.Resource.BusyThrough — which advances a

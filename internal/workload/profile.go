@@ -65,7 +65,7 @@ func (s *Spec) Profile() AccessProfile {
 	p.MeanOpsPerWarp = p.MemOpsPerKernel / float64(s.TotalWarps())
 
 	// Region geometry mirrors Stream.Init.
-	_, _, _, perCTA := s.regionGeometry()
+	_, _, _, perCTA := s.Regions()
 	p.OwnRegionLines = perCTA
 	p.NeighborWindowLines = maxU64(1, perCTA/8)
 	p.SharedRegionLines = s.SharedLines

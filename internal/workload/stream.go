@@ -74,7 +74,7 @@ func (s *Stream) Init(spec *Spec, cta, warp int) {
 	*s = Stream{spec: spec, cta: cta, warp: warp, ops: spec.OpsForCTA(cta)}
 	// Seed mixes the identifiers so distinct warps get decorrelated streams.
 	s.r = rng{s: spec.Seed ^ uint64(cta)*0x9e3779b97f4a7c15 ^ uint64(warp)*0xc2b2ae3d27d4eb4f}
-	rowBase, colBase, ownBase, perCTA := spec.regionGeometry()
+	rowBase, colBase, ownBase, perCTA := spec.Regions()
 	s.ownBase = ownBase
 	s.regionStart = ownBase + uint64(cta)*perCTA
 	s.regionLen = perCTA

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // lines converts megabytes to 128-byte cache lines.
@@ -252,6 +253,29 @@ func ByName(name string) (*Spec, error) {
 	names := Names()
 	sort.Strings(names)
 	return nil, fmt.Errorf("workload: unknown application %q (have %v)", name, names)
+}
+
+// Select resolves a command-line workload selection: "all" (the 48-app
+// suite), a category ("m-intensive", "c-intensive", "limited"), "dense" (the
+// dense extension family) — all case-insensitive — or one application name.
+func Select(sel string) ([]*Spec, error) {
+	switch strings.ToLower(sel) {
+	case "all":
+		return Suite(), nil
+	case "m-intensive":
+		return MIntensive(), nil
+	case "c-intensive":
+		return CIntensive(), nil
+	case "limited":
+		return Limited(), nil
+	case "dense":
+		return Dense(), nil
+	}
+	s, err := ByName(sel)
+	if err != nil {
+		return nil, err
+	}
+	return []*Spec{s}, nil
 }
 
 // Names returns all application names: the 48-app suite in order, then the

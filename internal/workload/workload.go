@@ -227,11 +227,12 @@ func (s *Spec) PanelLines() uint64 {
 	return uint64(s.GridH)*s.RowPanelLines + uint64(s.GridW)*s.ColPanelLines
 }
 
-// regionGeometry returns the line-address bases of the footprint layout —
+// Regions returns the line-address bases of the footprint layout —
 // [shared][scatter][row panels][col panels][per-CTA own regions] — and the
 // per-CTA own-region length. It is the single source of truth shared by the
-// stream generator, the access profile, and region-aware placement.
-func (s *Spec) regionGeometry() (rowBase, colBase, ownBase, perCTA uint64) {
+// stream generator, the access profile, region-aware placement and the
+// analytic estimator's page-home census.
+func (s *Spec) Regions() (rowBase, colBase, ownBase, perCTA uint64) {
 	rowBase = s.SharedLines + s.ScatterLines
 	colBase = rowBase + uint64(s.GridH)*s.RowPanelLines
 	ownBase = colBase + uint64(s.GridW)*s.ColPanelLines
@@ -273,19 +274,6 @@ func minU64(a, b uint64) uint64 {
 	return b
 }
 
-// Regions exposes the footprint layout to other packages (the analytic
-// estimator reconstructs page homes from it): the row-panel, column-panel
-// and own-region base lines plus the per-CTA own-region length.
-func (s *Spec) Regions() (rowBase, colBase, ownBase, perCTA uint64) {
-	return s.regionGeometry()
-}
-
-// TileGrid returns the 2-D CTA grid and panel sizes the tiled scheduler
-// partitions; 1-D workloads return all zeros.
-func (s *Spec) TileGrid() (w, h int, rowPanel, colPanel uint64) {
-	return s.GridW, s.GridH, s.RowPanelLines, s.ColPanelLines
-}
-
 // RegionHome returns the module that region-aware placement homes the
 // page-sized block starting at the given line on, or -1 for blocks outside
 // the panel and own regions (shared and scatter data keep first-touch
@@ -296,7 +284,7 @@ func (s *Spec) TileGrid() (w, h int, rowPanel, colPanel uint64) {
 // those modules, indexed by the panel number, so panel pages spread evenly
 // over their consumers instead of racing to a first toucher.
 func (s *Spec) RegionHome(line uint64, module func(cta int) int) int {
-	rowBase, colBase, ownBase, perCTA := s.regionGeometry()
+	rowBase, colBase, ownBase, perCTA := s.Regions()
 	switch {
 	case line < rowBase:
 		return -1

@@ -34,6 +34,40 @@ func TestSuiteComposition(t *testing.T) {
 	}
 }
 
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		sel  string
+		want []*Spec
+	}{
+		{"all", Suite()},
+		{"m-intensive", MIntensive()},
+		{"C-Intensive", CIntensive()},
+		{"limited", Limited()},
+		{"dense", Dense()},
+		{"Stream", []*Spec{MIntensive()[1]}},
+		{"GEMM2D-4K", Dense()[:1]},
+	}
+	for _, c := range cases {
+		got, err := Select(c.sel)
+		if err != nil {
+			t.Errorf("Select(%q): %v", c.sel, err)
+			continue
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("Select(%q) = %d specs, want %d", c.sel, len(got), len(c.want))
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("Select(%q)[%d] = %s, want %s", c.sel, i, got[i].Name, c.want[i].Name)
+			}
+		}
+	}
+	if _, err := Select("no-such-app"); err == nil {
+		t.Error("Select accepted an unknown name")
+	}
+}
+
 func TestTable4NamesPresent(t *testing.T) {
 	// Every workload in Table 4 must exist with its published footprint.
 	want := map[string]int{
