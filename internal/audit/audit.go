@@ -13,7 +13,7 @@
 // quantity that is counted in two places (bytes on the NoC vs. per-link
 // reservations vs. the energy meter; accesses entering a cache level vs.
 // misses leaving the level above) must agree exactly, and drained state
-// (in-flight operations, resident CTAs, the event heap) must return to zero
+// (in-flight operations, resident CTAs, the event queue) must return to zero
 // at every kernel boundary.
 //
 // Checks only observe — a registered check must never mutate model state —

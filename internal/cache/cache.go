@@ -17,23 +17,21 @@ import (
 	"mcmgpu/internal/stats"
 )
 
-// Line state flags.
+// Way entry layout: each way is one uint64 holding tag<<2 | dirty | valid,
+// so an all-zero entry is an invalid way and a cleared array is an empty
+// cache. Tags therefore must fit in 62 bits (see New).
 const (
-	flagValid = 1 << iota
-	flagDirty
+	flagValid = 1
+	flagDirty = 2
+	tagShift  = 2
 )
-
-type line struct {
-	tag   uint64
-	flags uint8
-}
 
 // Cache is a set-associative cache with true LRU replacement.
 // Ways within a set are kept in recency order (index 0 = MRU), which is
 // cheap for the small associativities used here (4–16 ways).
 type Cache struct {
 	name      string
-	sets      [][]line
+	lines     []uint64 // way entries, set-major: set s occupies [s*ways, (s+1)*ways)
 	setMask   uint64
 	setShift  uint
 	ways      int
@@ -43,13 +41,13 @@ type Cache struct {
 	writes     stats.Ratio
 	evictions  stats.Counter
 	writebacks stats.Counter
-	flushes    stats.Counter
 }
 
 // New creates a cache holding the given number of lines with the given
 // associativity. The line count must yield a power-of-two set count.
 // Addresses passed to the cache are line addresses (byte address divided by
-// the line size); the cache itself is agnostic to the line size.
+// the line size) below 2^62; the cache itself is agnostic to the line size.
+// All state lives in one flat array, so New makes two allocations.
 func New(name string, lines, ways int, writeBack bool) *Cache {
 	if lines <= 0 || ways <= 0 || lines%ways != 0 {
 		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", name, lines, ways))
@@ -58,14 +56,9 @@ func New(name string, lines, ways int, writeBack bool) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %q: set count %d not a power of two", name, nSets))
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, lines)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	return &Cache{
 		name:      name,
-		sets:      sets,
+		lines:     make([]uint64, lines),
 		setMask:   uint64(nSets - 1),
 		setShift:  uint(bits.TrailingZeros(uint(nSets))),
 		ways:      ways,
@@ -77,7 +70,7 @@ func New(name string, lines, ways int, writeBack bool) *Cache {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -93,29 +86,39 @@ type Result struct {
 	NeedsWriteback bool
 }
 
-func (c *Cache) set(addr uint64) []line { return c.sets[addr&c.setMask] }
-func (c *Cache) tag(addr uint64) uint64 { return addr >> c.setShift }
+// set returns the ways of addr's set, MRU first.
+func (c *Cache) set(addr uint64) []uint64 {
+	i := int(addr&c.setMask) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
+}
+
+// key returns the valid, clean way entry for addr's tag; a way holds addr
+// exactly when its entry with the dirty bit masked off equals the key.
+func (c *Cache) key(addr uint64) uint64 { return addr>>c.setShift<<tagShift | flagValid }
+
+// find returns the way of s holding key, or -1.
+func find(s []uint64, key uint64) int {
+	for i, e := range s {
+		if e&^flagDirty == key {
+			return i
+		}
+	}
+	return -1
+}
 
 // touch moves way i of set s to the MRU position.
-func touch(s []line, i int) {
+func touch(s []uint64, i int) {
 	if i == 0 {
 		return
 	}
-	l := s[i]
+	e := s[i]
 	copy(s[1:i+1], s[0:i])
-	s[0] = l
+	s[0] = e
 }
 
 // Lookup probes the cache without modifying replacement state or statistics.
 func (c *Cache) Lookup(addr uint64) bool {
-	s := c.set(addr)
-	t := c.tag(addr)
-	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
-			return true
-		}
-	}
-	return false
+	return find(c.set(addr), c.key(addr)) >= 0
 }
 
 // Access performs a read or write access to the given line address,
@@ -125,20 +128,18 @@ func (c *Cache) Lookup(addr uint64) bool {
 // must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	s := c.set(addr)
-	t := c.tag(addr)
-	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
-			touch(s, i)
-			if write {
-				if c.writeBack {
-					s[0].flags |= flagDirty
-				}
-				c.writes.Observe(true)
-			} else {
-				c.reads.Observe(true)
+	key := c.key(addr)
+	if i := find(s, key); i >= 0 {
+		touch(s, i)
+		if write {
+			if c.writeBack {
+				s[0] |= flagDirty
 			}
-			return Result{Hit: true}
+			c.writes.Observe(true)
+		} else {
+			c.reads.Observe(true)
 		}
+		return Result{Hit: true}
 	}
 	// Miss: fill into the LRU way.
 	if write {
@@ -146,7 +147,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	} else {
 		c.reads.Observe(false)
 	}
-	return c.fill(s, addr&c.setMask, t, write)
+	return c.fill(s, addr&c.setMask, key, write)
 }
 
 // Probe performs a read or write access without allocating on miss. It is
@@ -154,58 +155,54 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // remote-only L1.5 must not disturb its contents or statistics).
 func (c *Cache) Probe(addr uint64, write bool) bool {
 	s := c.set(addr)
-	t := c.tag(addr)
-	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
-			touch(s, i)
-			if write && c.writeBack {
-				s[0].flags |= flagDirty
-			}
-			return true
-		}
+	i := find(s, c.key(addr))
+	if i < 0 {
+		return false
 	}
-	return false
+	touch(s, i)
+	if write && c.writeBack {
+		s[0] |= flagDirty
+	}
+	return true
 }
 
-// fill inserts tag t into set s (whose index is setIdx) as MRU, evicting the
+// fill inserts key into set s (whose index is setIdx) as MRU, evicting the
 // LRU way. The victim's line address is reconstructed from its tag and the
 // shared set index.
-func (c *Cache) fill(s []line, setIdx, t uint64, write bool) Result {
+func (c *Cache) fill(s []uint64, setIdx, key uint64, write bool) Result {
 	var res Result
 	victim := s[len(s)-1]
-	if victim.flags&flagValid != 0 {
+	if victim&flagValid != 0 {
 		res.Evicted = true
 		c.evictions.Inc()
-		if victim.flags&flagDirty != 0 {
+		if victim&flagDirty != 0 {
 			res.NeedsWriteback = true
-			res.WritebackAddr = victim.tag<<c.setShift | setIdx
+			res.WritebackAddr = victim>>tagShift<<c.setShift | setIdx
 			c.writebacks.Inc()
 		}
 	}
 	copy(s[1:], s[:len(s)-1])
-	nl := line{tag: t, flags: flagValid}
 	if write && c.writeBack {
-		nl.flags |= flagDirty
+		key |= flagDirty
 	}
-	s[0] = nl
+	s[0] = key
 	return res
 }
 
 // Flush invalidates the entire cache and returns the line addresses of all
-// dirty lines (write-back caches only). The paper flushes L1 and L1.5 at
+// dirty lines in set-major, MRU-first order (write-back caches only; a
+// write-through cache never holds one). The paper flushes L1 and L1.5 at
 // kernel boundaries to implement software coherence.
 func (c *Cache) Flush() []uint64 {
-	c.flushes.Inc()
 	var dirty []uint64
-	for si := range c.sets {
-		s := c.sets[si]
-		for i := range s {
-			if s[i].flags&flagValid != 0 && s[i].flags&flagDirty != 0 {
-				dirty = append(dirty, s[i].tag<<c.setShift|uint64(si))
+	if c.writeBack {
+		for i, e := range c.lines {
+			if e&flagDirty != 0 {
+				dirty = append(dirty, e>>tagShift<<c.setShift|uint64(i/c.ways))
 			}
-			s[i] = line{}
 		}
 	}
+	clear(c.lines)
 	return dirty
 }
 
@@ -213,27 +210,21 @@ func (c *Cache) Flush() []uint64 {
 // dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	s := c.set(addr)
-	t := c.tag(addr)
-	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
-			dirty = s[i].flags&flagDirty != 0
-			copy(s[i:], s[i+1:])
-			s[len(s)-1] = line{}
-			return true, dirty
-		}
+	i := find(s, c.key(addr))
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = s[i]&flagDirty != 0
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = 0
+	return true, dirty
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].flags&flagValid != 0 {
-				n++
-			}
-		}
+	for _, e := range c.lines {
+		n += int(e & flagValid)
 	}
 	return n
 }
@@ -287,10 +278,11 @@ func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 // coherence), and hit counters exceeding access counters.
 func (c *Cache) Audit(r *audit.Reporter) {
 	occ := 0
-	for si, s := range c.sets {
+	for si := 0; si < c.Sets(); si++ {
+		s := c.set(uint64(si))
 		invalidAt := -1
-		for i := range s {
-			if s[i].flags&flagValid == 0 {
+		for i, e := range s {
+			if e&flagValid == 0 {
 				if invalidAt < 0 {
 					invalidAt = i
 				}
@@ -301,19 +293,19 @@ func (c *Cache) Audit(r *audit.Reporter) {
 				r.Reportf("cache-lru", c.name,
 					"set %d: valid line in way %d behind invalid way %d; the LRU stack must keep valid ways as a prefix", si, i, invalidAt)
 			}
-			if s[i].flags&flagDirty != 0 && !c.writeBack {
+			if e&flagDirty != 0 && !c.writeBack {
 				r.Reportf("cache-write-through", c.name,
 					"set %d way %d holds a dirty line in a write-through cache", si, i)
 			}
 			for j := 0; j < i; j++ {
-				if s[j].flags&flagValid != 0 && s[j].tag == s[i].tag {
+				if (s[j]^e)&^flagDirty == 0 {
 					r.Reportf("cache-dup-tag", c.name,
-						"set %d: tag %#x present in ways %d and %d", si, s[i].tag, j, i)
+						"set %d: tag %#x present in ways %d and %d", si, e>>tagShift, j, i)
 				}
 			}
 		}
 	}
-	capacity := len(c.sets) * c.ways
+	capacity := len(c.lines)
 	if occ > capacity {
 		r.Reportf("cache-occupancy", c.name, "%d valid lines exceed capacity %d", occ, capacity)
 	}
@@ -331,5 +323,4 @@ func (c *Cache) ResetStats() {
 	c.writes.Reset()
 	c.evictions.Reset()
 	c.writebacks.Reset()
-	c.flushes.Reset()
 }

@@ -2,8 +2,11 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"mcmgpu/internal/audit"
 )
 
 func TestBasicHitMiss(t *testing.T) {
@@ -160,56 +163,158 @@ func TestBadGeometryPanics(t *testing.T) {
 	}
 }
 
+// refLine is one resident line of referenceCache.
+type refLine struct {
+	addr  uint64
+	dirty bool
+}
+
 // referenceCache is a trivially correct LRU model used to validate Cache.
 type referenceCache struct {
-	sets  int
-	ways  int
-	order map[uint64][]uint64 // set -> addresses, MRU first
+	sets      int
+	ways      int
+	writeBack bool
+	order     map[uint64][]refLine // set -> resident lines, MRU first
 }
 
-func newReference(lines, ways int) *referenceCache {
-	return &referenceCache{sets: lines / ways, ways: ways, order: map[uint64][]uint64{}}
+func newReference(lines, ways int, writeBack bool) *referenceCache {
+	return &referenceCache{sets: lines / ways, ways: ways, writeBack: writeBack, order: map[uint64][]refLine{}}
 }
 
-func (r *referenceCache) access(addr uint64) bool {
+// find moves addr to the MRU position of its set, marking it dirty on a
+// write-back write, and reports whether it was resident.
+func (r *referenceCache) find(addr uint64, write bool) bool {
 	set := addr % uint64(r.sets)
 	lst := r.order[set]
-	for i, a := range lst {
-		if a == addr {
+	for i, l := range lst {
+		if l.addr == addr {
 			copy(lst[1:i+1], lst[0:i])
-			lst[0] = addr
+			l.dirty = l.dirty || write && r.writeBack
+			lst[0] = l
 			return true
 		}
 	}
-	lst = append([]uint64{addr}, lst...)
-	if len(lst) > r.ways {
-		lst = lst[:r.ways]
-	}
-	r.order[set] = lst
 	return false
 }
 
-// Property: Cache agrees exactly with the reference LRU model on a random
-// access stream, for several geometries.
+func (r *referenceCache) access(addr uint64, write bool) Result {
+	if r.find(addr, write) {
+		return Result{Hit: true}
+	}
+	set := addr % uint64(r.sets)
+	lst := append([]refLine{{addr: addr, dirty: write && r.writeBack}}, r.order[set]...)
+	var res Result
+	if len(lst) > r.ways {
+		victim := lst[r.ways]
+		lst = lst[:r.ways]
+		res.Evicted = true
+		if victim.dirty {
+			res.NeedsWriteback, res.WritebackAddr = true, victim.addr
+		}
+	}
+	r.order[set] = lst
+	return res
+}
+
+func (r *referenceCache) invalidate(addr uint64) (present, dirty bool) {
+	set := addr % uint64(r.sets)
+	lst := r.order[set]
+	for i, l := range lst {
+		if l.addr == addr {
+			r.order[set] = append(lst[:i:i], lst[i+1:]...)
+			return true, l.dirty
+		}
+	}
+	return false, false
+}
+
+func (r *referenceCache) flush() []uint64 {
+	var dirty []uint64
+	for set := 0; set < r.sets; set++ {
+		for _, l := range r.order[uint64(set)] {
+			if l.dirty {
+				dirty = append(dirty, l.addr)
+			}
+		}
+	}
+	r.order = map[uint64][]refLine{}
+	return dirty
+}
+
+// Property: Cache agrees exactly with the reference LRU model, write-through
+// and write-back, on a random stream of Access, Probe, Invalidate and Flush
+// over line addresses spanning the full 62-bit range New documents: every
+// Result field, every probe and invalidation outcome, and every flush's
+// dirty list in order. The structural audit stays clean throughout.
 func TestLRUMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		geoms := []struct{ lines, ways int }{{16, 4}, {64, 16}, {32, 1}, {8, 8}}
 		g := geoms[rng.Intn(len(geoms))]
-		c := New("sut", g.lines, g.ways, false)
-		ref := newReference(g.lines, g.ways)
+		wb := rng.Intn(2) == 0
+		c := New("sut", g.lines, g.ways, wb)
+		ref := newReference(g.lines, g.ways, wb)
+		pool := make([]uint64, 2*g.lines)
+		for i := range pool {
+			pool[i] = rng.Uint64() >> 2
+		}
+		pool[0], pool[1] = 0, 1<<62-1
 		for i := 0; i < int(n); i++ {
-			addr := uint64(rng.Intn(4 * g.lines))
-			got := c.Access(addr, rng.Intn(2) == 0).Hit
-			want := ref.access(addr)
-			if got != want {
-				return false
+			addr := pool[rng.Intn(len(pool))]
+			write := rng.Intn(2) == 0
+			switch op := rng.Intn(200); {
+			case op < 150:
+				if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+					t.Logf("seed %d op %d: Access(%#x, %v) = %+v, want %+v", seed, i, addr, write, got, want)
+					return false
+				}
+			case op < 180:
+				if got, want := c.Probe(addr, write), ref.find(addr, write); got != want {
+					t.Logf("seed %d op %d: Probe(%#x, %v) = %v, want %v", seed, i, addr, write, got, want)
+					return false
+				}
+			case op < 199:
+				gp, gd := c.Invalidate(addr)
+				if wp, wd := ref.invalidate(addr); gp != wp || gd != wd {
+					t.Logf("seed %d op %d: Invalidate(%#x) = %v,%v, want %v,%v", seed, i, addr, gp, gd, wp, wd)
+					return false
+				}
+			default:
+				if got, want := c.Flush(), ref.flush(); !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d op %d: Flush = %#x, want %#x", seed, i, got, want)
+					return false
+				}
 			}
 		}
-		return true
+		var r audit.Reporter
+		c.Audit(&r)
+		if err := r.Violations().Err(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return reflect.DeepEqual(c.Flush(), ref.flush())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewAndFlushAllocs pins the flat layout's allocation profile: New makes
+// the Cache and its one way array, and flushing a write-through cache (the
+// L1 and L1.5 at every kernel boundary) allocates nothing.
+func TestNewAndFlushAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(20, func() { New("l1", 1024, 4, false) }); a > 2 {
+		t.Errorf("New allocated %v objects, want <= 2", a)
+	}
+	c := New("l1", 1024, 4, false)
+	for i := uint64(0); i < 4096; i++ {
+		c.Access(i*7, i%3 == 0)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		c.Access(5, true)
+		c.Flush()
+	}); a != 0 {
+		t.Errorf("write-through Flush allocated %v objects, want 0", a)
 	}
 }
 

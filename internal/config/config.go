@@ -339,12 +339,27 @@ func (c *Config) Validate() error {
 	if !c.L2.Enabled() {
 		return fmt.Errorf("config %q: L2 must be enabled (SizeBytes > 0)", c.Name)
 	}
+	// Each level also has the one write policy the simulator models
+	// (footnote 4 of the paper): L1 and L1.5 are write-through, because
+	// software coherence flushes them at kernel boundaries without writing
+	// anything back, and the memory-side L2 is write-back, the only path by
+	// which stores reach DRAM. Any other policy would silently change
+	// results, e.g. a write-through L2 drops every store's DRAM traffic.
 	for _, cc := range []struct {
-		name string
-		c    CacheConfig
-	}{{"L1", c.L1}, {"L1.5", c.L15}, {"L2", c.L2}} {
+		name      string
+		c         CacheConfig
+		writeBack bool
+	}{{"L1", c.L1, false}, {"L1.5", c.L15, false}, {"L2", c.L2, true}} {
 		if !cc.c.Enabled() {
 			continue
+		}
+		if cc.c.WriteBack != cc.writeBack {
+			want, got := "write-through", "write-back"
+			if cc.writeBack {
+				want, got = got, want
+			}
+			return fmt.Errorf("config %q: %s must be %s, not %s (footnote 4 of the paper: write-through L1/L1.5, write-back L2 is the only hierarchy the simulator models)",
+				c.Name, cc.name, want, got)
 		}
 		if cc.c.LineBytes <= 0 {
 			return fmt.Errorf("config %q: %s LineBytes = %d", c.Name, cc.name, cc.c.LineBytes)

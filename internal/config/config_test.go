@@ -220,6 +220,14 @@ func TestValidateCatchesErrors(t *testing.T) {
 		// which used to slip through Validate and panic in cache.New.
 		{func(c *Config) { c.L1.SizeBytes = 768 }, "divisible"},
 		{func(c *Config) { c.PageBytes = 64 }, "smaller than"},
+		// Unmodeled write policies (footnote 4 of the paper): the simulator
+		// would silently run them as write-through L1/L1.5 and write-back L2.
+		{func(c *Config) { c.L1.WriteBack = true }, "L1 must be write-through, not write-back (footnote 4"},
+		{func(c *Config) {
+			*c = *OptimizedMCM()
+			c.L15.WriteBack = true
+		}, "L1.5 must be write-through, not write-back (footnote 4"},
+		{func(c *Config) { c.L2.WriteBack = false }, "L2 must be write-back, not write-through (footnote 4"},
 	}
 	for i, tc := range cases {
 		c := BaselineMCM()

@@ -26,7 +26,7 @@ func (m *Machine) newAuditor() *audit.Auditor {
 
 	// warp-drain: at a kernel boundary nothing may be left over from the
 	// kernel — no resident CTAs, no in-flight memory operations, no unissued
-	// CTAs in the scheduler, and an empty event heap. A leak here means a
+	// CTAs in the scheduler, and an empty event queue. A leak here means a
 	// lost wakeup: some warp will sleep forever in a longer run.
 	a.Register("warp-drain", audit.Boundary, func(r *audit.Reporter) {
 		audit.Equal(r, "warp-drain", "machine", "live CTAs", m.liveCTA, 0)

@@ -13,20 +13,27 @@ type nopEv struct{ n int }
 func (e *nopEv) Dispatch(uint8) { e.n++ }
 
 // TestTypedEventScheduleAllocFree pins the allocation-free contract of the
-// typed scheduling path: once the queue's backing array has grown to its
-// steady-state size, AtEvent + Step allocate nothing per event.
+// typed scheduling path: once the calendar's node slab and the far heap have
+// grown to their steady-state size, AtEvent + Step allocate nothing per
+// event, near or far.
 func TestTypedEventScheduleAllocFree(t *testing.T) {
 	s := New()
 	ev := &nopEv{}
 	const batch = 512
-	// Warm the queue's backing array to its high-water mark.
+	delay := func(i int) Cycle {
+		if i%32 == 0 {
+			return 2*calendarWindow + Cycle(i)
+		}
+		return Cycle(i % 13)
+	}
+	// Warm the queue to its high-water mark.
 	for i := 0; i < batch; i++ {
-		s.AtEvent(Cycle(i%13), ev, 0)
+		s.AtEvent(delay(i), ev, 0)
 	}
 	s.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < batch; i++ {
-			s.AtEvent(s.Now()+Cycle(i%13), ev, uint8(i&1))
+			s.AtEvent(s.Now()+delay(i), ev, uint8(i&1))
 		}
 		s.Run()
 	})
@@ -47,26 +54,35 @@ func TestResourceReserveAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkHeapPushPop measures the specialized heap on the push/pop mix the
+// BenchmarkQueuePushPop measures the queue on the push/pop mix the
 // simulator produces: a bounded queue with interleaved scheduling while
-// draining, timestamps spread over a small window.
-func BenchmarkHeapPushPop(b *testing.B) {
-	s := New()
-	ev := &nopEv{}
-	const window = 1024
-	for i := 0; i < window; i++ {
-		s.AtEvent(Cycle(i*7%97), ev, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.AtEvent(s.Now()+Cycle(i*31%211), ev, 0)
-		s.Step()
+// draining. "near" keeps every delay inside the calendar window, as the
+// paper's workloads do; "far" spreads delays to three windows, so most
+// events pass through the far heap and migrate into the calendar.
+func BenchmarkQueuePushPop(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		spread int
+	}{{"near", 211}, {"far", 3 * calendarWindow}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New()
+			ev := &nopEv{}
+			const queued = 1024
+			for i := 0; i < queued; i++ {
+				s.AtEvent(Cycle(i*7%bc.spread), ev, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.AtEvent(s.Now()+Cycle(i*31%bc.spread), ev, 0)
+				s.Step()
+			}
+		})
 	}
 }
 
 // BenchmarkTypedSchedule measures pure AtEvent cost (drained between
-// batches so the heap stays at a steady size).
+// batches so the queue stays at a steady size).
 func BenchmarkTypedSchedule(b *testing.B) {
 	s := New()
 	ev := &nopEv{}

@@ -3,14 +3,19 @@
 // resources that model shared components (DRAM partitions, on-package links,
 // crossbars, SM issue slots) via next-free-time reservation.
 //
-// The engine is deliberately small and deterministic: events scheduled for
-// the same cycle fire in scheduling order, so a simulation with a fixed
-// configuration and seed always produces identical results.
+// The engine is deliberately small and deterministic: events fire in
+// (time, scheduling order), so events scheduled for the same cycle fire in
+// the order they were scheduled, and a simulation with a fixed configuration
+// and seed always produces identical results.
 //
 // Events are scheduled with AtEvent/AfterEvent, which dispatch to a
 // long-lived receiver implementing Event with a small kind tag, so the hot
 // paths that fire millions of events schedule without allocating; see
 // core's pooled warp/load/store contexts.
+//
+// The queue is a calendar queue: events due within a fixed window of the
+// clock wait in per-cycle FIFO buckets, and only the rare events due later
+// wait in a heap until the clock comes within a window of them.
 //
 // Run and RunUntil consult an ordered list of periodic hooks (AddHook): the
 // budget check, the invariant auditor and the metrics sampler. Hooks only
@@ -18,7 +23,10 @@
 // one until a hook stops it.
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a point in simulated time, measured in GPU core cycles.
 // The model clocks the GPU at 1 GHz (Table 3 of the paper), so one cycle is
@@ -35,7 +43,31 @@ type Event interface {
 	Dispatch(kind uint8)
 }
 
-// event is one queue entry.
+// calendarWindow is the calendar's span in cycles: an event due less than
+// calendarWindow cycles after the clock goes straight into its cycle's
+// bucket. It must be a power of two (bucket = cycle & (calendarWindow-1))
+// and a multiple of 64 (one occupancy word covers 64 buckets). Every event
+// the paper's workloads schedule at their default link bandwidths lands less
+// than 4096 cycles ahead (95% less than 512), so the far heap only sees
+// traffic on starved links.
+const (
+	calendarWindow = 4096
+	occWords       = calendarWindow / 64
+)
+
+// node is one near event, chained into its bucket's FIFO (or the free list)
+// through next, an index into Sim.nodes.
+type node struct {
+	ev   Event
+	next int32
+	kind uint8
+}
+
+// bucket is the FIFO of near events due in one cycle. head and tail are
+// meaningful only while the bucket's occupancy bit is set.
+type bucket struct{ head, tail int32 }
+
+// event is one far-heap entry.
 type event struct {
 	at   Cycle
 	seq  uint64
@@ -52,9 +84,7 @@ type hook struct {
 
 // before reports whether e fires ahead of o: earlier cycle first, and within
 // a cycle, scheduling order (seq). This is a strict total order — no two
-// events compare equal — so any correct heap pops the queue in exactly one
-// sequence, which is what keeps the specialized heap byte-identical to the
-// container/heap implementation it replaced.
+// events compare equal — so the heap pops in exactly one sequence.
 func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
@@ -62,18 +92,30 @@ func (e *event) before(o *event) bool {
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 //
-// The queue is a hand-specialized 4-ary min-heap over event values with
-// inlined sift-up/sift-down. Relative to container/heap this removes the
-// interface{} boxing of every push/pop (one heap allocation per event) and
-// the Less/Swap indirect calls; 4-ary halves the tree depth, trading a few
-// extra comparisons per level for fewer cache-missing levels on the
-// million-event queues the simulator builds.
+// Near events (due before now+calendarWindow) sit in per-cycle FIFO buckets
+// chained through one node slab with a free list, and an occupancy bitmap
+// finds the next non-empty cycle, so scheduling and dispatch are O(1). Far
+// events wait in a 4-ary (at, seq) min-heap and move into their bucket as
+// soon as the clock comes within one window of them. That migration happens
+// when the clock advances, before any event of the new cycle runs and so
+// before anything can be scheduled directly into a migrated cycle; and a far
+// event was necessarily scheduled before any direct one for its cycle (the
+// clock only moves forward). Each bucket therefore fills in seq order, and
+// dispatch follows exactly the (at, seq) order of a single priority queue.
+// Queue memory is the fixed calendar plus one slab node or heap entry per
+// in-flight event.
 type Sim struct {
 	now     Cycle
-	events  []event
 	seq     uint64
 	nRun    uint64
 	clamped uint64
+
+	buckets [calendarWindow]bucket
+	occ     [occWords]uint64 // bit b set: bucket b holds events
+	nodes   []node           // slab backing every bucket's FIFO
+	free    int32            // head of the free node list, -1 if empty
+	near    int              // events in buckets
+	far     []event          // 4-ary min-heap of events due at or after now+calendarWindow
 
 	// Periodic hooks in install order (see AddHook). Each keeps its own
 	// interval, so the invariant auditor can sweep at a coarser cadence than
@@ -84,7 +126,7 @@ type Sim struct {
 
 // New returns an empty simulator positioned at cycle 0.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{free: -1}
 }
 
 // Now returns the current simulated time.
@@ -94,7 +136,7 @@ func (s *Sim) Now() Cycle { return s.now }
 func (s *Sim) Processed() uint64 { return s.nRun }
 
 // Pending returns the number of events waiting in the queue.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int { return s.near + len(s.far) }
 
 // Clamped returns the number of events that were scheduled in the past and
 // clamped to the current time. A handful per run is expected floating-point
@@ -102,24 +144,23 @@ func (s *Sim) Pending() int { return len(s.events) }
 // causality bug upstream that the clamp would otherwise hide.
 func (s *Sim) Clamped() uint64 { return s.clamped }
 
-// clamp maps a past timestamp to now (counting it) so the simulation keeps
-// making forward progress; see Clamped.
-func (s *Sim) clamp(t Cycle) Cycle {
-	if t < s.now {
-		s.clamped++
-		return s.now
-	}
-	return t
-}
-
 // AtEvent schedules ev.Dispatch(kind) at absolute time t. Scheduling in the
 // past is an error in the caller; the engine clamps it to the current time
 // (counted by Clamped) so the simulation still makes forward progress, which
-// keeps small floating-point slop in callers from wedging a run. The event
-// entry stores the receiver and tag inline, so scheduling allocates nothing.
+// keeps small floating-point slop in callers from wedging a run. The queue
+// stores the receiver and tag inline, so scheduling allocates nothing once
+// the queue has grown to its high-water mark.
 func (s *Sim) AtEvent(t Cycle, ev Event, kind uint8) {
 	s.seq++
-	s.push(event{at: s.clamp(t), seq: s.seq, ev: ev, kind: kind})
+	if t < s.now {
+		s.clamped++
+		t = s.now
+	}
+	if t-s.now < calendarWindow {
+		s.enqueue(t, ev, kind)
+		return
+	}
+	s.push(event{at: t, seq: s.seq, ev: ev, kind: kind})
 }
 
 // AfterEvent schedules ev.Dispatch(kind) delay cycles from now.
@@ -127,10 +168,47 @@ func (s *Sim) AfterEvent(delay Cycle, ev Event, kind uint8) {
 	s.AtEvent(s.now+delay, ev, kind)
 }
 
-// push inserts e, sifting up with the hole technique: parents shift down
-// into the hole and e is written once at its final slot.
+// enqueue appends a near event to the tail of cycle t's bucket.
+func (s *Sim) enqueue(t Cycle, ev Event, kind uint8) {
+	i := s.free
+	if i >= 0 {
+		s.free = s.nodes[i].next
+		s.nodes[i] = node{ev: ev, kind: kind}
+	} else {
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, node{ev: ev, kind: kind})
+	}
+	b := int(t & (calendarWindow - 1))
+	bk := &s.buckets[b]
+	if w, bit := b>>6, uint64(1)<<(b&63); s.occ[w]&bit == 0 {
+		s.occ[w] |= bit
+		bk.head = i
+	} else {
+		s.nodes[bk.tail].next = i
+	}
+	bk.tail = i
+	s.near++
+}
+
+// nextNear returns the cycle of the earliest near event: the first occupied
+// bucket at or after the clock's, wrapping around the calendar. Callers
+// ensure s.near > 0.
+func (s *Sim) nextNear() Cycle {
+	b := int(s.now & (calendarWindow - 1))
+	w := b >> 6
+	m := s.occ[w] >> (b & 63) << (b & 63)
+	for m == 0 {
+		w = (w + 1) & (occWords - 1)
+		m = s.occ[w]
+	}
+	d := (w<<6 + bits.TrailingZeros64(m) - b) & (calendarWindow - 1)
+	return s.now + Cycle(d)
+}
+
+// push inserts e into the far heap, sifting up with the hole technique:
+// parents shift down into the hole and e is written once at its final slot.
 func (s *Sim) push(e event) {
-	h := append(s.events, e)
+	h := append(s.far, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -141,19 +219,19 @@ func (s *Sim) push(e event) {
 		i = p
 	}
 	h[i] = e
-	s.events = h
+	s.far = h
 }
 
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down from the root.
+// pop removes and returns the far heap's earliest event, sifting the
+// displaced tail element down from the root.
 func (s *Sim) pop() event {
-	h := s.events
+	h := s.far
 	top := h[0]
 	n := len(h) - 1
 	e := h[n]
 	h[n] = event{} // release the vacated slot's receiver reference
 	h = h[:n]
-	s.events = h
+	s.far = h
 	if n > 0 {
 		i := 0
 		for {
@@ -183,16 +261,53 @@ func (s *Sim) pop() event {
 	return top
 }
 
+// next returns the time of the earliest pending event.
+func (s *Sim) next() (Cycle, bool) {
+	if s.near > 0 {
+		return s.nextNear(), true
+	}
+	if len(s.far) > 0 {
+		return s.far[0].at, true
+	}
+	return 0, false
+}
+
 // Step executes the earliest pending event and reports whether one existed.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
+	t, ok := s.next()
+	if ok {
+		s.dispatch(t)
 	}
-	e := s.pop()
-	s.now = e.at
+	return ok
+}
+
+// dispatch advances the clock to t, the earliest pending event's cycle, and
+// runs the head of t's bucket. Far events that t brings within a window of
+// the clock move into their buckets first, in (at, seq) order; when the
+// buckets were empty that includes the event at t itself.
+func (s *Sim) dispatch(t Cycle) {
+	if t != s.now {
+		s.now = t
+		for len(s.far) > 0 && s.far[0].at-t < calendarWindow {
+			e := s.pop()
+			s.enqueue(e.at, e.ev, e.kind)
+		}
+	}
+	b := int(t & (calendarWindow - 1))
+	bk := &s.buckets[b]
+	i := bk.head
+	n := &s.nodes[i]
+	ev, kind := n.ev, n.kind
+	if i == bk.tail {
+		s.occ[b>>6] &^= 1 << (b & 63)
+	} else {
+		bk.head = n.next
+	}
+	*n = node{next: s.free} // release the receiver reference
+	s.free = i
+	s.near--
 	s.nRun++
-	e.ev.Dispatch(e.kind)
-	return true
+	ev.Dispatch(kind)
 }
 
 // AddHook appends fn to the periodic hooks Run and RunUntil consult: fn runs
@@ -258,14 +373,21 @@ func (s *Sim) RunUntil(limit Cycle) uint64 {
 	if hooked {
 		s.stopErr = nil
 	}
-	for len(s.events) > 0 && s.events[0].at <= limit {
-		s.Step()
-		if hooked && s.tick() {
-			return s.nRun - start
+	for {
+		t, ok := s.next()
+		if !ok {
+			if s.now < limit {
+				s.now = limit
+			}
+			break
 		}
-	}
-	if s.now < limit && len(s.events) == 0 {
-		s.now = limit
+		if t > limit {
+			break
+		}
+		s.dispatch(t)
+		if hooked && s.tick() {
+			break
+		}
 	}
 	return s.nRun - start
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -365,32 +367,181 @@ func TestSimSameCycleBurstOrderProperty(t *testing.T) {
 	}
 }
 
-// The specialized heap must pop in exactly the order a reference sort of
-// (at, seq) produces, including under interleaved push/pop (events scheduled
-// while the queue drains).
-func TestSimHeapMatchesReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	s := New()
-	var got []Cycle
-	var schedule func()
-	remaining := 5000
-	schedule = func() {
-		got = append(got, s.Now())
-		if remaining > 0 {
-			remaining--
-			// Future-dated relative to now, keeping the queue churning.
-			schedAfter(s, Cycle(rng.Intn(50)), schedule)
+// refEvent is one entry of refQueue.
+type refEvent struct {
+	at  Cycle
+	seq uint64
+	id  int
+}
+
+// refQueue is the reference the engine's queue must match: a flat list in
+// which the next event is the (at, seq) minimum, with the engine's clamp and
+// idle-clock rules.
+type refQueue struct {
+	now Cycle
+	seq uint64
+	q   []refEvent
+}
+
+func (r *refQueue) at(t Cycle, id int) {
+	r.seq++
+	if t < r.now {
+		t = r.now
+	}
+	r.q = append(r.q, refEvent{at: t, seq: r.seq, id: id})
+}
+
+// min returns the index of the earliest event; the queue must not be empty.
+func (r *refQueue) min() int {
+	m := 0
+	for i, e := range r.q {
+		if e.at < r.q[m].at || (e.at == r.q[m].at && e.seq < r.q[m].seq) {
+			m = i
 		}
 	}
-	for i := 0; i < 64; i++ {
-		schedAt(s, Cycle(rng.Intn(100)), schedule)
-	}
-	s.Run()
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("pop order not sorted by time")
-	}
-	if len(got) != 64+5000 {
-		t.Fatalf("processed %d events, want %d", len(got), 64+5000)
+	return m
+}
+
+func (r *refQueue) pop() refEvent {
+	m := r.min()
+	e := r.q[m]
+	r.q = append(r.q[:m], r.q[m+1:]...)
+	r.now = e.at
+	return e
+}
+
+// orderEv reports its dispatch to the test driving it.
+type orderEv struct {
+	fn func(id int)
+	id int
+}
+
+func (e *orderEv) Dispatch(uint8) { e.fn(e.id) }
+
+// The queue must dispatch in exactly the order a reference sort of
+// (at, seq) produces, across everything that moves events between the
+// calendar's buckets and its far heap: delays on both sides of the window
+// (0, W-1, W, W+1 up to 3W), same-cycle bursts, far events whose cycle later
+// receives direct pushes, clamped past events, RunUntil slices (including the
+// idle-clock advance on an empty queue), single Steps, and a hook that stops
+// the run followed by a resume. Now and Pending must agree with the
+// reference after every call.
+func TestSimHeapMatchesReferenceOrder(t *testing.T) {
+	const W = calendarWindow
+	delays := []Cycle{0, 1, 2, 7, 63, 64, 511, W - 1, W, W + 1, 2*W - 1, 2 * W, 2*W + 1, 3 * W}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		ref := &refQueue{}
+		var fails []string
+		var leaf []bool // by id: leaves schedule nothing, chain events schedule their successor
+		var farAt []Cycle
+		budget := 10000
+		sched := func(at Cycle, isLeaf bool, fn func(int)) {
+			budget--
+			leaf = append(leaf, isLeaf)
+			s.AtEvent(at, &orderEv{fn: fn, id: len(leaf) - 1}, 0)
+			ref.at(at, len(leaf)-1)
+		}
+		var onDispatch func(id int)
+		onDispatch = func(id int) {
+			if want := ref.pop(); id != want.id || s.Now() != want.at {
+				fails = append(fails, fmt.Sprintf("got id %d at %d, want id %d at %d", id, s.Now(), want.id, want.at))
+			}
+			if leaf[id] || budget <= 0 {
+				return
+			}
+			now := s.Now()
+			d := delays[rng.Intn(len(delays))]
+			if rng.Intn(2) == 0 {
+				d = Cycle(rng.Intn(3*W + 1))
+			}
+			if d >= W {
+				farAt = append(farAt, now+d)
+			}
+			sched(now+d, false, onDispatch)
+			switch rng.Intn(6) {
+			case 0: // a same-cycle burst
+				for j := rng.Intn(16); j >= 0; j-- {
+					sched(now, true, onDispatch)
+				}
+			case 1: // in the past: clamped to now
+				sched(now-Cycle(rng.Intn(int(now)+1)), true, onDispatch)
+			case 2, 3: // a direct push into a cycle a far event was scheduled for
+				for i := 0; i < len(farAt); {
+					if farAt[i] < now {
+						farAt[i] = farAt[len(farAt)-1]
+						farAt = farAt[:len(farAt)-1]
+						continue
+					}
+					if farAt[i]-now < W {
+						sched(farAt[i], true, onDispatch)
+						break
+					}
+					i++
+				}
+			}
+		}
+		stop := errors.New("stop")
+		stopAt := uint64(0)
+		s.AddHook(1, func() error {
+			if s.Processed() == stopAt {
+				return stop
+			}
+			return nil
+		})
+		check := func(call string) {
+			if s.Now() != ref.now || s.Pending() != len(ref.q) {
+				fails = append(fails, fmt.Sprintf("after %s: Now %d Pending %d, want %d and %d",
+					call, s.Now(), s.Pending(), ref.now, len(ref.q)))
+			}
+		}
+		for i := 0; i < 100; i++ {
+			sched(ref.now+delays[rng.Intn(len(delays))], false, onDispatch)
+		}
+		for len(fails) == 0 && len(ref.q) > 0 {
+			if budget > 0 && rng.Intn(4) == 0 {
+				sched(ref.now+Cycle(rng.Intn(3*W+1)), true, onDispatch)
+			}
+			switch rng.Intn(3) {
+			case 0:
+				s.Step()
+				check("Step")
+			case 1:
+				limit := ref.now + Cycle(rng.Intn(2*W))
+				s.RunUntil(limit)
+				if len(ref.q) == 0 && ref.now < limit {
+					ref.now = limit // idle-clock advance
+				}
+				if len(ref.q) > 0 && ref.q[ref.min()].at <= limit {
+					fails = append(fails, fmt.Sprintf("RunUntil(%d) left an event due at %d", limit, ref.q[ref.min()].at))
+				}
+				check("RunUntil")
+			case 2:
+				stopAt = s.Processed() + 1 + uint64(rng.Intn(300))
+				s.Run()
+				if len(ref.q) > 0 && (!errors.Is(s.StopErr(), stop) || s.Processed() != stopAt) {
+					fails = append(fails, fmt.Sprintf("Run with queued events returned at %d (StopErr %v), want a hook stop at %d",
+						s.Processed(), s.StopErr(), stopAt))
+				}
+				stopAt = 0
+				check("stopped Run")
+			}
+		}
+		// Drained: RunUntil advances the idle clock, and a far event
+		// scheduled from there still fires on time.
+		s.RunUntil(ref.now + 5)
+		ref.now += 5
+		check("idle RunUntil")
+		sched(ref.now+2*W+3, true, onDispatch)
+		s.Run()
+		check("final Run")
+		if len(fails) > 0 {
+			t.Fatalf("seed %d: %d mismatches, first: %s", seed, len(fails), fails[0])
+		}
+		if s.Processed() != uint64(len(leaf)) {
+			t.Fatalf("seed %d: dispatched %d of %d events", seed, s.Processed(), len(leaf))
+		}
 	}
 }
 

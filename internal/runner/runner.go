@@ -1,7 +1,7 @@
 // Package runner executes simulation jobs across a pool of goroutines and
 // memoizes their results process-wide.
 //
-// Every simulated Machine is fully independent — one event heap, no shared
+// Every simulated Machine is fully independent — one event queue, no shared
 // mutable state — so a (config, workload, scale) job list is embarrassingly
 // parallel. The runner fans jobs across workers and assembles results by job
 // index, which makes the output a pure function of the job list: parallel
