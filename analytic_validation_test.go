@@ -3,6 +3,7 @@ package mcmgpu
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"mcmgpu/internal/analytic"
@@ -296,7 +297,7 @@ func TestAnalyticValidation(t *testing.T) {
 			t.Logf("family %s: rank skipped (engine speedups flat within %.0f%%)", fam.name, rankQuantum*100)
 			continue
 		}
-		rho, err := stats.Spearman(estQ, engQ)
+		rho, err := spearman(estQ, engQ)
 		if err != nil {
 			t.Errorf("family %s: engine orders the table but estimator is flat: %v\n  est speedups %v\n  eng speedups %v",
 				fam.name, err, fmtF(est), fmtF(eng))
@@ -324,6 +325,68 @@ func quantizeLog(xs []float64, q float64) []float64 {
 		}
 	}
 	return out
+}
+
+// spearman returns the Spearman rank-correlation coefficient between a and
+// b: the Pearson correlation of their rank vectors, with ties assigned
+// average ranks. It is the estimator-validation metric — "does the analytic
+// model order configurations the way the engine does" — so it errors on
+// inputs where rank order is undefined: mismatched lengths, fewer than two
+// samples, or a constant vector (zero rank variance).
+func spearman(a, b []float64) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("Spearman of mismatched lengths %d and %d", len(a), len(b))
+	}
+	if len(a) < 2 {
+		return 0, fmt.Errorf("Spearman needs at least 2 samples, got %d", len(a))
+	}
+	ra, err := ranks(a)
+	if err != nil {
+		return 0, err
+	}
+	rb, err := ranks(b)
+	if err != nil {
+		return 0, err
+	}
+	ma, mb := stats.Mean(ra), stats.Mean(rb)
+	var cov, va, vb float64
+	for i := range ra {
+		da, db := ra[i]-ma, rb[i]-mb
+		cov += da * db
+		va += da * da
+		vb += db * db
+	}
+	return cov / math.Sqrt(va*vb), nil
+}
+
+// ranks returns average ranks (1-based) of xs, erroring on NaN samples and
+// on constant vectors, whose rank variance is zero and whose correlation is
+// therefore undefined.
+func ranks(xs []float64) ([]float64, error) {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		if math.IsNaN(xs[i]) {
+			return nil, fmt.Errorf("Spearman of NaN sample (element %d)", i)
+		}
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return xs[idx[i]] < xs[idx[j]] })
+	out := make([]float64, len(xs))
+	for i := 0; i < len(idx); {
+		j := i
+		for j < len(idx) && xs[idx[j]] == xs[idx[i]] {
+			j++
+		}
+		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
+		for k := i; k < j; k++ {
+			out[idx[k]] = avg
+		}
+		i = j
+	}
+	if xs[idx[0]] == xs[idx[len(idx)-1]] {
+		return nil, fmt.Errorf("Spearman of constant vector (all samples = %v)", xs[idx[0]])
+	}
+	return out, nil
 }
 
 func allEqual(xs []float64) bool {

@@ -32,11 +32,11 @@ func TestChaosEndToEnd(t *testing.T) {
 	// proxy. Backend C: accepts submissions but has no workers, and its
 	// HTTP listener is killed shortly after its first accepted batch — the
 	// pool must fail C's shard over to A and B.
-	sA := newServer(mustOpenStore(t, dir), 2, 64, t.Logf)
+	sA := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 2, QueueCap: 64, Logf: t.Logf})
 	tsA := httptest.NewServer(sA.mux)
 	defer tsA.Close()
 
-	sB := newServer(mustOpenStore(t, dir), 2, 64, t.Logf)
+	sB := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 2, QueueCap: 64, Logf: t.Logf})
 	tsB := httptest.NewServer(sB.mux)
 	defer tsB.Close()
 
@@ -64,7 +64,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	tsProxy := httptest.NewServer(proxy)
 	defer tsProxy.Close()
 
-	sC := newServer(mustOpenStore(t, dir), 0, 64, t.Logf)
+	sC := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), QueueCap: 64, Logf: t.Logf})
 	var (
 		tsC      *httptest.Server
 		killOnce sync.Once

@@ -156,12 +156,6 @@ type serverOptions struct {
 	PoisonAttempts int
 }
 
-// newServer keeps the original compact constructor; tests and call sites
-// that need the robustness knobs use newServerOpts.
-func newServer(store *runstore.Store, workers, queueCap int, logf func(string, ...interface{})) *server {
-	return newServerOpts(serverOptions{Store: store, Workers: workers, QueueCap: queueCap, Logf: logf})
-}
-
 func newServerOpts(o serverOptions) *server {
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}

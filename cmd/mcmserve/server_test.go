@@ -50,6 +50,28 @@ func testClient(t *testing.T, s *server) (*client.Client, func()) {
 	return c, ts.Close
 }
 
+// call sends one bodiless request to an endpoint the Go client has no
+// method for, failing the test unless it answers 200, and decodes the JSON
+// answer into out.
+func call(t *testing.T, method, url string, out interface{}) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s = %d, want 200", method, url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+}
+
 func mustOpenStore(t *testing.T, dir string) *runstore.Store {
 	t.Helper()
 	st, err := runstore.Open(dir)
@@ -65,12 +87,12 @@ func mustOpenStore(t *testing.T, dir string) *runstore.Store {
 // batch as store hits with zero new simulations.
 func TestSubmitComputeThenWarm(t *testing.T) {
 	dir := t.TempDir()
-	s := newServer(mustOpenStore(t, dir), 2, 16, t.Logf)
+	s := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 2, QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
 	defer stop()
 
 	m := testManifest(t, "Stream", "CFD")
-	results, statuses, err := c.Run(context.Background(), m)
+	results, statuses, err := client.NewPool([]string{c.BaseURL}, c).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +124,10 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 
 	// A restarted server (fresh process state, same store): every cell is
 	// a store hit, zero simulations.
-	s2 := newServer(mustOpenStore(t, dir), 2, 16, t.Logf)
+	s2 := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 2, QueueCap: 16, Logf: t.Logf})
 	c2, stop2 := testClient(t, s2)
 	defer stop2()
-	warm, warmStatuses, err := c2.Run(context.Background(), m)
+	warm, warmStatuses, err := client.NewPool([]string{c2.BaseURL}, c2).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +151,17 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 // server that never saw the submission — the GetByID path.
 func TestResultAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s := newServer(mustOpenStore(t, dir), 1, 16, t.Logf)
+	s := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 1, QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
 
-	results, statuses, err := c.Run(context.Background(), testManifest(t, "Stream"))
+	results, statuses, err := client.NewPool([]string{c.BaseURL}, c).Run(context.Background(), testManifest(t, "Stream"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop()
 	id := statuses[0].ID
 
-	s2 := newServer(mustOpenStore(t, dir), 1, 16, t.Logf)
+	s2 := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 1, QueueCap: 16, Logf: t.Logf})
 	c2, stop2 := testClient(t, s2)
 	defer stop2()
 	got, err := c2.Result(context.Background(), id)
@@ -155,7 +177,7 @@ func TestResultAcrossRestart(t *testing.T) {
 // accepting any of the batch — atomically, so a retried submission cannot
 // double-enqueue half a manifest.
 func TestQueueFullRejects(t *testing.T) {
-	s := newServer(nil, 0, 1, t.Logf) // no workers: nothing drains the queue
+	s := newServerOpts(serverOptions{QueueCap: 1, Logf: t.Logf}) // no workers: nothing drains the queue
 	_, code, err := s.submit(testManifest(t, "Stream", "CFD"))
 	if err == nil || code != http.StatusTooManyRequests {
 		t.Fatalf("overfull submit: code %d err %v, want 429", code, err)
@@ -173,7 +195,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 // TestSubmitValidation rejects malformed manifests with 400s.
 func TestSubmitValidation(t *testing.T) {
-	s := newServer(nil, 0, 16, t.Logf)
+	s := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf})
 	if _, code, _ := s.submit(client.Manifest{}); code != http.StatusBadRequest {
 		t.Fatalf("empty manifest: code %d, want 400", code)
 	}
@@ -190,21 +212,15 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestCancelQueuedJob cancels a job before any worker takes it.
 func TestCancelQueuedJob(t *testing.T) {
-	s := newServer(nil, 0, 16, t.Logf)
+	s := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
 	defer stop()
 	bs, err := c.Submit(context.Background(), testManifest(t, "Stream"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := bs.Jobs[0].ID
-	if err := c.CancelJob(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	js, err := c.Job(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var js client.JobStatus
+	call(t, http.MethodPost, c.BaseURL+"/v1/jobs/"+bs.Jobs[0].ID+"/cancel", &js)
 	if js.State != client.StateCanceled {
 		t.Fatalf("canceled job is %q", js.State)
 	}
@@ -212,14 +228,17 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !final.Done {
-		t.Fatal("batch with only a canceled job is not done")
+	if !final.Done || final.Jobs[0].State != client.StateCanceled {
+		t.Fatalf("batch with only a canceled job: %+v, want done and canceled", final)
 	}
 	// A worker starting later must skip the canceled job, not run it.
 	s.startWorkers(1)
 	time.Sleep(50 * time.Millisecond)
-	if js, _ := c.Job(context.Background(), id); js.State != client.StateCanceled {
-		t.Fatalf("worker resurrected a canceled job: %q", js.State)
+	if final, err = c.Batch(context.Background(), bs.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := final.Jobs[0].State; got != client.StateCanceled {
+		t.Fatalf("worker resurrected a canceled job: %q", got)
 	}
 }
 
@@ -227,7 +246,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // batch's cancellation and dies with the second — one client's cancel can
 // never kill a cell another client still wants.
 func TestBatchCancelRefcounting(t *testing.T) {
-	s := newServer(nil, 0, 16, t.Logf)
+	s := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
 	defer stop()
 	m := testManifest(t, "Stream")
@@ -243,17 +262,14 @@ func TestBatchCancelRefcounting(t *testing.T) {
 	if b2.Jobs[0].ID != id {
 		t.Fatalf("identical submissions got different IDs: %s vs %s", id, b2.Jobs[0].ID)
 	}
-	if err := c.CancelBatch(context.Background(), b1.ID); err != nil {
-		t.Fatal(err)
+	var bs client.BatchStatus
+	call(t, http.MethodPost, c.BaseURL+"/v1/batches/"+b1.ID+"/cancel", &bs)
+	if got := bs.Jobs[0].State; got != client.StateQueued {
+		t.Fatalf("job canceled while another batch still references it: %q", got)
 	}
-	if js, _ := c.Job(context.Background(), id); js.State != client.StateQueued {
-		t.Fatalf("job canceled while another batch still references it: %q", js.State)
-	}
-	if err := c.CancelBatch(context.Background(), b2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if js, _ := c.Job(context.Background(), id); js.State != client.StateCanceled {
-		t.Fatalf("job not canceled after losing its last reference: %q", js.State)
+	call(t, http.MethodPost, c.BaseURL+"/v1/batches/"+b2.ID+"/cancel", &bs)
+	if got := bs.Jobs[0].State; got != client.StateCanceled {
+		t.Fatalf("job not canceled after losing its last reference: %q", got)
 	}
 }
 
@@ -262,7 +278,7 @@ func TestBatchCancelRefcounting(t *testing.T) {
 // store resumes and completes them.
 func TestDrainPersistsQueueAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s := newServer(mustOpenStore(t, dir), 0, 16, t.Logf) // no workers: jobs stay queued
+	s := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), QueueCap: 16, Logf: t.Logf}) // no workers: jobs stay queued
 	bs, code, err := s.submit(testManifest(t, "Stream", "CFD"))
 	if err != nil {
 		t.Fatalf("submit: code %d err %v", code, err)
@@ -278,16 +294,14 @@ func TestDrainPersistsQueueAndRecovers(t *testing.T) {
 		t.Fatalf("draining server accepted a submit (code %d)", code)
 	}
 
-	s2 := newServer(mustOpenStore(t, dir), 2, 16, t.Logf)
+	s2 := newServerOpts(serverOptions{Store: mustOpenStore(t, dir), Workers: 2, QueueCap: 16, Logf: t.Logf})
 	c2, stop := testClient(t, s2)
 	defer stop()
 	deadline := time.Now().Add(30 * time.Second)
 	for _, js := range bs.Jobs {
 		for {
-			cur, err := c2.Job(context.Background(), js.ID)
-			if err != nil {
-				t.Fatalf("recovered server lost job %s: %v", js.ID, err)
-			}
+			var cur client.JobStatus
+			call(t, http.MethodGet, c2.BaseURL+"/v1/jobs/"+js.ID, &cur)
 			if cur.Done() {
 				if cur.State != client.StateDone {
 					t.Fatalf("recovered job %s finished %q: %s", js.ID, cur.State, cur.Error)
@@ -311,10 +325,10 @@ func TestDrainPersistsQueueAndRecovers(t *testing.T) {
 // TestDegradedMemoryOnly: with no store at all the service still computes
 // and serves results — durability is lost, availability is not.
 func TestDegradedMemoryOnly(t *testing.T) {
-	s := newServer(nil, 1, 16, t.Logf)
+	s := newServerOpts(serverOptions{Workers: 1, QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
 	defer stop()
-	results, statuses, err := c.Run(context.Background(), testManifest(t, "Stream"))
+	results, statuses, err := client.NewPool([]string{c.BaseURL}, c).Run(context.Background(), testManifest(t, "Stream"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +343,7 @@ func TestDegradedMemoryOnly(t *testing.T) {
 // TestWatchStreamsProgress: the watch endpoint emits NDJSON snapshots and
 // terminates with a done batch.
 func TestWatchStreamsProgress(t *testing.T) {
-	s := newServer(nil, 1, 16, t.Logf)
+	s := newServerOpts(serverOptions{Workers: 1, QueueCap: 16, Logf: t.Logf})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	c := &client.Client{BaseURL: ts.URL, Backoff: 5 * time.Millisecond, Logf: t.Logf}
@@ -363,7 +377,7 @@ func TestWatchStreamsProgress(t *testing.T) {
 // readiness (with a Retry-After) while still passing liveness — the
 // signal a pool uses to route around it without declaring it dead.
 func TestReadyzDistinctFromHealthz(t *testing.T) {
-	s := newServer(nil, 0, 1, t.Logf) // cap 1, no workers: easy to saturate
+	s := newServerOpts(serverOptions{QueueCap: 1, Logf: t.Logf}) // cap 1, no workers: easy to saturate
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
@@ -396,7 +410,7 @@ func TestReadyzDistinctFromHealthz(t *testing.T) {
 	}
 
 	// Draining flips readiness too (fresh server so drain has no queue).
-	s2 := newServer(nil, 0, 16, t.Logf)
+	s2 := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf})
 	ts2 := httptest.NewServer(s2.mux)
 	defer ts2.Close()
 	s2.drain()
@@ -421,7 +435,7 @@ func TestReadyzDistinctFromHealthz(t *testing.T) {
 // TestRetryAfterDerivedFromBacklog: the 429 Retry-After grows with the
 // backlog instead of the old hard-coded 1 second.
 func TestRetryAfterDerivedFromBacklog(t *testing.T) {
-	s := newServer(nil, 0, 2, t.Logf) // no workers: 1-worker estimate, 2-deep queue
+	s := newServerOpts(serverOptions{QueueCap: 2, Logf: t.Logf}) // no workers: 1-worker estimate, 2-deep queue
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	if _, code, err := s.submit(testManifest(t, "Stream", "CFD")); err != nil || code != http.StatusOK {
@@ -461,7 +475,7 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 	defer stop()
 
 	m := testManifest(t, "Stream", "CFD")
-	_, statuses, err := c.Run(context.Background(), m)
+	_, statuses, err := client.NewPool([]string{c.BaseURL}, c).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +521,7 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 // TestWatchKeepalive: a stream over an unchanging batch still emits
 // periodic snapshots, so a client idle watchdog can tell quiet from dead.
 func TestWatchKeepalive(t *testing.T) {
-	s := newServer(nil, 0, 16, t.Logf) // no workers: the batch never changes
+	s := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf}) // no workers: the batch never changes
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	bs, code, err := s.submit(testManifest(t, "Stream"))

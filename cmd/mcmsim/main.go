@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -33,7 +34,6 @@ import (
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/runner"
 	"mcmgpu/internal/runstore"
-	"mcmgpu/internal/trace"
 	"mcmgpu/internal/workload"
 )
 
@@ -87,6 +87,9 @@ func run() (code int) {
 	}
 	warnf := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "mcmsim: "+format+"\n", args...)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fail(fmt.Errorf("-scale %v: want a positive, finite number", *scale))
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -352,8 +355,10 @@ func rate(v float64, valid bool) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
-// characterize records one kernel launch of each workload and prints its
-// access-stream statistics.
+// characterize walks one kernel launch of each workload's access stream and
+// prints its statistics: memory ops, distinct lines, footprint (distinct
+// lines times the line size), the share of ops that write, and reuse (line
+// accesses per distinct line).
 func characterize(specs []*workload.Spec, scale float64) error {
 	t := report.New("Workload characterization (one kernel launch)",
 		"Workload", "Category", "Pattern", "Ops", "Unique lines", "Footprint (MB)", "Write frac", "Reuse")
@@ -362,13 +367,35 @@ func characterize(specs []*workload.Spec, scale float64) error {
 		if scale != 1.0 {
 			run = spec.Scaled(scale)
 		}
-		tr, err := trace.Record(run)
-		if err != nil {
+		if err := run.Validate(); err != nil {
 			return err
 		}
-		s := tr.Summarize()
+		var ops, writes, accesses int
+		lines := make(map[uint64]struct{})
+		var op workload.Op
+		for cta := 0; cta < run.CTAs; cta++ {
+			for w := 0; w < run.WarpsPerCTA; w++ {
+				for st := workload.NewStream(run, cta, w); st.Next(&op); {
+					ops++
+					if op.Write {
+						writes++
+					}
+					accesses += op.NumLines
+					for _, l := range op.Lines[:op.NumLines] {
+						lines[l] = struct{}{}
+					}
+				}
+			}
+		}
+		var writeFrac, reuse float64
+		if ops > 0 {
+			writeFrac = float64(writes) / float64(ops)
+		}
+		if len(lines) > 0 {
+			reuse = float64(accesses) / float64(len(lines))
+		}
 		t.AddRowF(spec.Name, spec.Category.String(), spec.Pattern.String(),
-			s.Ops, s.UniqueLines, s.FootprintMB, s.WriteFraction, s.ReuseFactor)
+			ops, len(lines), float64(len(lines))*config.LineBytes/config.MB, writeFrac, reuse)
 	}
 	return t.WriteText(os.Stdout)
 }

@@ -246,7 +246,18 @@ func run() (code int) {
 			err     error
 		)
 		if *server != "" {
-			results, err = runRemote(ctx, *server, jobList, *maxEvents, *auditOn, warnf)
+			// The local runner enforces -timeout through limits; the
+			// remote phase gets the same deadline on its context.
+			rctx := ctx
+			if *timeout > 0 {
+				var cancel context.CancelFunc
+				rctx, cancel = context.WithDeadline(ctx, limits.WallDeadline)
+				defer cancel()
+			}
+			results, err = runRemote(rctx, *server, jobList, *maxEvents, *auditOn, warnf)
+			if errors.Is(err, context.DeadlineExceeded) {
+				err = fmt.Errorf("-timeout %v: %w", *timeout, err)
+			}
 		} else {
 			results, err = r.Run(jobList)
 		}

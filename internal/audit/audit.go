@@ -155,9 +155,6 @@ func (r *Reporter) Reportf(invariant, component, format string, args ...interfac
 	})
 }
 
-// Violations returns everything reported so far.
-func (r *Reporter) Violations() Violations { return r.vs }
-
 // Equal reports a violation unless got == want, naming the quantity being
 // conserved. It returns true when the invariant held, so callers can chain
 // dependent checks.
@@ -187,15 +184,6 @@ type Auditor struct {
 // registration order, which keeps audit output deterministic.
 func (a *Auditor) Register(name string, phases Phase, fn func(*Reporter)) {
 	a.checks = append(a.checks, check{name: name, phases: phases, fn: fn})
-}
-
-// Names returns the registered check names in order, for docs and tests.
-func (a *Auditor) Names() []string {
-	out := make([]string, len(a.checks))
-	for i, c := range a.checks {
-		out[i] = c.name
-	}
-	return out
 }
 
 // Run evaluates every check registered for the given phase and returns the

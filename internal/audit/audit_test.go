@@ -73,7 +73,7 @@ func TestEqualHelper(t *testing.T) {
 	if Equal(&r, "law", "comp", "bytes", uint64(5), uint64(6)) {
 		t.Fatal("Equal missed a mismatch")
 	}
-	vs := r.Violations()
+	vs := r.vs
 	if len(vs) != 1 || vs[0].Detail != "bytes = 5, want 6" {
 		t.Fatalf("violations = %v", vs)
 	}

@@ -39,7 +39,6 @@ type Cache struct {
 
 	reads      stats.Ratio
 	writes     stats.Ratio
-	evictions  stats.Counter
 	writebacks stats.Counter
 }
 
@@ -66,14 +65,8 @@ func New(name string, lines, ways int, writeBack bool) *Cache {
 	}
 }
 
-// Name returns the cache's name.
-func (c *Cache) Name() string { return c.name }
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return int(c.setMask) + 1 }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // Result describes the outcome of an access.
 type Result struct {
@@ -114,11 +107,6 @@ func touch(s []uint64, i int) {
 	e := s[i]
 	copy(s[1:i+1], s[0:i])
 	s[0] = e
-}
-
-// Lookup probes the cache without modifying replacement state or statistics.
-func (c *Cache) Lookup(addr uint64) bool {
-	return find(c.set(addr), c.key(addr)) >= 0
 }
 
 // Access performs a read or write access to the given line address,
@@ -174,7 +162,6 @@ func (c *Cache) fill(s []uint64, setIdx, key uint64, write bool) Result {
 	victim := s[len(s)-1]
 	if victim&flagValid != 0 {
 		res.Evicted = true
-		c.evictions.Inc()
 		if victim&flagDirty != 0 {
 			res.NeedsWriteback = true
 			res.WritebackAddr = victim>>tagShift<<c.setShift | setIdx
@@ -206,41 +193,6 @@ func (c *Cache) Flush() []uint64 {
 	return dirty
 }
 
-// Invalidate removes a single line if present, returning whether it was
-// dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	s := c.set(addr)
-	i := find(s, c.key(addr))
-	if i < 0 {
-		return false, false
-	}
-	dirty = s[i]&flagDirty != 0
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = 0
-	return true, dirty
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, e := range c.lines {
-		n += int(e & flagValid)
-	}
-	return n
-}
-
-// HitRate returns the combined read+write hit rate.
-func (c *Cache) HitRate() float64 {
-	total := c.reads.Total + c.writes.Total
-	if total == 0 {
-		return 0
-	}
-	return float64(c.reads.Hits+c.writes.Hits) / float64(total)
-}
-
-// ReadHitRate returns the read hit rate.
-func (c *Cache) ReadHitRate() float64 { return c.reads.Value() }
-
 // Accesses returns the total number of Access calls.
 func (c *Cache) Accesses() uint64 { return c.reads.Total + c.writes.Total }
 
@@ -260,19 +212,13 @@ func (c *Cache) ReadHits() uint64 { return c.reads.Hits }
 // WriteAccesses returns the number of write Access calls.
 func (c *Cache) WriteAccesses() uint64 { return c.writes.Total }
 
-// WriteHits returns the number of write hits.
-func (c *Cache) WriteHits() uint64 { return c.writes.Hits }
-
-// Evictions returns the number of valid lines displaced.
-func (c *Cache) Evictions() uint64 { return c.evictions.Value() }
-
 // Writebacks returns the number of dirty victims produced.
 func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 
 // Audit reports structural invariant violations into r: more valid lines
 // than capacity, a malformed LRU stack (a valid way behind an invalid one —
-// fill always inserts at MRU and Invalidate compacts, so valid ways form a
-// prefix of every set), duplicate tags within a set, dirty lines in a
+// fill always inserts at MRU and Flush clears whole sets, so valid ways form
+// a prefix of every set), duplicate tags within a set, dirty lines in a
 // write-through cache (footnote 4 of the paper: L1/L1.5 must be
 // write-through for software coherence, so a dirty line there means lost
 // coherence), and hit counters exceeding access counters.
@@ -315,12 +261,4 @@ func (c *Cache) Audit(r *audit.Reporter) {
 	if c.writes.Hits > c.writes.Total {
 		r.Reportf("cache-counters", c.name, "write hits %d exceed write accesses %d", c.writes.Hits, c.writes.Total)
 	}
-}
-
-// ResetStats clears statistics but preserves contents.
-func (c *Cache) ResetStats() {
-	c.reads.Reset()
-	c.writes.Reset()
-	c.evictions.Reset()
-	c.writebacks.Reset()
 }

@@ -229,19 +229,6 @@ func (m *Machine) periodicAudit() error {
 	return m.runAudit(audit.Periodic)
 }
 
-// Audit evaluates every boundary-phase invariant against the machine's
-// current state and returns the violations found, building the auditor on
-// demand. Unlike the in-run audits this does not require a kernel boundary:
-// calling it on a machine stopped mid-kernel (say, by a MaxEvents budget)
-// deliberately reports the undrained in-flight state, which is how tests
-// prove the drain invariants are not vacuous.
-func (m *Machine) Audit() audit.Violations {
-	if m.aud == nil {
-		m.aud = m.newAuditor()
-	}
-	return m.aud.Run(audit.Boundary)
-}
-
 // corruptCounter applies a CorruptCounter fault plan: a one-count (or
 // one-byte) perturbation of the targeted statistic, invisible to every
 // lifecycle guard and engineered to break exactly one audited invariant.

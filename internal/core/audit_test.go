@@ -12,6 +12,19 @@ import (
 	"mcmgpu/internal/workload"
 )
 
+// boundaryAudit evaluates every boundary-phase invariant against the
+// machine's current state and returns the violations found, building the
+// auditor on demand. Unlike the in-run audits this does not require a
+// kernel boundary: calling it on a machine stopped mid-kernel (say, by a
+// MaxEvents budget) deliberately reports the undrained in-flight state,
+// which is how these tests prove the drain invariants are not vacuous.
+func (m *Machine) boundaryAudit() audit.Violations {
+	if m.aud == nil {
+		m.aud = m.newAuditor()
+	}
+	return m.aud.Run(audit.Boundary)
+}
+
 // auditConfigs covers the machine shapes whose conservation laws differ:
 // the plain MCM (ring, interleave), the optimized MCM (L1.5 remote-only,
 // first touch, distributed scheduling), a monolithic GPU (no NoC at all),
@@ -132,7 +145,7 @@ func TestAuditForcedByEnv(t *testing.T) {
 
 // TestAuditReportsUndrainedMidKernel guards the drain invariants against
 // vacuity: a machine stopped mid-kernel by an event budget really is in a
-// "bad" state by boundary standards, and Machine.Audit must say so rather
+// "bad" state by boundary standards, and boundaryAudit must say so rather
 // than report a clean bill.
 func TestAuditReportsUndrainedMidKernel(t *testing.T) {
 	m, err := New(config.BaselineMCM())
@@ -141,7 +154,7 @@ func TestAuditReportsUndrainedMidKernel(t *testing.T) {
 	}
 	_, err = m.RunWith(probeSpec(nil), RunOptions{MaxEvents: 10_000, CheckEvery: 64})
 	wantSimError(t, err, KindMaxEvents)
-	vs := m.Audit()
+	vs := m.boundaryAudit()
 	if len(vs) == 0 {
 		t.Fatal("boundary audit of a mid-kernel machine found nothing undrained")
 	}
@@ -156,14 +169,14 @@ func TestAuditReportsUndrainedMidKernel(t *testing.T) {
 	}
 }
 
-// TestAuditCleanMachine asserts Machine.Audit on a freshly built machine
+// TestAuditCleanMachine asserts boundaryAudit on a freshly built machine
 // (nothing launched, nothing counted) reports nothing.
 func TestAuditCleanMachine(t *testing.T) {
 	m, err := New(config.BaselineMCM())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := m.Audit(); len(vs) != 0 {
+	if vs := m.boundaryAudit(); len(vs) != 0 {
 		t.Fatalf("pristine machine audits dirty: %v", vs)
 	}
 }

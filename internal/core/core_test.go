@@ -29,7 +29,7 @@ func mustRun(t *testing.T, cfg *config.Config, spec *workload.Spec) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(spec)
+	res, err := m.RunWith(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestMachineIsSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(probeSpec(nil)); err != nil {
+	if _, err := m.RunWith(probeSpec(nil), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(probeSpec(nil)); err == nil {
+	if _, err := m.RunWith(probeSpec(nil), RunOptions{}); err == nil {
 		t.Fatalf("second Run did not fail")
 	}
 }
@@ -81,12 +81,12 @@ func TestInvalidSpecRejected(t *testing.T) {
 	m, _ := New(config.BaselineMCM())
 	bad := probeSpec(nil)
 	bad.CTAs = 0
-	if _, err := m.Run(bad); err == nil {
+	if _, err := m.RunWith(bad, RunOptions{}); err == nil {
 		t.Fatalf("invalid spec accepted")
 	}
 	m2, _ := New(config.BaselineMCM())
 	wide := probeSpec(func(s *workload.Spec) { s.WarpsPerCTA = 128 })
-	if _, err := m2.Run(wide); err == nil {
+	if _, err := m2.RunWith(wide, RunOptions{}); err == nil {
 		t.Fatalf("CTA wider than an SM accepted")
 	}
 }

@@ -32,31 +32,34 @@ func TestStaticPageMapCensus(t *testing.T) {
 				m.spec = spec
 				m.setupPlacement()
 				pm := StaticPageMap(cfg, spec)
-				lpp := m.amap.LinesPerPage()
-				var homed uint64
+				var homed int
+				for _, home := range pm.Homes {
+					if home >= 0 {
+						homed++
+					}
+				}
+				prebound := 0
+				if spec.LinearInit {
+					prebound = homed
+				}
+				if got := m.amap.MappedPages(); got != prebound {
+					t.Errorf("%v/%v %s: %d pages pre-bound, want %d", sched, place, spec.Name, got, prebound)
+				}
+				// Touch each homed page from a module other than its home.
+				// First touch would bind the page to that module, so only a
+				// pre-bound or binder-homed page reads back its home.
 				for page, home := range pm.Homes {
 					if home < 0 {
 						continue
 					}
-					homed++
-					line := uint64(page) * lpp
-					if !spec.LinearInit {
-						m.amap.Partition(line, (home+1)%cfg.Modules)
-					}
-					if owner, ok := m.amap.PageOwner(line); !ok || owner != home {
-						t.Fatalf("%v/%v %s: page %d owned by %d (bound %v), StaticPageMap homes it on %d",
-							sched, place, spec.Name, page, owner, ok, home)
+					line := uint64(page) * uint64(cfg.LinesPerPage())
+					if owner := m.amap.Partition(line, (home+1)%cfg.Modules) / cfg.PartitionsPerModule; owner != home {
+						t.Fatalf("%v/%v %s: page %d owned by %d, StaticPageMap homes it on %d",
+							sched, place, spec.Name, page, owner, home)
 					}
 				}
-				prebound, regionBound := homed, uint64(0)
-				if !spec.LinearInit {
-					prebound, regionBound = 0, homed
-				}
-				if got := m.amap.Prebinds(); got != prebound {
-					t.Errorf("%v/%v %s: %d pages pre-bound, want %d", sched, place, spec.Name, got, prebound)
-				}
-				if got := m.amap.RegionBinds(); got != regionBound {
-					t.Errorf("%v/%v %s: %d pages bound by the binder, want %d", sched, place, spec.Name, got, regionBound)
+				if got := m.amap.MappedPages(); got != homed {
+					t.Errorf("%v/%v %s: %d pages bound, want the %d homed pages", sched, place, spec.Name, got, homed)
 				}
 			}
 		}

@@ -23,7 +23,7 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(spec)
+	res, err := m.RunWith(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := m2.Run(spec)
+	res2, err := m2.RunWith(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestRandomMachineWorkloadProperty(t *testing.T) {
 				t.Logf("New: %v", err)
 				return nil
 			}
-			res, err := m.Run(spec)
+			res, err := m.RunWith(spec, RunOptions{})
 			if err != nil {
 				t.Logf("Run: %v", err)
 				return nil

@@ -58,20 +58,15 @@ func (wc *warpCtx) Dispatch(kind uint8) {
 // store lines it was parked on.
 func (wc *warpCtx) StoreSlotFree() { wc.memWrite() }
 
-// Run executes the workload on the machine: KernelIters sequential kernel
-// launches with cache flushes at each kernel boundary, then collects the
-// Result. Run may be called once per Machine. It is RunWith with no bounds:
-// the run completes, or a programmer-invariant violation panics.
-func (m *Machine) Run(spec *workload.Spec) (*Result, error) {
-	return m.RunWith(spec, RunOptions{})
-}
-
-// RunWith is Run bounded by opts: the run additionally terminates — with a
-// *SimError carrying a diagnosis snapshot — when a budget is exhausted, the
-// wall deadline passes, or the context is canceled. With the zero RunOptions
-// it is exactly Run; with limits set but not tripped, the result is
-// byte-identical to an unbounded run (the budget check only observes the
-// simulation).
+// RunWith executes the workload on the machine: KernelIters sequential
+// kernel launches with cache flushes at each kernel boundary, then collects
+// the Result. RunWith may be called once per Machine. With the zero
+// RunOptions the run completes, or a programmer-invariant violation panics.
+// opts bounds the run: it additionally terminates — with a *SimError
+// carrying a diagnosis snapshot — when a budget is exhausted, the wall
+// deadline passes, or the context is canceled. With limits set but not
+// tripped, the result is byte-identical to an unbounded run (the budget
+// check only observes the simulation).
 func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("core: machine %q already ran; build a new one", m.cfg.Name)
@@ -279,7 +274,6 @@ func (wc *warpCtx) step() {
 		return
 	}
 	instrs := uint64(wc.op.Compute) + 1 // the memory instruction issues too
-	wc.cta.sm.CountInstrs(instrs)
 	m.instrs += instrs
 	t := wc.cta.sm.Issue.Reserve(m.sim.Now(), instrs)
 	m.sim.AtEvent(t, wc, evWarpMem)

@@ -50,9 +50,6 @@ type Grid struct {
 	ColPanelLines uint64
 }
 
-// Grid1D returns the flat index-space grid for a kernel with n CTAs.
-func Grid1D(n int) Grid { return Grid{CTAs: n} }
-
 // normalize fills in the 1-D defaults and checks consistency.
 func (g Grid) normalize() Grid {
 	if g.W <= 0 || g.H <= 0 {
@@ -217,8 +214,6 @@ type Dynamic struct {
 	// — or, for a range stolen twice, the first thief. Lookups scan
 	// backward so the most recent steal wins.
 	owned []chunk
-	// steals counts successful steals, for tests and reporting.
-	steals int
 }
 
 // NewDynamic wraps an existing distributed layout with stealing.
@@ -278,7 +273,6 @@ func (y *Dynamic) Next(module int) int {
 		start, end = mid, r[1]
 		r[1] = mid
 	}
-	y.steals++
 	y.owned = append(y.owned, chunk{start: start, end: end, module: module})
 	y.stolen[module] = append(y.stolen[module], [2]int{start + 1, end})
 	y.d.left--
@@ -298,9 +292,6 @@ func (y *Dynamic) Module(i int) int {
 	}
 	return y.d.Module(i)
 }
-
-// Steals returns the number of successful steals.
-func (y *Dynamic) Steals() int { return y.steals }
 
 // Tiled2D statically maps 2-D super-tiles of the CTA grid to modules. The
 // module count is factored into an mw x mh super-tile grid chosen to

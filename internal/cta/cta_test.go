@@ -132,11 +132,11 @@ func TestModuleLookup(t *testing.T) {
 
 func TestNewFromConfig(t *testing.T) {
 	c := config.BaselineMCM()
-	if _, ok := New(c, Grid1D(100)).(*Centralized); !ok {
+	if _, ok := New(c, Grid{CTAs: 100}).(*Centralized); !ok {
 		t.Fatalf("baseline config did not produce a centralized scheduler")
 	}
 	c.Scheduler = config.SchedDistributed
-	if _, ok := New(c, Grid1D(100)).(*Distributed); !ok {
+	if _, ok := New(c, Grid{CTAs: 100}).(*Distributed); !ok {
 		t.Fatalf("distributed config did not produce a distributed scheduler")
 	}
 }
@@ -206,8 +206,8 @@ func TestDynamicStealsFromBusiestModule(t *testing.T) {
 	if first != 12 {
 		t.Fatalf("first stolen CTA = %d, want 12 (tail half of [8,16))", first)
 	}
-	if y.Steals() != 1 {
-		t.Fatalf("Steals = %d, want 1", y.Steals())
+	if len(y.owned) != 1 {
+		t.Fatalf("%d steals, want 1", len(y.owned))
 	}
 	// The thief drains its stolen range contiguously.
 	for want := 13; want < 16; want++ {
@@ -257,7 +257,7 @@ func TestDynamicIssuesEveryCTAOnce(t *testing.T) {
 	if y.Remaining() != 0 {
 		t.Fatalf("Remaining = %d", y.Remaining())
 	}
-	if y.Steals() == 0 {
+	if len(y.owned) == 0 {
 		t.Fatalf("unbalanced draws caused no steals")
 	}
 }
@@ -265,7 +265,7 @@ func TestDynamicIssuesEveryCTAOnce(t *testing.T) {
 func TestNewDynamicFromConfig(t *testing.T) {
 	c := config.BaselineMCM()
 	c.Scheduler = config.SchedDynamic
-	if _, ok := New(c, Grid1D(100)).(*Dynamic); !ok {
+	if _, ok := New(c, Grid{CTAs: 100}).(*Dynamic); !ok {
 		t.Fatalf("dynamic config did not produce a dynamic scheduler")
 	}
 }

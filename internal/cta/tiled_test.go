@@ -73,7 +73,7 @@ func TestTiled2DColumnPanelsSplitAlongColumns(t *testing.T) {
 func TestTiled2DDegeneratesTo1DChunks(t *testing.T) {
 	// A flat grid with no panel structure splits into contiguous chunks
 	// along the index space, like the distributed scheduler.
-	s := NewTiled2D(Grid1D(16), 4)
+	s := NewTiled2D(Grid{CTAs: 16}, 4)
 	owner := drainAll(t, s, 4, 16)
 	for i, m := range owner {
 		if want := i / 4; m != want {
@@ -201,7 +201,7 @@ func TestSchedulerPropertyAllPolicies(t *testing.T) {
 			config.SchedDynamic, config.SchedTiled2D,
 		}[int(polRaw)%4]
 
-		grid := Grid1D(n)
+		grid := Grid{CTAs: n}
 		if w := int(wRaw)%12 + 1; n%w == 0 && cfg.Scheduler == config.SchedTiled2D {
 			grid = Grid{W: w, H: n / w, RowPanelLines: uint64(seed % 97), ColPanelLines: uint64(seed % 53)}
 		}

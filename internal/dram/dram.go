@@ -18,10 +18,9 @@ type Partition struct {
 	res     *engine.Resource
 	latency engine.Cycle
 
-	readBytes  uint64
-	writeBytes uint64
-	reads      uint64
-	writes     uint64
+	bytes  uint64
+	reads  uint64
+	writes uint64
 }
 
 // NewPartition creates partition id with the given bandwidth (GB/s, which
@@ -34,14 +33,11 @@ func NewPartition(id int, gbps float64, latency uint64) *Partition {
 	}
 }
 
-// ID returns the partition index.
-func (p *Partition) ID() int { return p.id }
-
 // Read books a read of the given size and returns the time data is
 // available: queuing + serialization on the device plus the access latency.
 func (p *Partition) Read(now engine.Cycle, bytes uint64) engine.Cycle {
 	p.reads++
-	p.readBytes += bytes
+	p.bytes += bytes
 	return p.res.Reserve(now, bytes) + p.latency
 }
 
@@ -50,21 +46,12 @@ func (p *Partition) Read(now engine.Cycle, bytes uint64) engine.Cycle {
 // retire at issue).
 func (p *Partition) Write(now engine.Cycle, bytes uint64) engine.Cycle {
 	p.writes++
-	p.writeBytes += bytes
+	p.bytes += bytes
 	return p.res.Reserve(now, bytes) + p.latency
 }
 
 // Bytes returns total bytes transferred (reads + writes).
-func (p *Partition) Bytes() uint64 { return p.readBytes + p.writeBytes }
-
-// ReadBytes returns total bytes read.
-func (p *Partition) ReadBytes() uint64 { return p.readBytes }
-
-// WriteBytes returns total bytes written.
-func (p *Partition) WriteBytes() uint64 { return p.writeBytes }
-
-// Accesses returns the number of read and write requests served.
-func (p *Partition) Accesses() uint64 { return p.reads + p.writes }
+func (p *Partition) Bytes() uint64 { return p.bytes }
 
 // Reads returns the number of read requests served. The per-direction
 // accessors exist for the invariant auditor, which ties reads to L2 misses
@@ -74,12 +61,12 @@ func (p *Partition) Reads() uint64 { return p.reads }
 // Writes returns the number of write requests served.
 func (p *Partition) Writes() uint64 { return p.writes }
 
-// Audit checks byte conservation into r: every byte counted by the
-// read/write counters was reserved on the device resource and vice versa,
-// so the device's reserved units must equal readBytes + writeBytes exactly.
+// Audit checks byte conservation into r: every byte counted by Read and
+// Write was reserved on the device resource and vice versa, so the device's
+// reserved units must equal the byte counter exactly.
 func (p *Partition) Audit(r *audit.Reporter) {
 	audit.Equal(r, "dram-bytes", fmt.Sprintf("dram-%d", p.id),
-		"device reserved bytes", p.res.Units(), p.readBytes+p.writeBytes)
+		"device reserved bytes", p.res.Units(), p.bytes)
 }
 
 // Utilization returns the fraction of elapsed cycles the device was busy.
@@ -96,9 +83,3 @@ func (p *Partition) BusyThrough(now engine.Cycle) float64 {
 
 // Units returns the bytes reserved on the device resource.
 func (p *Partition) Units() uint64 { return p.res.Units() }
-
-// Reset clears counters and reservations.
-func (p *Partition) Reset() {
-	p.res.Reset()
-	p.readBytes, p.writeBytes, p.reads, p.writes = 0, 0, 0, 0
-}

@@ -15,22 +15,22 @@ func TestReadLatencyAndBandwidth(t *testing.T) {
 	if got := p.Read(0, 768); got != 102 {
 		t.Fatalf("queued read completes at %d, want 102", got)
 	}
-	if p.ReadBytes() != 1536 {
-		t.Fatalf("ReadBytes = %d", p.ReadBytes())
+	if p.Bytes() != 1536 {
+		t.Fatalf("Bytes = %d", p.Bytes())
 	}
-	if p.Accesses() != 2 {
-		t.Fatalf("Accesses = %d", p.Accesses())
+	if p.Reads() != 2 || p.Writes() != 0 {
+		t.Fatalf("Reads, Writes = %d, %d; want 2, 0", p.Reads(), p.Writes())
 	}
 }
 
 func TestWriteConsumesBandwidth(t *testing.T) {
 	p := NewPartition(1, 128, 100)
 	p.Write(0, 1280) // 10 cycles of device time
+	if p.Bytes() != 1280 || p.Writes() != 1 {
+		t.Fatalf("after one write: Bytes = %d, Writes = %d", p.Bytes(), p.Writes())
+	}
 	if got := p.Read(0, 128); got != 111 {
 		t.Fatalf("read behind write completes at %d, want 111", got)
-	}
-	if p.WriteBytes() != 1280 {
-		t.Fatalf("WriteBytes = %d", p.WriteBytes())
 	}
 	if p.Bytes() != 1280+128 {
 		t.Fatalf("Bytes = %d", p.Bytes())
@@ -42,19 +42,6 @@ func TestUtilization(t *testing.T) {
 	p.Read(0, 768*50) // 50 busy cycles
 	if u := p.Utilization(100); u < 0.49 || u > 0.51 {
 		t.Fatalf("Utilization = %v, want ~0.5", u)
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := NewPartition(0, 768, 100)
-	p.Read(0, 4096)
-	p.Write(0, 4096)
-	p.Reset()
-	if p.Bytes() != 0 || p.Accesses() != 0 {
-		t.Fatalf("Reset kept counters")
-	}
-	if got := p.Read(0, 768); got != 101 {
-		t.Fatalf("Reset kept reservations: %d", got)
 	}
 }
 

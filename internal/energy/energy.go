@@ -54,22 +54,6 @@ func (d Domain) PJPerBit() float64 {
 	panic(fmt.Sprintf("energy: unknown domain %d", int(d)))
 }
 
-// BandwidthGBps returns Table 2's approximate per-tier bandwidth, used only
-// for reporting the table itself.
-func (d Domain) BandwidthGBps() float64 {
-	switch d {
-	case DomainChip:
-		return 20000 // "10s of TB/s"
-	case DomainPackage:
-		return 1500
-	case DomainBoard:
-		return 256
-	case DomainSystem:
-		return 12.5
-	}
-	panic(fmt.Sprintf("energy: unknown domain %d", int(d)))
-}
-
 // DRAMPJPerBit approximates HBM2 access energy.
 const DRAMPJPerBit = 4.0
 
@@ -111,9 +95,4 @@ func (m *Meter) TotalPJ() float64 {
 		total += m.DomainPJ(d)
 	}
 	return total
-}
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	*m = Meter{}
 }

@@ -406,7 +406,6 @@ type Resource struct {
 	nextFree  float64
 	busy      float64 // total occupied cycles
 	units     uint64  // total units transferred
-	resv      uint64  // number of reservations
 
 	// Interval-utilization settlement state (see BusyThrough). Reserve
 	// credits the full transfer duration to busy at reservation time, so on
@@ -435,35 +434,27 @@ func NewResource(name string, unitsPerCycle float64) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// window computes a prospective reservation's timing on the resource's
-// fractional timeline: transfers start at the later of the request time and
-// the end of the previous reservation, occupy dur cycles, and finish at
-// end = start + dur. It is shared by Reserve and Delay so the two can never
-// disagree on timing. dur is returned separately (rather than recovered as
-// end-start) because busy-cycle accounting sums exact durations; the
-// subtraction would reintroduce rounding error at large timestamps.
-func (r *Resource) window(now Cycle, units uint64) (start, dur, end float64) {
-	start = float64(now)
-	if r.nextFree > start {
-		start = r.nextFree
-	}
-	dur = float64(units) * r.cyclesPer
-	return start, dur, start + dur
-}
-
 // toCycle discretizes a fractional completion time onto the cycle grid.
 // Resource timelines accumulate in float64 so fractional occupancies from
 // non-power-of-two bandwidths don't drift; the +0.5 rounds the published
 // completion to the nearest cycle. This is the single place that rounding
 // contract lives — every externally visible completion time funnels through
-// it, which is what keeps Reserve and Delay mutually consistent.
+// it.
 func toCycle(t float64) Cycle { return Cycle(t + 0.5) }
 
 // Reserve books units of transfer beginning no earlier than now and returns
 // the cycle at which the transfer completes. The resource is busy from
 // max(now, previous completion) until the returned time.
+//
+// Busy-cycle accounting sums the exact duration dur rather than end-start:
+// the subtraction would reintroduce rounding error at large timestamps.
 func (r *Resource) Reserve(now Cycle, units uint64) Cycle {
-	start, dur, end := r.window(now, units)
+	start := float64(now)
+	if r.nextFree > start {
+		start = r.nextFree
+	}
+	dur := float64(units) * r.cyclesPer
+	end := start + dur
 	if r.busy == r.done {
 		// No unsettled occupancy: this reservation begins a fresh span.
 		// Occupancy already settled through mark must not be re-counted,
@@ -476,44 +467,28 @@ func (r *Resource) Reserve(now Cycle, units uint64) Cycle {
 	r.nextFree = end
 	r.busy += dur
 	r.units += units
-	r.resv++
 	return toCycle(end)
-}
-
-// Delay returns how long a reservation of units would wait plus transfer
-// time if issued at now, without reserving.
-func (r *Resource) Delay(now Cycle, units uint64) Cycle {
-	_, _, end := r.window(now, units)
-	return toCycle(end) - now
 }
 
 // Units returns the total units transferred through the resource.
 func (r *Resource) Units() uint64 { return r.units }
 
-// Reservations returns the number of reservations made.
-func (r *Resource) Reservations() uint64 { return r.resv }
-
-// BusyCycles returns the total cycles the resource has been occupied,
-// including occupancy booked beyond the current simulated time. For a
-// time-clipped view use BusyThrough.
-func (r *Resource) BusyCycles() float64 { return r.busy }
-
 // BusyThrough returns the busy cycles the resource accumulated at or before
 // now, advancing the settlement watermark to now. This is the quantity
 // interval utilization must be computed from: Reserve credits a transfer's
-// full duration to BusyCycles immediately, so on a saturated resource the
-// raw total runs arbitrarily far ahead of the clock.
+// full duration to the busy total immediately, so on a saturated resource
+// the raw total runs arbitrarily far ahead of the clock.
 //
 // Settlement is exact whenever now has reached the end of all booked
 // occupancy (the rounding contract of toCycle decides "reached", so a
-// drained run settles to exactly BusyCycles). Mid-span, occupancy is
+// drained run settles to exactly the busy total). Mid-span, occupancy is
 // credited pro-rata over the unsettled span [tailLo, nextFree): exact for a
 // saturated resource (the span is fully busy — the case the clipping
 // exists for) and an approximation when the span has internal idle gaps.
 // The approximation preserves the three properties samplers rely on:
 // BusyThrough never exceeds now, it is monotone for monotone queries, and
 // successive deltas never exceed the elapsed cycles between them and sum to
-// BusyCycles once the resource drains.
+// the busy total once the resource drains.
 //
 // Queries at or before the current watermark return the settled value
 // unchanged; interval samplers always query with monotone timestamps.
@@ -558,21 +533,10 @@ func (r *Resource) BusyThrough(now Cycle) float64 {
 // counting only occupancy at or before elapsed (see BusyThrough) — a
 // saturated resource sampled mid-run reads ~1.0, never more. It reports 0
 // for a zero elapsed interval. For a fully drained run the result is
-// identical to BusyCycles()/elapsed.
+// identical to the busy total over elapsed.
 func (r *Resource) Utilization(elapsed Cycle) float64 {
 	if elapsed == 0 {
 		return 0
 	}
 	return r.BusyThrough(elapsed) / float64(elapsed)
-}
-
-// Reset clears reservation history but keeps the configured throughput.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.busy = 0
-	r.units = 0
-	r.resv = 0
-	r.done = 0
-	r.mark = 0
-	r.tailLo = 0
 }

@@ -237,9 +237,6 @@ func TestResourceSerialization(t *testing.T) {
 	if r.Units() != 300 {
 		t.Fatalf("Units = %d, want 300", r.Units())
 	}
-	if r.Reservations() != 3 {
-		t.Fatalf("Reservations = %d, want 3", r.Reservations())
-	}
 }
 
 func TestResourceUtilization(t *testing.T) {
@@ -250,33 +247,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 	if got := r.Utilization(0); got != 0 {
 		t.Fatalf("Utilization over zero interval = %v, want 0", got)
-	}
-}
-
-func TestResourceDelayDoesNotReserve(t *testing.T) {
-	r := NewResource("x", 1)
-	d := r.Delay(0, 10)
-	if d != 10 {
-		t.Fatalf("Delay = %d, want 10", d)
-	}
-	if r.Units() != 0 || r.BusyCycles() != 0 {
-		t.Fatalf("Delay mutated the resource")
-	}
-	end := r.Reserve(0, 10)
-	if end != 10 {
-		t.Fatalf("Reserve after Delay ends at %d, want 10", end)
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x", 4)
-	r.Reserve(0, 400)
-	r.Reset()
-	if r.Units() != 0 || r.BusyCycles() != 0 || r.Reservations() != 0 {
-		t.Fatalf("Reset did not clear counters")
-	}
-	if end := r.Reserve(0, 4); end != 1 {
-		t.Fatalf("post-Reset reservation ends at %d, want 1", end)
 	}
 }
 
@@ -310,7 +280,7 @@ func TestResourceMonotoneProperty(t *testing.T) {
 			last = end
 		}
 		wantBusy := float64(total) / 16
-		return r.BusyCycles() > wantBusy-1e-6 && r.BusyCycles() < wantBusy+1e-6
+		return r.busy > wantBusy-1e-6 && r.busy < wantBusy+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

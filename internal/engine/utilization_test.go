@@ -23,12 +23,12 @@ func TestUtilizationSaturatedMidRun(t *testing.T) {
 		t.Fatalf("saturated resource mid-run reads %v, want ~1.0", u)
 	}
 	// Once the booked occupancy has drained, the value must be exactly what
-	// an unsampled run reports: BusyCycles()/elapsed.
+	// an unsampled run reports: the busy total over elapsed.
 	if got, want := r.Utilization(2000), 0.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("drained Utilization = %v, want %v", got, want)
 	}
-	if got := r.BusyCycles(); got != 1000 {
-		t.Fatalf("BusyCycles = %v, want 1000 (end-of-run totals must be untouched)", got)
+	if got := r.busy; got != 1000 {
+		t.Fatalf("busy total = %v, want 1000 (end-of-run totals must be untouched)", got)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestBusyThroughMonotoneAcrossGaps(t *testing.T) {
 //   - BusyThrough is monotone non-decreasing,
 //   - each interval's busy delta is within [0, elapsed + rounding slop], so
 //     the sampler's clamped utilization is always in [0, 1],
-//   - after the resource drains, the settled total equals BusyCycles()
+//   - after the resource drains, the settled total equals the busy total
 //     exactly, and the interval deltas telescope to it.
 func TestBusyThroughProperties(t *testing.T) {
 	throughputs := []float64{0.5, 1, 2, 3, 768}
@@ -108,34 +108,19 @@ func TestBusyThroughProperties(t *testing.T) {
 			end = now
 		}
 		final := r.BusyThrough(end)
-		if final != r.BusyCycles() {
-			t.Errorf("seed %d: drained BusyThrough = %v, want exactly BusyCycles %v",
-				seed, final, r.BusyCycles())
+		if final != r.busy {
+			t.Errorf("seed %d: drained BusyThrough = %v, want exactly the busy total %v",
+				seed, final, r.busy)
 			return false
 		}
 		sum += final - prev
-		if math.Abs(sum-r.BusyCycles()) > 1e-9*math.Max(1, r.BusyCycles()) {
-			t.Errorf("seed %d: interval deltas sum to %v, want BusyCycles %v", seed, sum, r.BusyCycles())
+		if math.Abs(sum-r.busy) > 1e-9*math.Max(1, r.busy) {
+			t.Errorf("seed %d: interval deltas sum to %v, want the busy total %v", seed, sum, r.busy)
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestResetClearsSettlement pins that Reset restores the zero settlement
-// state: a post-Reset resource reports zero utilization everywhere.
-func TestResetClearsSettlement(t *testing.T) {
-	r := NewResource("x", 1)
-	r.Reserve(0, 100)
-	r.BusyThrough(50) // advance the watermark mid-span
-	r.Reset()
-	if got := r.Utilization(10); got != 0 {
-		t.Fatalf("post-Reset Utilization = %v, want 0", got)
-	}
-	if got := r.BusyThrough(10); got != 0 {
-		t.Fatalf("post-Reset BusyThrough = %v, want 0", got)
 	}
 }

@@ -16,7 +16,7 @@
 // link reads 1.0 during the phase that saturates it instead of the >1
 // figures the raw Reserve-time accounting would give. The emitted busy
 // deltas themselves are exact: over any run they sum to the resource's
-// end-of-run BusyCycles.
+// end-of-run busy total.
 package metrics
 
 import (
@@ -142,9 +142,6 @@ func NewRecorder(w io.Writer, interval engine.Cycle, csv bool) *Recorder {
 // on every per-job Recorder and writes one header itself, so concatenating
 // job streams yields a single well-formed CSV.
 func (r *Recorder) OmitCSVHeader() { r.wroteHeader = true }
-
-// Interval returns the sampling interval in cycles.
-func (r *Recorder) Interval() engine.Cycle { return r.interval }
 
 // Err returns the first write or encoding error, if any. core surfaces it as
 // a run failure after the simulation completes.

@@ -43,7 +43,7 @@ func drive(rec *Recorder) (link, dram *engine.Resource, cache *fakeCache) {
 func TestRecorderNDJSON(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf, 4096, false)
-	link, _, _ := drive(rec)
+	drive(rec)
 	if err := rec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,10 @@ func TestRecorderNDJSON(t *testing.T) {
 	if len(samples) < 3 {
 		t.Fatalf("got %d samples, want >= 3", len(samples))
 	}
-	// Sample busy deltas must telescope to the drained total.
-	if want := link.BusyCycles(); busySum != want {
-		t.Fatalf("link busy deltas sum to %v, want BusyCycles %v", busySum, want)
+	// Sample busy deltas must telescope to the drained total: drive
+	// reserves 4096 + 100 units on the one-unit-per-cycle link.
+	if want := 4096.0 + 100; busySum != want {
+		t.Fatalf("link busy deltas sum to %v, want the drained total %v", busySum, want)
 	}
 	// First sample covers the saturated phase: util 1.0 exactly.
 	first := samples[0]
@@ -180,8 +181,8 @@ func TestSummaryTables(t *testing.T) {
 
 func TestRecorderNilWriter(t *testing.T) {
 	rec := NewRecorder(nil, 0, false)
-	if rec.Interval() != DefaultInterval {
-		t.Fatalf("default interval = %d, want %d", rec.Interval(), DefaultInterval)
+	if rec.interval != DefaultInterval {
+		t.Fatalf("default interval = %d, want %d", rec.interval, DefaultInterval)
 	}
 	drive(rec) // must not panic
 	if err := rec.Err(); err != nil {

@@ -46,7 +46,6 @@ type Network struct {
 	aggGBps float64
 
 	totalBytes uint64
-	messages   uint64
 }
 
 // meshDims picks the most square w x h factorization of n with w >= h.
@@ -140,9 +139,6 @@ func (n *Network) newLink(name string, gbps float64) *engine.Resource {
 	return engine.NewResource(name, gbps)
 }
 
-// Nodes returns the number of modules on the network.
-func (n *Network) Nodes() int { return n.nodes }
-
 // AggregateGBps returns the summed bandwidth of every unidirectional link
 // (bytes/cycle at 1 GHz). Dividing total wire bytes (TotalBytes' quantity,
 // which counts a byte once per link traversed) by this is the network-wide
@@ -213,7 +209,6 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 	if n.topo == config.TopoNone {
 		panic("noc: Send on a single-module machine")
 	}
-	n.messages++
 	t := now
 	switch n.topo {
 	case config.TopoRing:
@@ -289,9 +284,6 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 // behind the paper's inter-GPM bandwidth figures).
 func (n *Network) TotalBytes() uint64 { return n.totalBytes }
 
-// Messages returns the number of Send calls.
-func (n *Network) Messages() uint64 { return n.messages }
-
 // links returns all non-nil link resources.
 func (n *Network) links() []*engine.Resource {
 	var out []*engine.Resource
@@ -365,13 +357,4 @@ func (n *Network) MaxLinkUtilization(elapsed engine.Cycle) float64 {
 		}
 	}
 	return max
-}
-
-// Reset clears byte counters and link reservations.
-func (n *Network) Reset() {
-	for _, l := range n.links() {
-		l.Reset()
-	}
-	n.totalBytes = 0
-	n.messages = 0
 }

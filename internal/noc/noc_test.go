@@ -132,18 +132,6 @@ func TestSelfSendPanics(t *testing.T) {
 	n.Send(0, 1, 1, 128)
 }
 
-func TestReset(t *testing.T) {
-	n := ringNet()
-	n.Send(0, 0, 1, 4096)
-	n.Reset()
-	if n.TotalBytes() != 0 || n.Messages() != 0 {
-		t.Fatalf("Reset kept counters")
-	}
-	if got := n.Send(0, 0, 1, 768); got != 34 {
-		t.Fatalf("links not reset: arrival %d", got)
-	}
-}
-
 func TestMaxLinkUtilization(t *testing.T) {
 	n := ringNet()
 	n.Send(0, 0, 1, 38400) // 100 cycles on one 384 B/cycle link

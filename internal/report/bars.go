@@ -31,9 +31,6 @@ func (b *BarChart) Add(label string, value float64) {
 	b.values = append(b.values, value)
 }
 
-// Len returns the number of bars.
-func (b *BarChart) Len() int { return len(b.values) }
-
 // WriteText renders the chart.
 func (b *BarChart) WriteText(w io.Writer) error {
 	width := b.Width

@@ -32,7 +32,7 @@ func TestBarChartRendering(t *testing.T) {
 
 func TestBarChartEmptyAndZero(t *testing.T) {
 	b := NewBarChart("", "")
-	if b.Len() != 0 || b.String() != "" {
+	if len(b.values) != 0 || b.String() != "" {
 		t.Fatalf("empty chart rendered %q", b.String())
 	}
 	b.Add("z", 0)
@@ -58,8 +58,8 @@ func TestBarsFromTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 2 {
-		t.Fatalf("bars = %d", b.Len())
+	if len(b.values) != 2 {
+		t.Fatalf("bars = %d", len(b.values))
 	}
 	if !strings.Contains(b.String(), "CoMD") {
 		t.Fatalf("labels lost:\n%s", b.String())

@@ -8,8 +8,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"mcmgpu/internal/stats"
 )
 
 // Table is a simple column-oriented table.
@@ -46,20 +44,6 @@ func Cell(v interface{}, err error) interface{} {
 	}
 	return v
 }
-
-// Rate returns v for AddRowF when valid, and Dash otherwise. It is how
-// tables distinguish "this cache was disabled / never accessed" from a true
-// 0% hit rate, which Value-style accessors conflate.
-func Rate(v float64, valid bool) interface{} {
-	if !valid {
-		return Dash
-	}
-	return v
-}
-
-// RatioCell renders a stats.Ratio: its value when it observed anything,
-// Dash when it never did.
-func RatioCell(r stats.Ratio) interface{} { return Rate(r.Value(), r.Valid()) }
 
 // AddRow appends a row; cells beyond the header count are rejected.
 func (t *Table) AddRow(cells ...string) {

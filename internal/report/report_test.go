@@ -3,29 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
-
-	"mcmgpu/internal/stats"
 )
-
-// TestRateAndRatioCell pins the never-accessed vs true-0% rendering split:
-// an invalid ratio renders Dash, a thrashing one renders 0.000.
-func TestRateAndRatioCell(t *testing.T) {
-	tb := New("Demo", "case", "rate")
-	var never, thrash stats.Ratio
-	thrash.Observe(false)
-	tb.AddRowF("disabled", RatioCell(never))
-	tb.AddRowF("thrashing", RatioCell(thrash))
-	tb.AddRowF("half", Rate(0.5, true))
-	if got := tb.Rows[0][1]; got != Dash {
-		t.Fatalf("never-accessed cell = %q, want %q", got, Dash)
-	}
-	if got := tb.Rows[1][1]; got != "0.000" {
-		t.Fatalf("thrashing cell = %q, want 0.000", got)
-	}
-	if got := tb.Rows[2][1]; got != "0.500" {
-		t.Fatalf("valid rate cell = %q, want 0.500", got)
-	}
-}
 
 func TestTextAlignment(t *testing.T) {
 	tb := New("Demo", "name", "value")

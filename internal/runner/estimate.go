@@ -15,20 +15,6 @@ import (
 // cache, so a two-phase sweep that estimates the whole grid and then
 // simulates the survivors never confuses a prediction with a measurement.
 
-// Estimate evaluates the job through the closed-form estimator. It is pure:
-// no engine events, no randomness, no shared state.
-func (j Job) Estimate() (*analytic.Estimate, error) {
-	e, err := analytic.NewEstimator(j.Config)
-	if err != nil {
-		return nil, err
-	}
-	scale := j.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	return e.Estimate(j.Spec, scale)
-}
-
 // estKey is the estimate-cache key: the simulation key under an "est|"
 // prefix. Run bounds, fault plans and metrics sampling do not apply to the
 // closed form, so they are deliberately absent.
@@ -94,8 +80,6 @@ func (r *Runner) estimateJob(j Job, ests map[*config.Config]*analytic.Estimator)
 type EstCache struct {
 	mu      sync.Mutex
 	entries map[string]estEntry
-	hits    uint64
-	misses  uint64
 }
 
 type estEntry struct {
@@ -112,12 +96,8 @@ func NewEstCache() *EstCache {
 func (c *EstCache) do(key string, fn func() (*analytic.Estimate, error)) (*analytic.Estimate, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
-	if ok {
-		c.hits++
-		c.mu.Unlock()
-	} else {
-		c.misses++
-		c.mu.Unlock()
+	c.mu.Unlock()
+	if !ok {
 		e.est, e.err = fn()
 		c.mu.Lock()
 		c.entries[key] = e
@@ -128,21 +108,6 @@ func (c *EstCache) do(key string, fn func() (*analytic.Estimate, error)) (*analy
 	}
 	out := *e.est
 	return &out, nil
-}
-
-// Stats returns a snapshot of estimate-cache effectiveness counters.
-func (c *EstCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
-}
-
-// Reset discards all entries and zeroes the counters.
-func (c *EstCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]estEntry{}
-	c.hits, c.misses = 0, 0
 }
 
 // estSharedCache is the process-wide estimate cache, the analytic twin of

@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"mcmgpu/internal/analytic"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/workload"
 )
 
-// TestEstimatesMatchDirect: Runner.Estimates is the batched form of
-// Job.Estimate — same predictions, job order preserved, cache irrelevant to
-// the values.
+// TestEstimatesMatchDirect: Runner.Estimates is the batched form of one
+// estimator per job — same predictions, job order preserved, cache
+// irrelevant to the values.
 func TestEstimatesMatchDirect(t *testing.T) {
 	jobs := testJobs(t)
 	for _, cache := range []*EstCache{nil, NewEstCache()} {
@@ -24,7 +25,11 @@ func TestEstimatesMatchDirect(t *testing.T) {
 			t.Fatalf("got %d estimates for %d jobs", len(got), len(jobs))
 		}
 		for i, j := range jobs {
-			want, err := j.Estimate()
+			e, err := analytic.NewEstimator(j.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Estimate(j.Spec, j.Scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,9 +41,9 @@ func TestEstimatesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestEstCacheMemoizes: a second pass over the same job list is all hits,
-// and the returned estimates are copies — mutating one never contaminates
-// the cache.
+// TestEstCacheMemoizes: the cold pass stores one entry per job, a second
+// pass evaluates nothing, and the returned estimates are copies — mutating
+// one never contaminates the cache.
 func TestEstCacheMemoizes(t *testing.T) {
 	jobs := testJobs(t)
 	cache := NewEstCache()
@@ -47,25 +52,25 @@ func TestEstCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cache.Stats()
-	if st.Misses != uint64(len(jobs)) || st.Hits != 0 {
-		t.Fatalf("cold pass: hits=%d misses=%d, want 0/%d", st.Hits, st.Misses, len(jobs))
+	if len(cache.entries) != len(jobs) {
+		t.Fatalf("cold pass cached %d entries, want %d", len(cache.entries), len(jobs))
 	}
 	first[0].IPC = -1 // must not reach the cache
 	second, err := r.Estimates(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = cache.Stats()
-	if st.Hits != uint64(len(jobs)) || st.Misses != uint64(len(jobs)) {
-		t.Fatalf("warm pass: hits=%d misses=%d, want %d/%d", st.Hits, st.Misses, len(jobs), len(jobs))
+	if len(cache.entries) != len(jobs) {
+		t.Fatalf("warm pass grew the cache to %d entries, want %d", len(cache.entries), len(jobs))
+	}
+	for _, j := range jobs {
+		cache.do(j.estKey(), func() (*analytic.Estimate, error) {
+			t.Fatalf("%s on %s re-evaluated after the cold pass", j.Spec.Name, j.Config.Name)
+			return nil, nil
+		})
 	}
 	if second[0].IPC <= 0 {
 		t.Fatal("cached estimate was contaminated by caller mutation")
-	}
-	cache.Reset()
-	if st := cache.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("after Reset: %+v", st)
 	}
 }
 
@@ -116,21 +121,18 @@ func asJobErrors(err error, out *JobErrors) bool {
 // TestEstimateScaleDefaults: Scale <= 0 means full scale, matching Job.run.
 func TestEstimateScaleDefaults(t *testing.T) {
 	spec := mustSpec(t, "NW")
-	a := Job{Config: config.BaselineMCM(), Spec: spec}
-	b := Job{Config: config.BaselineMCM(), Spec: spec, Scale: 1}
-	ea, err := a.Estimate()
+	got, err := (&Runner{}).Estimates([]Job{
+		{Config: config.BaselineMCM(), Spec: spec},
+		{Config: config.BaselineMCM(), Spec: spec, Scale: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := b.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*ea, *eb) {
+	if !reflect.DeepEqual(*got[0], *got[1]) {
 		t.Fatal("Scale 0 and Scale 1 estimates differ")
 	}
-	var w workload.Spec // zero spec is invalid: Estimate must error, not panic
-	if _, err := (Job{Config: config.BaselineMCM(), Spec: &w}).Estimate(); err == nil {
+	var w workload.Spec // zero spec is invalid: Estimates must error, not panic
+	if _, err := (&Runner{}).Estimates([]Job{{Config: config.BaselineMCM(), Spec: &w}}); err == nil {
 		t.Fatal("zero spec: want error")
 	}
 }

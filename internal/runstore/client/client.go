@@ -332,15 +332,6 @@ func (c *Client) Batch(ctx context.Context, id string) (*BatchStatus, error) {
 	return &bs, nil
 }
 
-// Job fetches the current status of one job.
-func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	var js JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &js); err != nil {
-		return nil, err
-	}
-	return &js, nil
-}
-
 // Result fetches the result of a done job.
 func (c *Client) Result(ctx context.Context, id string) (*core.Result, error) {
 	var res core.Result
@@ -350,80 +341,12 @@ func (c *Client) Result(ctx context.Context, id string) (*core.Result, error) {
 	return &res, nil
 }
 
-// CancelJob asks the server to cancel one job (queued jobs are dropped,
-// running jobs get their context canceled).
-func (c *Client) CancelJob(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, nil)
-}
-
-// CancelBatch releases a batch's claim on its jobs; a job is canceled when
-// no live batch still references it.
-func (c *Client) CancelBatch(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/v1/batches/"+id+"/cancel", nil, nil)
-}
-
-// probe performs one single-attempt request — no retries, no backoff —
-// because a health check that retries is just a slow way to say "down".
-func (c *Client) probe(ctx context.Context, path string) error {
-	c.init()
-	return c.once2xx(ctx, http.MethodGet, path, nil, nil)
-}
-
-// Healthz reports whether the server process is alive (GET /healthz, one
-// attempt, no retries).
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.probe(ctx, "/healthz")
-}
-
-// Readyz reports whether the server is accepting work (GET /readyz, one
-// attempt, no retries). A draining or saturated server fails this while
-// still passing Healthz — the signal a pool uses to route around it.
+// Readyz reports whether the server is accepting work (GET /readyz). It
+// makes one attempt — no retries, no backoff — because a health check that
+// retries is just a slow way to say "down". A draining or saturated server
+// fails this while still passing /healthz — the signal a pool uses to route
+// around it.
 func (c *Client) Readyz(ctx context.Context) error {
-	return c.probe(ctx, "/readyz")
-}
-
-// Wait polls a batch until every job is terminal, with gentle backoff
-// (100ms doubling to 2s), and returns the final status.
-func (c *Client) Wait(ctx context.Context, id string) (*BatchStatus, error) {
-	d := 100 * time.Millisecond
-	for {
-		bs, err := c.Batch(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if bs.Done {
-			return bs, nil
-		}
-		if err := sleepCtx(ctx, d); err != nil {
-			return nil, err
-		}
-		if d < 2*time.Second {
-			d *= 2
-		}
-	}
-}
-
-// Run is the high-level round trip cmd/sweep uses: submit the manifest,
-// wait for the batch to finish, and fetch every done job's result. The
-// returned slice is manifest-ordered; failed or canceled jobs leave a nil
-// slot and contribute to the returned statuses, which callers inspect for
-// error rendering.
-func (c *Client) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus, error) {
-	bs, err := c.Submit(ctx, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	if bs, err = c.Wait(ctx, bs.ID); err != nil {
-		return nil, nil, err
-	}
-	results := make([]*core.Result, len(bs.Jobs))
-	for i, js := range bs.Jobs {
-		if js.State != StateDone {
-			continue
-		}
-		if results[i], err = c.Result(ctx, js.ID); err != nil {
-			return nil, nil, fmt.Errorf("fetching result of job %s: %w", js.ID, err)
-		}
-	}
-	return results, bs.Jobs, nil
+	c.init()
+	return c.once2xx(ctx, http.MethodGet, "/readyz", nil, nil)
 }

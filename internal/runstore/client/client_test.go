@@ -210,25 +210,17 @@ func TestTruncatedBodyRetries(t *testing.T) {
 	}
 }
 
-// TestProbesSingleAttempt: health probes never retry — a probe that retries
-// is just a slow way to report "down".
+// TestProbesSingleAttempt: the readiness probe never retries — a probe that
+// retries is just a slow way to report "down".
 func TestProbesSingleAttempt(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		if r.URL.Path == "/readyz" {
-			w.Header().Set("Retry-After", "2")
-			http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := fastClient(ts.URL)
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	err := c.Readyz(context.Background())
+	err := fastClient(ts.URL).Readyz(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz err = %v, want 503 StatusError", err)
@@ -236,7 +228,7 @@ func TestProbesSingleAttempt(t *testing.T) {
 	if se.RetryAfter != 2*time.Second {
 		t.Fatalf("readyz RetryAfter = %v, want 2s", se.RetryAfter)
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("probes made %d requests, want 2 (no retries)", calls.Load())
+	if calls.Load() != 1 {
+		t.Fatalf("probe made %d requests, want 1 (no retries)", calls.Load())
 	}
 }

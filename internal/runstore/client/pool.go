@@ -150,9 +150,8 @@ func (p *Pool) probe(ctx context.Context, be *Backend) bool {
 }
 
 // Run executes the manifest across the pool and returns manifest-ordered
-// results and statuses, exactly like Client.Run: failed or canceled jobs
-// leave a nil result slot, and callers inspect statuses for error
-// rendering. Run fails only when jobs remain unfinished after every
+// results and statuses: failed or canceled jobs leave a nil result slot,
+// and callers inspect statuses for error rendering. Run fails only when jobs remain unfinished after every
 // failover round — a single healthy backend is enough for it to succeed.
 func (p *Pool) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus, error) {
 	if len(p.Backends) == 0 {

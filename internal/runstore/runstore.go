@@ -156,9 +156,10 @@ func WithLogf(f func(format string, args ...interface{})) Option {
 	}
 }
 
-// WithMaxBytes bounds the store's blob bytes; Put evicts oldest entries
-// first until under the bound. 0 (the default) means unbounded.
-func WithMaxBytes(n int64) Option {
+// withMaxBytes bounds the store's blob bytes; Put evicts oldest entries
+// first until under the bound. 0 (the default) means unbounded. No caller
+// outside the package's tests sets a bound.
+func withMaxBytes(n int64) Option {
 	return func(s *Store) { s.maxBytes = n }
 }
 

@@ -251,7 +251,7 @@ func TestKeyFilterRestrictsFault(t *testing.T) {
 // store consistent.
 func TestEviction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, WithMaxBytes(1500))
+	s := mustOpen(t, dir, withMaxBytes(1500))
 	var keys []string
 	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
 		keys = append(keys, k)

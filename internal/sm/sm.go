@@ -60,7 +60,6 @@ type SM struct {
 
 	launchedCTAs  uint64
 	retiredCTAs   uint64
-	instrs        uint64
 	peakResidency int
 }
 
@@ -121,15 +120,6 @@ func (s *SM) ResidentWarps() int { return s.residentWrps }
 
 // ResidentCTAs returns the CTAs currently resident.
 func (s *SM) ResidentCTAs() int { return s.residentCTAs }
-
-// PeakResidency returns the maximum warps ever resident together.
-func (s *SM) PeakResidency() int { return s.peakResidency }
-
-// CountInstrs records issued warp instructions for reporting.
-func (s *SM) CountInstrs(n uint64) { s.instrs += n }
-
-// Instrs returns warp instructions issued by this SM.
-func (s *SM) Instrs() uint64 { return s.instrs }
 
 // RetiredCTAs returns the number of CTAs completed on this SM.
 func (s *SM) RetiredCTAs() uint64 { return s.retiredCTAs }

@@ -29,8 +29,8 @@ func TestOccupancyLimits(t *testing.T) {
 	if !s.CanHost(8) {
 		t.Fatalf("cannot host after retirement")
 	}
-	if s.PeakResidency() != 64 {
-		t.Fatalf("PeakResidency = %d, want 64", s.PeakResidency())
+	if s.peakResidency != 64 {
+		t.Fatalf("peak residency = %d, want 64", s.peakResidency)
 	}
 }
 
@@ -80,11 +80,11 @@ func TestIssueThroughput(t *testing.T) {
 func TestFlushL1(t *testing.T) {
 	s := newSM(t)
 	s.L1.Access(42, false)
-	if !s.L1.Lookup(42) {
+	if !s.L1.Probe(42, false) {
 		t.Fatalf("line not cached")
 	}
 	s.FlushL1()
-	if s.L1.Lookup(42) {
+	if s.L1.Probe(42, false) {
 		t.Fatalf("line survived kernel-boundary flush")
 	}
 }
@@ -93,11 +93,6 @@ func TestCounters(t *testing.T) {
 	s := newSM(t)
 	s.HostCTA(4)
 	s.RetireCTA(4)
-	s.CountInstrs(100)
-	s.CountInstrs(11)
-	if s.Instrs() != 111 {
-		t.Fatalf("Instrs = %d", s.Instrs())
-	}
 	if s.RetiredCTAs() != 1 {
 		t.Fatalf("RetiredCTAs = %d", s.RetiredCTAs())
 	}

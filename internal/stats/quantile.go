@@ -121,9 +121,6 @@ func (p *P2) linear(i int, s float64) float64 {
 	return p.heights[i] + s*(p.heights[j]-p.heights[i])/(p.pos[j]-p.pos[i])
 }
 
-// N returns the number of observations fed so far.
-func (p *P2) N() int { return p.n }
-
 // Value returns the current q-quantile estimate. Under five observations it
 // is the exact quantile of what has arrived.
 func (p *P2) Value() float64 {
@@ -342,6 +339,3 @@ func (s *ExactSum) Sum() float64 {
 	}
 	return hi
 }
-
-// Reset empties the accumulator for reuse.
-func (s *ExactSum) Reset() { s.parts = s.parts[:0] }

@@ -201,7 +201,7 @@ func TestExactSumExact(t *testing.T) {
 	if got := s.Sum(); got != 1 {
 		t.Fatalf("1e16 + 1 - 1e16 = %v, want 1", got)
 	}
-	s.Reset()
+	s = ExactSum{}
 	for i := 0; i < 10; i++ {
 		s.Add(0.1)
 	}

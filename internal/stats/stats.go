@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Counter accumulates a monotonically increasing count.
@@ -16,17 +15,11 @@ type Counter struct {
 	n uint64
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n++ }
 
 // Value returns the accumulated count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Ratio tracks a hits/total pair, e.g. a cache hit rate.
 type Ratio struct {
@@ -41,27 +34,6 @@ func (r *Ratio) Observe(hit bool) {
 		r.Hits++
 	}
 }
-
-// Value returns hits/total, or 0 when nothing was observed. Value alone
-// cannot distinguish "never accessed" from a true 0% hit rate; callers
-// rendering the ratio should consult Valid and show an em-dash (see
-// report.RatioCell) for the former.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
-}
-
-// Valid reports whether the ratio observed anything: a false Valid means
-// Value's 0 is "no data", not "0%".
-func (r *Ratio) Valid() bool { return r.Total > 0 }
-
-// Misses returns the number of observations that did not hit.
-func (r *Ratio) Misses() uint64 { return r.Total - r.Hits }
-
-// Reset zeroes the ratio.
-func (r *Ratio) Reset() { r.Hits, r.Total = 0, 0 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -94,20 +66,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(s / float64(len(xs))), nil
 }
 
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -122,68 +80,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Spearman returns the Spearman rank-correlation coefficient between a and
-// b: the Pearson correlation of their rank vectors, with ties assigned
-// average ranks. It is the estimator-validation metric — "does the analytic
-// model order configurations the way the engine does" — so it errors on
-// inputs where rank order is undefined: mismatched lengths, fewer than two
-// samples, or a constant vector (zero rank variance).
-func Spearman(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: Spearman of mismatched lengths %d and %d", len(a), len(b))
-	}
-	if len(a) < 2 {
-		return 0, fmt.Errorf("stats: Spearman needs at least 2 samples, got %d", len(a))
-	}
-	ra, err := ranks(a)
-	if err != nil {
-		return 0, err
-	}
-	rb, err := ranks(b)
-	if err != nil {
-		return 0, err
-	}
-	ma, mb := Mean(ra), Mean(rb)
-	var cov, va, vb float64
-	for i := range ra {
-		da, db := ra[i]-ma, rb[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	return cov / math.Sqrt(va*vb), nil
-}
-
-// ranks returns average ranks (1-based) of xs, erroring on NaN samples and
-// on constant vectors, whose rank variance is zero and whose correlation is
-// therefore undefined.
-func ranks(xs []float64) ([]float64, error) {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		if math.IsNaN(xs[i]) {
-			return nil, fmt.Errorf("stats: Spearman of NaN sample (element %d)", i)
-		}
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return xs[idx[i]] < xs[idx[j]] })
-	out := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j < len(idx) && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j
-	}
-	if xs[idx[0]] == xs[idx[len(idx)-1]] {
-		return nil, fmt.Errorf("stats: Spearman of constant vector (all samples = %v)", xs[idx[0]])
-	}
-	return out, nil
-}
-
 // Sorted returns a sorted copy of xs. It is used to build the paper's
 // Figure 15 s-curve.
 func Sorted(xs []float64) []float64 {
@@ -191,45 +87,4 @@ func Sorted(xs []float64) []float64 {
 	copy(out, xs)
 	sort.Float64s(out)
 	return out
-}
-
-// Group collects named float samples and aggregates them; the experiment
-// harness uses one Group per workload category.
-type Group struct {
-	names  []string
-	values []float64
-}
-
-// Add appends a named sample.
-func (g *Group) Add(name string, v float64) {
-	g.names = append(g.names, name)
-	g.values = append(g.values, v)
-}
-
-// Len returns the number of samples.
-func (g *Group) Len() int { return len(g.values) }
-
-// Values returns the sample values in insertion order.
-func (g *Group) Values() []float64 { return g.values }
-
-// Names returns the sample names in insertion order.
-func (g *Group) Names() []string { return g.names }
-
-// Mean returns the arithmetic mean of the samples.
-func (g *Group) Mean() float64 { return Mean(g.values) }
-
-// GeoMean returns the geometric mean of the samples, erroring on
-// non-positive samples exactly as the package-level GeoMean does.
-func (g *Group) GeoMean() (float64, error) { return GeoMean(g.values) }
-
-// String renders the group as "name=value" pairs for debugging.
-func (g *Group) String() string {
-	var b strings.Builder
-	for i, n := range g.names {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%.3f", n, g.values[i])
-	}
-	return b.String()
 }

@@ -27,8 +27,6 @@ import (
 // It is not safe for concurrent use.
 type AddressMap struct {
 	policy          config.PlacementKind
-	lineBytes       int
-	linesPerPage    uint64
 	pageShift       uint
 	partitions      int
 	partsPerModule  int
@@ -45,8 +43,6 @@ func NewAddressMap(cfg *config.Config) *AddressMap {
 	linesPerPage := uint64(cfg.PageBytes / config.LineBytes)
 	m := &AddressMap{
 		policy:         cfg.Placement,
-		lineBytes:      config.LineBytes,
-		linesPerPage:   linesPerPage,
 		pageShift:      uint(bits.TrailingZeros64(linesPerPage)),
 		partitions:     cfg.TotalPartitions(),
 		partsPerModule: cfg.PartitionsPerModule,
@@ -57,12 +53,6 @@ func NewAddressMap(cfg *config.Config) *AddressMap {
 	}
 	return m
 }
-
-// Policy returns the placement policy in force.
-func (m *AddressMap) Policy() config.PlacementKind { return m.policy }
-
-// LinesPerPage returns how many cache lines one page holds.
-func (m *AddressMap) LinesPerPage() uint64 { return m.linesPerPage }
 
 // SetBinder installs the region-aware page binder: a function returning the
 // module a page should be homed on, or -1 for pages that should fall back
@@ -140,33 +130,8 @@ func (m *AddressMap) CacheAddr(lineAddr uint64) uint64 {
 	panic(fmt.Sprintf("vm: unknown placement policy %v", m.policy))
 }
 
-// PageOwner returns the module owning the page containing lineAddr and
-// whether the page has been mapped. Under interleave placement pages have no
-// owner and ok is always false.
-func (m *AddressMap) PageOwner(lineAddr uint64) (module int, ok bool) {
-	if m.pages == nil {
-		return 0, false
-	}
-	owner, ok := m.pages[lineAddr>>m.pageShift]
-	return owner, ok
-}
-
 // MappedPages returns the number of pages bound so far.
 func (m *AddressMap) MappedPages() int { return len(m.pages) }
-
-// PagesPerModule returns, per module, how many pages are bound to it. The
-// slice is live; callers must not modify it.
-func (m *AddressMap) PagesPerModule() []int { return m.pagesPerModule }
-
-// FirstTouchFills returns how many pages were bound by raw first touch
-// (excluding region binds and prebinds).
-func (m *AddressMap) FirstTouchFills() uint64 { return m.firstTouchFills }
-
-// RegionBinds returns how many pages the region-aware binder homed.
-func (m *AddressMap) RegionBinds() uint64 { return m.regionBinds }
-
-// Prebinds returns how many pages were bound before simulation.
-func (m *AddressMap) Prebinds() uint64 { return m.prebinds }
 
 // Audit checks page-table consistency into r. Under page-bound placement:
 // every binding event bound exactly one page (fills + region binds +
@@ -200,20 +165,4 @@ func (m *AddressMap) Audit(r *audit.Reporter) {
 			r.Reportf("vm-pages", "vm", "page %#x owned by module %d, machine has %d modules", page, owner, modules)
 		}
 	}
-}
-
-// Reset drops all page mappings, as when a new application starts. Page
-// mappings deliberately survive kernel boundaries within an application:
-// cross-kernel reuse of first-touch locality is the effect Figure 12 of the
-// paper illustrates.
-func (m *AddressMap) Reset() {
-	if m.pages != nil {
-		m.pages = make(map[uint64]int)
-		for i := range m.pagesPerModule {
-			m.pagesPerModule[i] = 0
-		}
-	}
-	m.firstTouchFills = 0
-	m.regionBinds = 0
-	m.prebinds = 0
 }

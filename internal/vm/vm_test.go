@@ -29,9 +29,6 @@ func TestInterleaveRoundRobin(t *testing.T) {
 	if m.MappedPages() != 0 {
 		t.Fatalf("interleave policy mapped pages")
 	}
-	if _, ok := m.PageOwner(5); ok {
-		t.Fatalf("interleave policy reported a page owner")
-	}
 }
 
 func TestFirstTouchBindsToToucher(t *testing.T) {
@@ -45,15 +42,15 @@ func TestFirstTouchBindsToToucher(t *testing.T) {
 	if got := m.Partition(1, 0); got != 3 {
 		t.Fatalf("second toucher moved the page: partition %d", got)
 	}
-	owner, ok := m.PageOwner(10)
+	owner, ok := m.pages[10>>m.pageShift]
 	if !ok || owner != 3 {
-		t.Fatalf("PageOwner = %d,%v; want 3,true", owner, ok)
+		t.Fatalf("owner of line 10's page = %d,%v; want 3,true", owner, ok)
 	}
 	if m.MappedPages() != 1 {
 		t.Fatalf("MappedPages = %d, want 1", m.MappedPages())
 	}
-	if got := m.PagesPerModule()[3]; got != 1 {
-		t.Fatalf("PagesPerModule[3] = %d, want 1", got)
+	if got := m.pagesPerModule[3]; got != 1 {
+		t.Fatalf("pagesPerModule[3] = %d, want 1", got)
 	}
 }
 
@@ -86,22 +83,6 @@ func TestFirstTouchMultiPartitionModules(t *testing.T) {
 	}
 	if !seen[2] || !seen[3] {
 		t.Fatalf("page lines not interleaved across module partitions: %v", seen)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := firstTouchMap()
-	m.Partition(0, 2)
-	m.Reset()
-	if m.MappedPages() != 0 {
-		t.Fatalf("Reset kept %d pages", m.MappedPages())
-	}
-	if got := m.PagesPerModule()[2]; got != 0 {
-		t.Fatalf("Reset kept per-module counts: %d", got)
-	}
-	// After reset, a different module can claim the same page.
-	if got := m.Partition(0, 1); got != 1 {
-		t.Fatalf("post-reset first touch = %d, want 1", got)
 	}
 }
 

@@ -232,11 +232,6 @@ func CIntensive() []*Spec { return ByCategory(ComputeIntensive) }
 // Limited returns the 15 limited-parallelism applications.
 func Limited() []*Spec { return ByCategory(LimitedParallelism) }
 
-// HighParallelism returns the 33 applications that fill a 256-SM GPU.
-func HighParallelism() []*Spec {
-	return append(MIntensive(), CIntensive()...)
-}
-
 // ByName returns the named application — searching the 48-app suite and the
 // dense extension family — or an error naming the alternatives.
 func ByName(name string) (*Spec, error) {

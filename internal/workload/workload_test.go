@@ -19,7 +19,7 @@ func TestSuiteComposition(t *testing.T) {
 	if got := len(Limited()); got != 15 {
 		t.Errorf("Limited-parallelism count = %d, want 15", got)
 	}
-	if got := len(HighParallelism()); got != 33 {
+	if got := len(MIntensive()) + len(CIntensive()); got != 33 {
 		t.Errorf("high-parallelism count = %d, want 33", got)
 	}
 	seen := map[string]bool{}
@@ -105,7 +105,7 @@ func TestLimitedParallelismCannotFill256SMs(t *testing.T) {
 			t.Errorf("%s has %d warps; too parallel for its category", s.Name, w)
 		}
 	}
-	for _, s := range HighParallelism() {
+	for _, s := range append(MIntensive(), CIntensive()...) {
 		if w := s.TotalWarps(); w < 4096 {
 			t.Errorf("%s has only %d warps; cannot fill a 256-SM GPU", s.Name, w)
 		}
