@@ -42,22 +42,25 @@ type Cache struct {
 	writebacks stats.Counter
 }
 
-// New creates a cache holding the given number of lines with the given
-// associativity. The line count must yield a power-of-two set count.
-// Addresses passed to the cache are line addresses (byte address divided by
-// the line size) below 2^62; the cache itself is agnostic to the line size.
-// All state lives in one flat array, so New makes two allocations.
-func New(name string, lines, ways int, writeBack bool) *Cache {
-	if lines <= 0 || ways <= 0 || lines%ways != 0 {
-		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", name, lines, ways))
+// New creates a cache over lines, the caller's way array: one entry per
+// line of capacity, all zero (an empty cache). The cache owns the array
+// from then on. With the given associativity the line count must yield a
+// power-of-two set count. Addresses passed to the cache are line addresses
+// (byte address divided by the line size) below 2^62; the cache itself is
+// agnostic to the line size. Taking the array lets a machine cut every
+// cache from one slab it can recycle, so New allocates only the Cache.
+func New(name string, lines []uint64, ways int, writeBack bool) *Cache {
+	n := len(lines)
+	if n == 0 || ways <= 0 || n%ways != 0 {
+		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", name, n, ways))
 	}
-	nSets := lines / ways
+	nSets := n / ways
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %q: set count %d not a power of two", name, nSets))
 	}
 	return &Cache{
 		name:      name,
-		lines:     make([]uint64, lines),
+		lines:     lines,
 		setMask:   uint64(nSets - 1),
 		setShift:  uint(bits.TrailingZeros(uint(nSets))),
 		ways:      ways,

@@ -23,7 +23,7 @@ func occupancy(c *Cache) int {
 }
 
 func TestBasicHitMiss(t *testing.T) {
-	c := New("l1", 16, 4, false) // 4 sets x 4 ways
+	c := New("l1", make([]uint64, 16), 4, false) // 4 sets x 4 ways
 	if r := c.Access(0, false); r.Hit {
 		t.Fatalf("cold access hit")
 	}
@@ -39,7 +39,7 @@ func TestBasicHitMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("l1", 8, 2, false) // 4 sets x 2 ways
+	c := New("l1", make([]uint64, 8), 2, false) // 4 sets x 2 ways
 	// Addresses 0, 4, 8 map to set 0 (mask 3).
 	c.Access(0, false)
 	c.Access(4, false)
@@ -60,8 +60,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestWritebackVictim(t *testing.T) {
-	c := New("l2", 8, 2, true) // write-back
-	c.Access(0, true)          // dirty
+	c := New("l2", make([]uint64, 8), 2, true) // write-back
+	c.Access(0, true)                          // dirty
 	c.Access(4, false)
 	r := c.Access(8, false) // evicts 0, which is dirty
 	if !r.NeedsWriteback {
@@ -76,7 +76,7 @@ func TestWritebackVictim(t *testing.T) {
 }
 
 func TestWritebackAddrReconstruction(t *testing.T) {
-	c := New("l2", 64, 2, true) // 32 sets
+	c := New("l2", make([]uint64, 64), 2, true) // 32 sets
 	// Three addresses in set 5 with distinct tags.
 	a1 := uint64(5 + 32)
 	a2 := uint64(5 + 64)
@@ -90,7 +90,7 @@ func TestWritebackAddrReconstruction(t *testing.T) {
 }
 
 func TestWriteThroughNeverDirty(t *testing.T) {
-	c := New("l15", 8, 2, false)
+	c := New("l15", make([]uint64, 8), 2, false)
 	c.Access(0, true)
 	c.Access(4, true)
 	r := c.Access(8, true)
@@ -103,7 +103,7 @@ func TestWriteThroughNeverDirty(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := New("l2", 16, 4, true)
+	c := New("l2", make([]uint64, 16), 4, true)
 	addrs := []uint64{1, 2, 3, 17}
 	for _, a := range addrs {
 		c.Access(a, true)
@@ -131,7 +131,7 @@ func TestFlush(t *testing.T) {
 }
 
 func TestProbeDoesNotAllocate(t *testing.T) {
-	c := New("l15", 16, 4, false)
+	c := New("l15", make([]uint64, 16), 4, false)
 	if c.Probe(9, false) {
 		t.Fatalf("probe hit in empty cache")
 	}
@@ -155,7 +155,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("New(lines=%d, ways=%d) did not panic", tc.lines, tc.ways)
 				}
 			}()
-			New("bad", tc.lines, tc.ways, false)
+			New("bad", make([]uint64, tc.lines), tc.ways, false)
 		}()
 	}
 }
@@ -236,7 +236,7 @@ func TestLRUMatchesReferenceProperty(t *testing.T) {
 		geoms := []struct{ lines, ways int }{{16, 4}, {64, 16}, {32, 1}, {8, 8}}
 		g := geoms[rng.Intn(len(geoms))]
 		wb := rng.Intn(2) == 0
-		c := New("sut", g.lines, g.ways, wb)
+		c := New("sut", make([]uint64, g.lines), g.ways, wb)
 		ref := newReference(g.lines, g.ways, wb)
 		pool := make([]uint64, 2*g.lines)
 		for i := range pool {
@@ -277,14 +277,16 @@ func TestLRUMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestNewAndFlushAllocs pins the flat layout's allocation profile: New makes
-// the Cache and its one way array, and flushing a write-through cache (the
-// L1 and L1.5 at every kernel boundary) allocates nothing.
+// TestNewAndFlushAllocs pins the flat layout's allocation profile: New
+// makes only the Cache, since the caller supplies its way array, and
+// flushing a write-through cache (the L1 and L1.5 at every kernel boundary)
+// allocates nothing.
 func TestNewAndFlushAllocs(t *testing.T) {
-	if a := testing.AllocsPerRun(20, func() { New("l1", 1024, 4, false) }); a > 2 {
-		t.Errorf("New allocated %v objects, want <= 2", a)
+	lines := make([]uint64, 1024)
+	if a := testing.AllocsPerRun(20, func() { New("l1", lines, 4, false) }); a > 1 {
+		t.Errorf("New allocated %v objects, want <= 1", a)
 	}
-	c := New("l1", 1024, 4, false)
+	c := New("l1", make([]uint64, 1024), 4, false)
 	for i := uint64(0); i < 4096; i++ {
 		c.Access(i*7, i%3 == 0)
 	}
@@ -302,7 +304,7 @@ func TestNewAndFlushAllocs(t *testing.T) {
 func TestSetResidencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New("sut", 64, 4, false) // 16 sets x 4 ways
+		c := New("sut", make([]uint64, 64), 4, false) // 16 sets x 4 ways
 		// 4 addresses that all map to set 3.
 		addrs := []uint64{3, 3 + 16, 3 + 32, 3 + 48}
 		for _, a := range addrs {
@@ -322,7 +324,7 @@ func TestSetResidencyProperty(t *testing.T) {
 }
 
 func BenchmarkAccess(b *testing.B) {
-	c := New("l2", 32768, 16, true)
+	c := New("l2", make([]uint64, 32768), 16, true)
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 4096)
 	for i := range addrs {

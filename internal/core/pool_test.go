@@ -10,15 +10,17 @@ import (
 // TestPooledContextsResetAcrossRelaunch drives a multi-wave, store-heavy
 // workload (CTAs far exceed residency, so every warp/CTA context is
 // recycled many times, and store-buffer backpressure parks warps) and then
-// checks that every context sitting on a free list was returned in the
-// cleared state: a stale field leaking across a CTA relaunch would be
-// invisible in aggregate results until it corrupted a run.
+// checks that every context sitting on a free list of the storage the run
+// handed back was returned in the cleared state, machine pointer included:
+// a stale field leaking across a CTA relaunch, or into the next machine,
+// would be invisible in aggregate results until it corrupted a run.
 func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	spec := probeSpec(func(s *workload.Spec) {
 		s.CTAs = 1024
 		s.WriteFraction = 0.5
 		s.KernelIters = 2
 	})
+	spare.Store(nil) // the lists below then hold this machine's contexts only
 	m, err := New(config.BaselineMCM())
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +32,16 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	if res.MemOps != spec.TotalMemOps() {
 		t.Fatalf("MemOps = %d, want %d", res.MemOps, spec.TotalMemOps())
 	}
+	st := spare.Load()
+	if st == nil {
+		t.Fatal("drained run handed back no storage")
+	}
 
 	var nWarp, nCTA, nLoad, nStore int
-	for wc := m.freeWarps; wc != nil; wc = wc.next {
+	for wc := st.freeWarps; wc != nil; wc = wc.next {
 		nWarp++
-		if wc.m != m {
-			t.Fatalf("pooled warpCtx lost its machine pointer")
+		if wc.m != nil {
+			t.Fatalf("pooled warpCtx keeps its machine pointer")
 		}
 		if wc.cta != nil || wc.pending != 0 || wc.lineIdx != 0 || wc.loadDone != 0 {
 			t.Fatalf("pooled warpCtx retains state: %+v", wc)
@@ -44,20 +50,26 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 			t.Fatalf("pooled warpCtx retains stream/op state")
 		}
 	}
-	for cc := m.freeCTAs; cc != nil; cc = cc.next {
+	for cc := st.freeCTAs; cc != nil; cc = cc.next {
 		nCTA++
 		if cc.sm != nil || cc.live != 0 || cc.idx != 0 {
 			t.Fatalf("pooled ctaCtx retains state: %+v", cc)
 		}
 	}
-	for lc := m.freeLoads; lc != nil; lc = lc.next {
+	for lc := st.freeLoads; lc != nil; lc = lc.next {
 		nLoad++
+		if lc.m != nil {
+			t.Fatalf("pooled loadCtx keeps its machine pointer")
+		}
 		if lc.wc != nil || lc.pt != nil || lc.line != 0 || lc.g != 0 {
 			t.Fatalf("pooled loadCtx retains state: %+v", lc)
 		}
 	}
-	for sc := m.freeStores; sc != nil; sc = sc.next {
+	for sc := st.freeStores; sc != nil; sc = sc.next {
 		nStore++
+		if sc.m != nil {
+			t.Fatalf("pooled storeCtx keeps its machine pointer")
+		}
 		if sc.sm != nil || sc.pt != nil || sc.line != 0 {
 			t.Fatalf("pooled storeCtx retains state: %+v", sc)
 		}
@@ -74,8 +86,9 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 		t.Fatalf("warp pool grew to %d, residency bound is %d", nWarp, maxResident)
 	}
 
-	// Pooled reuse must not perturb results: a fresh machine on the same
-	// spec (its pools populated in a different order) matches exactly.
+	// Pooled reuse must not perturb results: a second machine on the same
+	// spec, built on the storage the first handed back (its lists in a
+	// different order), matches exactly.
 	m2, err := New(config.BaselineMCM())
 	if err != nil {
 		t.Fatal(err)

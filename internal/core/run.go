@@ -67,6 +67,10 @@ func (wc *warpCtx) StoreSlotFree() { wc.memWrite() }
 // deadline passes, or the context is canceled. With limits set but not
 // tripped, the result is byte-identical to an unbounded run (the budget
 // check only observes the simulation).
+//
+// A run that drains and succeeds hands the machine's storage to the spare
+// for the next New (see pool.go). A run stopped by a budget, cancellation,
+// an invariant violation or a panic keeps it, and the GC takes it.
 func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("core: machine %q already ran; build a new one", m.cfg.Name)
@@ -127,7 +131,9 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 			return nil, fmt.Errorf("core: metrics export: %w", err)
 		}
 	}
-	return m.collect(), nil
+	res := m.collect()
+	m.handBack()
+	return res, nil
 }
 
 // KernelGrid returns the CTA grid shape the schedulers partition for spec:

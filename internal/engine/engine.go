@@ -129,6 +129,19 @@ func New() *Sim {
 	return &Sim{free: -1}
 }
 
+// Reset returns s to New's state: cycle 0, no queued events, no hooks and
+// zeroed counters. It keeps the capacity of the node slab and the far heap,
+// so a simulator reused for another run schedules without regrowing them.
+// It may be called on a simulator a hook stopped mid-queue; the dropped
+// events' receivers are released.
+func (s *Sim) Reset() {
+	nodes, far := s.nodes, s.far
+	clear(nodes)
+	clear(far)
+	*s = Sim{free: -1}
+	s.nodes, s.far = nodes[:0], far[:0]
+}
+
 // Now returns the current simulated time.
 func (s *Sim) Now() Cycle { return s.now }
 
@@ -317,7 +330,7 @@ func (s *Sim) dispatch(t Cycle) {
 // Run/RunUntil call. fn must only observe the simulation (Now, Processed,
 // Pending and the model's counters) and decide, which is what keeps a run
 // with installed-but-untripped hooks byte-identical to an unhooked run.
-// Hooks stay installed for the simulator's lifetime.
+// Hooks stay installed until Reset.
 func (s *Sim) AddHook(every uint64, fn func() error) {
 	s.hooks = append(s.hooks, hook{fn: fn, every: every})
 }

@@ -396,122 +396,169 @@ func (e *orderEv) Dispatch(uint8) { e.fn(e.id) }
 // idle-clock advance on an empty queue), single Steps, and a hook that stops
 // the run followed by a resume. Now and Pending must agree with the
 // reference after every call.
+//
+// Each sequence runs twice: on a new simulator, and on one that a hook
+// stopped with events queued in its buckets and its far heap and that was
+// then Reset. A leftover event, hook, clock or counter fails the second.
 func TestSimHeapMatchesReferenceOrder(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		checkReferenceOrder(t, New(), seed)
+		checkReferenceOrder(t, stoppedThenReset(t), seed)
+	}
+}
+
+// stoppedThenReset returns a simulator that ran part of a queue spanning
+// both sides of the calendar window, including clamped events, until a
+// hook stopped it, and was then Reset. Its dropped events fail the test if
+// they ever fire.
+func stoppedThenReset(t *testing.T) *Sim {
+	t.Helper()
+	s := New()
+	reset := false
+	stale := funcEvent(func() {
+		if reset {
+			t.Error("an event queued before Reset fired after it")
+		}
+	})
+	for i := Cycle(0); i < 3*calendarWindow; i += 7 {
+		s.AtEvent(i, stale, 0)
+	}
+	s.AddHook(1, func() error {
+		if s.Now() > calendarWindow {
+			s.AtEvent(0, stale, 0) // clamped
+			return errors.New("stop")
+		}
+		return nil
+	})
+	s.Run()
+	if s.StopErr() == nil || s.Pending() == 0 || s.Clamped() == 0 {
+		t.Fatalf("set-up did not stop mid-queue: StopErr %v, Pending %d, Clamped %d", s.StopErr(), s.Pending(), s.Clamped())
+	}
+	s.Reset()
+	reset = true
+	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 || s.Clamped() != 0 || s.StopErr() != nil {
+		t.Fatalf("Reset left Now %d, Pending %d, Processed %d, Clamped %d, StopErr %v",
+			s.Now(), s.Pending(), s.Processed(), s.Clamped(), s.StopErr())
+	}
+	return s
+}
+
+// checkReferenceOrder drives s, which must be in New's state, through the
+// randomized sequence of the given seed against the reference queue.
+func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
+	t.Helper()
 	const W = calendarWindow
 	delays := []Cycle{0, 1, 2, 7, 63, 64, 511, W - 1, W, W + 1, 2*W - 1, 2 * W, 2*W + 1, 3 * W}
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		ref := &refQueue{}
-		var fails []string
-		var leaf []bool // by id: leaves schedule nothing, chain events schedule their successor
-		var farAt []Cycle
-		budget := 10000
-		sched := func(at Cycle, isLeaf bool, fn func(int)) {
-			budget--
-			leaf = append(leaf, isLeaf)
-			s.AtEvent(at, &orderEv{fn: fn, id: len(leaf) - 1}, 0)
-			ref.at(at, len(leaf)-1)
+	rng := rand.New(rand.NewSource(seed))
+	ref := &refQueue{}
+	var fails []string
+	var leaf []bool // by id: leaves schedule nothing, chain events schedule their successor
+	var farAt []Cycle
+	budget := 10000
+	sched := func(at Cycle, isLeaf bool, fn func(int)) {
+		budget--
+		leaf = append(leaf, isLeaf)
+		s.AtEvent(at, &orderEv{fn: fn, id: len(leaf) - 1}, 0)
+		ref.at(at, len(leaf)-1)
+	}
+	var onDispatch func(id int)
+	onDispatch = func(id int) {
+		if want := ref.pop(); id != want.id || s.Now() != want.at {
+			fails = append(fails, fmt.Sprintf("got id %d at %d, want id %d at %d", id, s.Now(), want.id, want.at))
 		}
-		var onDispatch func(id int)
-		onDispatch = func(id int) {
-			if want := ref.pop(); id != want.id || s.Now() != want.at {
-				fails = append(fails, fmt.Sprintf("got id %d at %d, want id %d at %d", id, s.Now(), want.id, want.at))
+		if leaf[id] || budget <= 0 {
+			return
+		}
+		now := s.Now()
+		d := delays[rng.Intn(len(delays))]
+		if rng.Intn(2) == 0 {
+			d = Cycle(rng.Intn(3*W + 1))
+		}
+		if d >= W {
+			farAt = append(farAt, now+d)
+		}
+		sched(now+d, false, onDispatch)
+		switch rng.Intn(6) {
+		case 0: // a same-cycle burst
+			for j := rng.Intn(16); j >= 0; j-- {
+				sched(now, true, onDispatch)
 			}
-			if leaf[id] || budget <= 0 {
-				return
-			}
-			now := s.Now()
-			d := delays[rng.Intn(len(delays))]
-			if rng.Intn(2) == 0 {
-				d = Cycle(rng.Intn(3*W + 1))
-			}
-			if d >= W {
-				farAt = append(farAt, now+d)
-			}
-			sched(now+d, false, onDispatch)
-			switch rng.Intn(6) {
-			case 0: // a same-cycle burst
-				for j := rng.Intn(16); j >= 0; j-- {
-					sched(now, true, onDispatch)
+		case 1: // in the past: clamped to now
+			sched(now-Cycle(rng.Intn(int(now)+1)), true, onDispatch)
+		case 2, 3: // a direct push into a cycle a far event was scheduled for
+			for i := 0; i < len(farAt); {
+				if farAt[i] < now {
+					farAt[i] = farAt[len(farAt)-1]
+					farAt = farAt[:len(farAt)-1]
+					continue
 				}
-			case 1: // in the past: clamped to now
-				sched(now-Cycle(rng.Intn(int(now)+1)), true, onDispatch)
-			case 2, 3: // a direct push into a cycle a far event was scheduled for
-				for i := 0; i < len(farAt); {
-					if farAt[i] < now {
-						farAt[i] = farAt[len(farAt)-1]
-						farAt = farAt[:len(farAt)-1]
-						continue
-					}
-					if farAt[i]-now < W {
-						sched(farAt[i], true, onDispatch)
-						break
-					}
-					i++
+				if farAt[i]-now < W {
+					sched(farAt[i], true, onDispatch)
+					break
 				}
+				i++
 			}
 		}
-		stop := errors.New("stop")
-		stopAt := uint64(0)
-		s.AddHook(1, func() error {
-			if s.Processed() == stopAt {
-				return stop
+	}
+	stop := errors.New("stop")
+	stopAt := uint64(0)
+	s.AddHook(1, func() error {
+		if s.Processed() == stopAt {
+			return stop
+		}
+		return nil
+	})
+	check := func(call string) {
+		if s.Now() != ref.now || s.Pending() != len(ref.q) {
+			fails = append(fails, fmt.Sprintf("after %s: Now %d Pending %d, want %d and %d",
+				call, s.Now(), s.Pending(), ref.now, len(ref.q)))
+		}
+	}
+	for i := 0; i < 100; i++ {
+		sched(ref.now+delays[rng.Intn(len(delays))], false, onDispatch)
+	}
+	for len(fails) == 0 && len(ref.q) > 0 {
+		if budget > 0 && rng.Intn(4) == 0 {
+			sched(ref.now+Cycle(rng.Intn(3*W+1)), true, onDispatch)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			s.Step()
+			check("Step")
+		case 1:
+			limit := ref.now + Cycle(rng.Intn(2*W))
+			s.RunUntil(limit)
+			if len(ref.q) == 0 && ref.now < limit {
+				ref.now = limit // idle-clock advance
 			}
-			return nil
-		})
-		check := func(call string) {
-			if s.Now() != ref.now || s.Pending() != len(ref.q) {
-				fails = append(fails, fmt.Sprintf("after %s: Now %d Pending %d, want %d and %d",
-					call, s.Now(), s.Pending(), ref.now, len(ref.q)))
+			if len(ref.q) > 0 && ref.q[ref.min()].at <= limit {
+				fails = append(fails, fmt.Sprintf("RunUntil(%d) left an event due at %d", limit, ref.q[ref.min()].at))
 			}
-		}
-		for i := 0; i < 100; i++ {
-			sched(ref.now+delays[rng.Intn(len(delays))], false, onDispatch)
-		}
-		for len(fails) == 0 && len(ref.q) > 0 {
-			if budget > 0 && rng.Intn(4) == 0 {
-				sched(ref.now+Cycle(rng.Intn(3*W+1)), true, onDispatch)
+			check("RunUntil")
+		case 2:
+			stopAt = s.Processed() + 1 + uint64(rng.Intn(300))
+			s.Run()
+			if len(ref.q) > 0 && (!errors.Is(s.StopErr(), stop) || s.Processed() != stopAt) {
+				fails = append(fails, fmt.Sprintf("Run with queued events returned at %d (StopErr %v), want a hook stop at %d",
+					s.Processed(), s.StopErr(), stopAt))
 			}
-			switch rng.Intn(3) {
-			case 0:
-				s.Step()
-				check("Step")
-			case 1:
-				limit := ref.now + Cycle(rng.Intn(2*W))
-				s.RunUntil(limit)
-				if len(ref.q) == 0 && ref.now < limit {
-					ref.now = limit // idle-clock advance
-				}
-				if len(ref.q) > 0 && ref.q[ref.min()].at <= limit {
-					fails = append(fails, fmt.Sprintf("RunUntil(%d) left an event due at %d", limit, ref.q[ref.min()].at))
-				}
-				check("RunUntil")
-			case 2:
-				stopAt = s.Processed() + 1 + uint64(rng.Intn(300))
-				s.Run()
-				if len(ref.q) > 0 && (!errors.Is(s.StopErr(), stop) || s.Processed() != stopAt) {
-					fails = append(fails, fmt.Sprintf("Run with queued events returned at %d (StopErr %v), want a hook stop at %d",
-						s.Processed(), s.StopErr(), stopAt))
-				}
-				stopAt = 0
-				check("stopped Run")
-			}
+			stopAt = 0
+			check("stopped Run")
 		}
-		// Drained: RunUntil advances the idle clock, and a far event
-		// scheduled from there still fires on time.
-		s.RunUntil(ref.now + 5)
-		ref.now += 5
-		check("idle RunUntil")
-		sched(ref.now+2*W+3, true, onDispatch)
-		s.Run()
-		check("final Run")
-		if len(fails) > 0 {
-			t.Fatalf("seed %d: %d mismatches, first: %s", seed, len(fails), fails[0])
-		}
-		if s.Processed() != uint64(len(leaf)) {
-			t.Fatalf("seed %d: dispatched %d of %d events", seed, s.Processed(), len(leaf))
-		}
+	}
+	// Drained: RunUntil advances the idle clock, and a far event
+	// scheduled from there still fires on time.
+	s.RunUntil(ref.now + 5)
+	ref.now += 5
+	check("idle RunUntil")
+	sched(ref.now+2*W+3, true, onDispatch)
+	s.Run()
+	check("final Run")
+	if len(fails) > 0 {
+		t.Fatalf("seed %d: %d mismatches, first: %s", seed, len(fails), fails[0])
+	}
+	if s.Processed() != uint64(len(leaf)) {
+		t.Fatalf("seed %d: dispatched %d of %d events", seed, s.Processed(), len(leaf))
 	}
 }
 

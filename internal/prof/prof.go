@@ -41,10 +41,14 @@ func Start(cpuFile, memFile string) (stop func() error, err error) {
 			if err != nil {
 				return fmt.Errorf("prof: %w", err)
 			}
-			defer out.Close()
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(out, 0); err != nil {
+				out.Close()
 				return fmt.Errorf("prof: write heap profile: %w", err)
+			}
+			// A failed Close can mean a truncated profile.
+			if err := out.Close(); err != nil {
+				return fmt.Errorf("prof: %w", err)
 			}
 		}
 		return nil

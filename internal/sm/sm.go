@@ -63,8 +63,9 @@ type SM struct {
 	peakResidency int
 }
 
-// New builds SM id belonging to the given module.
-func New(id, module int, cfg *config.Config) *SM {
+// New builds SM id belonging to the given module. l1 is the L1's way
+// array, cfg.L1.Lines() zeroed entries (see cache.New).
+func New(id, module int, cfg *config.Config, l1 []uint64) *SM {
 	maxCTAs := cfg.MaxCTAsPerSM
 	if maxCTAs <= 0 {
 		maxCTAs = cfg.WarpsPerSM // effectively warp-limited
@@ -73,7 +74,7 @@ func New(id, module int, cfg *config.Config) *SM {
 		id:       id,
 		module:   module,
 		Issue:    engine.NewResource(fmt.Sprintf("sm%d-issue", id), cfg.IssuePerSM),
-		L1:       cache.New(fmt.Sprintf("sm%d-l1", id), cfg.L1.Lines(), cfg.L1.Ways, cfg.L1.WriteBack),
+		L1:       cache.New(fmt.Sprintf("sm%d-l1", id), l1, cfg.L1.Ways, cfg.L1.WriteBack),
 		maxWarps: cfg.WarpsPerSM,
 		maxCTAs:  maxCTAs,
 	}

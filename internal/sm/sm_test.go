@@ -8,7 +8,8 @@ import (
 
 func newSM(t *testing.T) *SM {
 	t.Helper()
-	return New(3, 1, config.BaselineMCM())
+	cfg := config.BaselineMCM()
+	return New(3, 1, cfg, make([]uint64, cfg.L1.Lines()))
 }
 
 func TestOccupancyLimits(t *testing.T) {
@@ -37,7 +38,7 @@ func TestOccupancyLimits(t *testing.T) {
 func TestMaxCTAsCap(t *testing.T) {
 	cfg := config.BaselineMCM()
 	cfg.MaxCTAsPerSM = 2
-	s := New(0, 0, cfg)
+	s := New(0, 0, cfg, make([]uint64, cfg.L1.Lines()))
 	s.HostCTA(1)
 	s.HostCTA(1)
 	if s.CanHost(1) {
