@@ -20,8 +20,7 @@ import (
 	"time"
 
 	"mcmgpu"
-	"mcmgpu/internal/faultinject"
-	"mcmgpu/internal/metricstream"
+	"mcmgpu/internal/cli"
 	"mcmgpu/internal/prof"
 	"mcmgpu/internal/report"
 )
@@ -66,24 +65,17 @@ func main() { os.Exit(run()) }
 // to Close, and a Close failure (the way a full disk reports a truncated
 // stream) fails the run loudly.
 func run() (code int) {
+	sh := cli.Register(flag.CommandLine, "experiments")
 	var (
-		exp       = flag.String("exp", "headline", "experiment id (table1..4, analytic, fig2..fig17, headline, tension, all)")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		max       = flag.Int("max", 0, "limit workloads per category (0 = all)")
-		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
-		nocache   = flag.Bool("nocache", false, "disable the memoized run cache")
-		csv       = flag.Bool("csv", false, "emit CSV instead of text")
-		bars      = flag.Bool("bars", false, "render numeric columns as ASCII bar charts")
-		list      = flag.Bool("list", false, "list experiment ids")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole invocation (0 = none)")
-		maxEvents = flag.Uint64("max-events", 0, "per-simulation event budget (0 = none)")
-		auditOn   = flag.Bool("audit", false, "check simulation invariants (conservation laws) during every job; MCMGPU_AUDIT=1 forces this on")
-		keepGoing = flag.Bool("keep-going", false, "render failed cells as ERR instead of aborting; exit 1 at the end if any failed")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		metricsF  = flag.String("metrics", "", "stream per-interval time-series samples of every simulation to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
-		metricsIv = flag.Uint64("metrics-interval", 0, "sampling interval in cycles for -metrics (0 = default)")
-		storeDir  = flag.String("store", "", "durable run store directory: serve warm cells from disk and persist fresh ones")
+		exp     = flag.String("exp", "headline", "experiment id (table1..4, analytic, fig2..fig17, headline, tension, all)")
+		max     = flag.Int("max", 0, "limit workloads per category (0 = all)")
+		jobs    = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
+		nocache = flag.Bool("nocache", false, "disable the memoized run cache")
+		csv     = flag.Bool("csv", false, "emit CSV instead of text")
+		bars    = flag.Bool("bars", false, "render numeric columns as ASCII bar charts")
+		list    = flag.Bool("list", false, "list experiment ids")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -91,8 +83,8 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
-	warnf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	if err := sh.Validate(); err != nil {
+		return fail(err)
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -120,52 +112,38 @@ func run() (code int) {
 		return 0
 	}
 
-	fault, err := faultinject.FromEnv()
+	var run []string
+	if *exp == "all" {
+		run = ids
+	} else {
+		if _, ok := drivers[*exp]; !ok {
+			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (have %v)\n", *exp, ids)
+			return 1
+		}
+		run = []string{*exp}
+	}
+
+	r, closeRun, err := sh.Build(*nocache, nil)
 	if err != nil {
 		return fail(err)
 	}
+	defer func() {
+		if closeRun() != nil {
+			code = 1
+		}
+	}()
 	opt := mcmgpu.Options{
-		Scale:          *scale,
+		Scale:          sh.Scale,
 		MaxPerCategory: *max,
 		Workers:        *jobs,
-		NoCache:        *nocache,
-		MaxEvents:      *maxEvents,
-		Audit:          *auditOn,
-		KeepGoing:      *keepGoing,
-		Fault:          fault,
-	}
-	if *timeout > 0 {
-		opt.Deadline = time.Now().Add(*timeout)
-	}
-	if *storeDir != "" {
-		// An unopenable store degrades to plain compute, never a failure.
-		store, err := mcmgpu.OpenRunStore(*storeDir, warnf)
-		if err != nil {
-			warnf("store unavailable, computing without it: %v", err)
-		} else {
-			opt.Store = store
-			defer func() {
-				fmt.Fprintf(os.Stderr, "experiments: store: %v\n", store.Stats())
-			}()
-		}
-	}
-	if *metricsF != "" {
-		f, mcsv, err := metricstream.CreateOutput(*metricsF)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			// Close reports what Write buffered: a full disk surfaces here.
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				code = 1
-			}
-		}()
-		opt.Metrics = &mcmgpu.MetricsOptions{
-			Interval: *metricsIv,
-			W:        f,
-			CSV:      mcsv,
-		}
+		NoCache:        r.Cache == nil,
+		MaxEvents:      r.Limits.MaxEvents,
+		Deadline:       r.Limits.WallDeadline,
+		KeepGoing:      !r.FailFast,
+		Fault:          r.Fault,
+		Audit:          r.Limits.Audit,
+		Metrics:        r.Metrics,
+		Store:          r.Store,
 	}
 	// Warnings go to stderr (deduplicated) so the table output on stdout
 	// stays byte-identical across -j settings and reruns of cached cells.
@@ -183,24 +161,13 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "experiments: warning:", msg)
 	}
 
-	var run []string
-	if *exp == "all" {
-		run = ids
-	} else {
-		if _, ok := drivers[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (have %v)\n", *exp, ids)
-			return 1
-		}
-		run = []string{*exp}
-	}
-
 	failedExps := 0
 	for _, id := range run {
 		start := time.Now()
 		t, err := drivers[id](opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			if *keepGoing {
+			if sh.KeepGoing {
 				failedExps++
 				continue
 			}

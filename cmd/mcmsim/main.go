@@ -16,24 +16,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"time"
 
+	"mcmgpu/internal/cli"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
-	"mcmgpu/internal/engine"
-	"mcmgpu/internal/faultinject"
-	"mcmgpu/internal/metrics"
 	"mcmgpu/internal/metricstream"
 	"mcmgpu/internal/prof"
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/runner"
-	"mcmgpu/internal/runstore"
 	"mcmgpu/internal/workload"
 )
 
@@ -55,29 +51,20 @@ func main() { os.Exit(run()) }
 // in particular the gzip'd -metrics writer's Close, whose error is how a
 // full disk announces a truncated stream — runs on every exit path.
 func run() (code int) {
+	sh := cli.Register(flag.CommandLine, "mcmsim")
 	var (
-		system  = flag.String("system", "mcm-baseline", "system preset to simulate")
-		app     = flag.String("workload", "Stream", "workload name, a category (m-intensive, c-intensive, limited), 'dense', or 'all'")
-		scale   = flag.Float64("scale", 1.0, "work scale factor (trades fidelity for speed)")
-		list    = flag.Bool("list", false, "list systems and workloads, then exit")
-		linkBW  = flag.Float64("link", 0, "override inter-GPM link bandwidth in GB/s")
-		v       = flag.Bool("v", false, "verbose per-run detail")
-		char    = flag.Bool("characterize", false, "characterize the selected workloads' access streams instead of simulating")
-		cfgF    = flag.String("config", "", "load the machine from a JSON file instead of -system")
-		dump    = flag.String("dump-config", "", "print the named system preset as JSON and exit")
-		asJSON  = flag.Bool("json", false, "emit results as JSON")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole invocation (0 = none)")
-		maxEvents = flag.Uint64("max-events", 0, "per-run event budget (0 = none)")
+		system    = flag.String("system", "mcm-baseline", "system preset to simulate")
+		app       = flag.String("workload", "Stream", "workload name, a category (m-intensive, c-intensive, limited), 'dense', or 'all'")
+		list      = flag.Bool("list", false, "list systems and workloads, then exit")
+		linkBW    = flag.Float64("link", 0, "override inter-GPM link bandwidth in GB/s")
+		v         = flag.Bool("v", false, "verbose per-run detail")
+		char      = flag.Bool("characterize", false, "characterize the selected workloads' access streams instead of simulating")
+		cfgF      = flag.String("config", "", "load the machine from a JSON file instead of -system")
+		dump      = flag.String("dump-config", "", "print the named system preset as JSON and exit")
+		asJSON    = flag.Bool("json", false, "emit results as JSON")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		maxCycles = flag.Uint64("max-cycles", 0, "per-run simulated-cycle budget (0 = none)")
-		auditOn   = flag.Bool("audit", false, "check simulation invariants (conservation laws) during every run; MCMGPU_AUDIT=1 forces this on")
-		keepGoing = flag.Bool("keep-going", false, "continue to the next workload after a failed run; exit 1 at the end")
-		storeDir  = flag.String("store", "", "durable run store directory: serve warm (config, workload, scale) cells from disk and persist fresh ones")
-
-		metricsF  = flag.String("metrics", "", "stream per-interval time-series samples to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
-		metricsIv = flag.Uint64("metrics-interval", uint64(metrics.DefaultInterval), "sampling interval in cycles for -metrics")
 	)
 	flag.Parse()
 
@@ -85,11 +72,8 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "mcmsim:", err)
 		return 1
 	}
-	warnf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "mcmsim: "+format+"\n", args...)
-	}
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		return fail(fmt.Errorf("-scale %v: want a positive, finite number", *scale))
+	if err := sh.Validate(); err != nil {
+		return fail(err)
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -154,163 +138,76 @@ func run() (code int) {
 	}
 
 	if *char {
-		if err := characterize(specs, *scale); err != nil {
+		if err := characterize(specs, sh.Scale); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
 
-	fault, err := faultinject.FromEnv()
+	// An invalid machine is a usage error, not one failed run per workload.
+	if err := cfg.Validate(); err != nil {
+		return fail(err)
+	}
+	// The memo cache stays off: one pass over distinct workloads has nothing
+	// to reuse within the process.
+	r, closeRun, err := sh.Build(true, nil)
 	if err != nil {
 		return fail(err)
 	}
-	ropts := core.RunOptions{MaxEvents: *maxEvents, MaxCycles: *maxCycles, Audit: *auditOn}
-	if *timeout > 0 {
-		ropts.WallDeadline = time.Now().Add(*timeout)
-	}
-
-	var store *runstore.Store
-	if *storeDir != "" {
-		// An unopenable store degrades to plain compute: durability is an
-		// optimization, the simulation still runs.
-		if store, err = runstore.Open(*storeDir, runstore.WithLogf(warnf), runstore.WithFault(fault)); err != nil {
-			warnf("store unavailable, computing without it: %v", err)
-			store = nil
+	defer func() {
+		if closeRun() != nil {
+			code = 1
 		}
+	}()
+	r.Limits.MaxCycles = *maxCycles
+	// The summary tables are read back from each run's stream, so tee it.
+	// Reading drains the buffer, so each run reads only its own records.
+	var stream bytes.Buffer
+	summarize := r.Metrics != nil && !*asJSON
+	if summarize {
+		r.Metrics.W = io.MultiWriter(r.Metrics.W, &stream)
 	}
 
-	// One recorder serves all sequential runs; each run's records carry its
-	// own config/workload labels, so the streams concatenate cleanly. With a
-	// store attached, each run instead samples through its own recorder into
-	// a tee (output + capture buffer), so the stream can be persisted per
-	// run and replayed on store hits; the CSV header is then written once up
-	// front, exactly as the parallel runner's flush phase does.
-	var (
-		rec        *metrics.Recorder
-		metricsW   io.WriteCloser
-		metricsCSV bool
-	)
-	if *metricsF != "" {
-		f, csv, err := metricstream.CreateOutput(*metricsF)
-		if err != nil {
-			return fail(err)
-		}
-		metricsW, metricsCSV = f, csv
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mcmsim:", err)
-				code = 1
-			}
-		}()
-		if store == nil {
-			rec = metrics.NewRecorder(f, engine.Cycle(*metricsIv), csv)
-			ropts.Metrics = rec
-		} else if csv {
-			if _, err := io.WriteString(f, metrics.CSVHeader+"\n"); err != nil {
-				return fail(err)
-			}
-		}
-	}
-
-	// keyRunner derives store keys exactly the way the parallel runner and
-	// mcmserve do, so all three share warm cells.
-	keyRunner := &runner.Runner{Limits: ropts0(ropts), Fault: fault}
-	if store != nil && metricsW != nil {
-		keyRunner.Metrics = &runner.MetricsOptions{Interval: *metricsIv, W: io.Discard, CSV: metricsCSV}
-	}
-
+	// One single-job Run per workload, so each result prints as it finishes.
 	failed := 0
 	for _, spec := range specs {
-		runSpec := spec
-		if *scale != 1.0 {
-			runSpec = spec.Scaled(*scale)
-		}
-		job := runner.Job{Config: cfg, Spec: spec, Scale: *scale}
-		var key string
-		if store != nil {
-			key = keyRunner.StoreKey(job)
-			res, stream, ok, err := store.Get(key)
-			if err != nil {
-				warnf("store read failed, computing: %v", err)
-			}
-			if ok {
-				if metricsW != nil && len(stream) > 0 {
-					if _, err := metricsW.Write(stream); err != nil {
-						return fail(err)
-					}
-				}
-				if err := printResult(res, *asJSON, *v); err != nil {
-					return fail(err)
-				}
-				if metricsW != nil {
-					warnf("%s on %s: served from store; summary tables skipped (stream replayed, sampling not re-run)",
-						runSpec.Name, cfg.Name)
-				}
-				warnClamped(res, runSpec.Name)
-				continue
-			}
-		}
-
-		m, err := core.New(cfg.Clone())
+		res, err := r.Run([]runner.Job{{Config: cfg, Spec: spec, Scale: sh.Scale}})
 		if err != nil {
-			return fail(err)
-		}
-		specOpts := ropts
-		if fault.Matches(runSpec.Name) {
-			specOpts.Fault = fault
-		}
-		var capture *bytes.Buffer
-		runRec := rec
-		if store != nil && metricsW != nil {
-			capture = &bytes.Buffer{}
-			runRec = metrics.NewRecorder(io.MultiWriter(metricsW, capture), engine.Cycle(*metricsIv), metricsCSV)
-			runRec.OmitCSVHeader()
-			specOpts.Metrics = runRec
-		}
-		res, err := m.RunWith(runSpec, specOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmsim:", err)
-			if *keepGoing {
+			var jerrs runner.JobErrors
+			if !errors.As(err, &jerrs) {
+				return fail(err)
+			}
+			// Print the cause alone: a SimError already names the workload
+			// and system the JobError would prefix.
+			fmt.Fprintln(os.Stderr, "mcmsim:", jerrs[0].Err)
+			if sh.KeepGoing {
 				failed++
 				continue
 			}
 			return 1
 		}
-		if store != nil {
-			var stream []byte
-			if capture != nil {
-				stream = capture.Bytes()
-			}
-			_ = store.Put(key, res, stream) // best-effort; failures are logged by the store
-		}
-		if err := printResult(res, *asJSON, *v); err != nil {
+		if err := printResult(res[0], *asJSON, *v); err != nil {
 			return fail(err)
 		}
-		if runRec != nil {
-			for _, tbl := range runRec.Summary().Tables() {
+		if summarize {
+			tables, err := metricstream.Summary(&stream)
+			if err != nil {
+				return fail(err)
+			}
+			for _, tbl := range tables {
 				fmt.Println()
 				if err := tbl.WriteText(os.Stdout); err != nil {
 					return fail(err)
 				}
 			}
 		}
-		warnClamped(res, runSpec.Name)
-	}
-	if store != nil {
-		fmt.Fprintf(os.Stderr, "mcmsim: store: %v\n", store.Stats())
+		warnClamped(res[0], spec.Name)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "mcmsim: %d of %d workloads failed\n", failed, len(specs))
 		return 1
 	}
 	return 0
-}
-
-// ropts0 strips the per-run sampler from the options used for key
-// derivation (the runner models sampling through its own MetricsOptions).
-func ropts0(o core.RunOptions) core.RunOptions {
-	o.Metrics = nil
-	return o
 }
 
 // printResult renders one run the way mcmsim always has: JSON with -json,

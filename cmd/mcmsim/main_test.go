@@ -3,9 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,23 +17,40 @@ import (
 // returns its exit code and standard output.
 func runCLI(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	oldArgs, oldFlags, oldStdout := os.Args, flag.CommandLine, os.Stdout
-	defer func() { os.Args, flag.CommandLine, os.Stdout = oldArgs, oldFlags, oldStdout }()
+	code, out, _ := runCLIStderr(t, args...)
+	return code, out
+}
+
+// runCLIStderr is runCLI that also returns standard error.
+func runCLIStderr(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	oldArgs, oldFlags, oldStdout, oldStderr := os.Args, flag.CommandLine, os.Stdout, os.Stderr
+	defer func() { os.Args, flag.CommandLine, os.Stdout, os.Stderr = oldArgs, oldFlags, oldStdout, oldStderr }()
 	os.Args = append([]string{"mcmsim"}, args...)
 	flag.CommandLine = flag.NewFlagSet("mcmsim", flag.ContinueOnError)
-	r, w, err := os.Pipe()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		out, _ := io.ReadAll(r) // the pipe only fails if w closes early
-		done <- string(out)
-	}()
-	code := run()
-	w.Close()
-	return code, <-done
+	defer outF.Close()
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errF.Close()
+	os.Stdout, os.Stderr = outF, errF
+	code = run()
+	return code, readFile(t, outF.Name()), readFile(t, errF.Name())
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestListStableAndSorted runs -list twice: the output must be identical

@@ -58,13 +58,11 @@ import (
 	"time"
 
 	"mcmgpu/internal/analytic"
+	"mcmgpu/internal/cli"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
-	"mcmgpu/internal/faultinject"
-	"mcmgpu/internal/metricstream"
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/runner"
-	"mcmgpu/internal/runstore"
 	"mcmgpu/internal/runstore/client"
 	"mcmgpu/internal/stats"
 	"mcmgpu/internal/workload"
@@ -77,27 +75,20 @@ func main() { os.Exit(run()) }
 // Close, and a Close failure (the way a full disk reports a truncated
 // stream) fails the run loudly.
 func run() (code int) {
+	sh := cli.Register(flag.CommandLine, "sweep")
 	var (
 		links     = flag.String("links", "384,768,1536,3072", "comma-separated inter-GPM link bandwidths (GB/s)")
 		l15s      = flag.String("l15", "0,8,16", "comma-separated total L1.5 capacities (MB, 0 = none)")
 		wl        = flag.String("workloads", "all", "workload selection (all, m-intensive, c-intensive, limited, dense, or one workload name)")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		opts      = flag.Bool("optimized", true, "apply distributed scheduling + first touch at every grid point")
 		tiled     = flag.Bool("tiled", false, "apply tiled 2-D scheduling + region-aware placement at every grid point instead of -optimized (the dense-workload pairing; see -workloads dense)")
 		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
 		nocache   = flag.Bool("nocache", false, "disable the memoized run and estimate caches")
 		csvOut    = flag.String("csv", "", "write CSV to this file instead of stdout")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
-		maxEvents = flag.Uint64("max-events", 0, "per-simulation event budget (0 = none)")
-		auditOn   = flag.Bool("audit", false, "check simulation invariants (conservation laws) during every job; MCMGPU_AUDIT=1 forces this on")
-		keepGoing = flag.Bool("keep-going", false, "render failed grid cells as ERR instead of aborting; exit 1 at the end if any failed")
-		metricsF  = flag.String("metrics", "", "stream per-interval time-series samples of every simulation to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
-		metricsIv = flag.Uint64("metrics-interval", 0, "sampling interval in cycles for -metrics (0 = default)")
 		anOnly    = flag.Bool("analytic-only", false, "phase 1 only: score the whole grid analytically, run no simulations")
 		refine    = flag.Int("refine", 0, "number of cells to re-simulate in phase 2 (0 = use -phase2-frac); frontier cells are simulated first")
 		p2Frac    = flag.Float64("phase2-frac", 0.25, "fraction of grid cells to re-simulate in phase 2 (1 = simulate everything)")
 		benchJSON = flag.String("bench-json", "", "write phase throughput numbers (cells/sec analytic vs cycle-level) to this JSON file")
-		storeDir  = flag.String("store", "", "durable run store directory: serve warm cells from disk and persist fresh ones")
 		server    = flag.String("server", "", "comma-separated mcmserve URLs: run phase 2 remotely; more than one URL forms a fault-tolerant pool")
 	)
 	flag.Parse()
@@ -114,6 +105,9 @@ func run() (code int) {
 	}
 	warnf := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+	}
+	if err := sh.Validate(); err != nil {
+		return fail(err)
 	}
 
 	linkVals, err := parseFloats(*links)
@@ -138,69 +132,37 @@ func run() (code int) {
 	cfgs := buildGrid(l15Vals, linkVals, *opts, *tiled)
 	base := config.BaselineMCM()
 
-	fault, err := faultinject.FromEnv()
-	if err != nil {
-		return fail(err)
-	}
+	var check func(*runner.Runner) error
 	if *server != "" {
 		// The remote server cannot reproduce local-only run shaping, so
 		// refuse combinations that would silently change results.
-		if *metricsF != "" {
-			return fail(errors.New("-server does not support -metrics (the service does not sample); drop one"))
-		}
-		if fault.Enabled() && !fault.IsStore() {
-			return fail(errors.New("-server cannot apply a local simulation fault plan; unset MCMGPU_FAULT or run locally"))
-		}
-	}
-	limits := core.RunOptions{Ctx: ctx, MaxEvents: *maxEvents, Audit: *auditOn}
-	if *timeout > 0 {
-		limits.WallDeadline = time.Now().Add(*timeout)
-	}
-	r := &runner.Runner{
-		Workers:  *jobs,
-		FailFast: !*keepGoing,
-		Limits:   limits,
-		Fault:    fault,
-	}
-	if !*nocache {
-		r.Cache = runner.Shared()
-		r.EstCache = runner.SharedEstimates()
-	}
-	if *storeDir != "" {
-		// An unopenable store degrades to plain compute, never a failure.
-		store, err := runstore.Open(*storeDir, runstore.WithLogf(warnf), runstore.WithFault(fault))
-		if err != nil {
-			warnf("store unavailable, computing without it: %v", err)
-		} else {
-			r.Store = store
-			defer func() {
-				fmt.Fprintf(os.Stderr, "sweep: store: %v\n", store.Stats())
-			}()
-		}
-	}
-	if *metricsF != "" {
-		f, csv, err := metricstream.CreateOutput(*metricsF)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				code = 1
+		check = func(r *runner.Runner) error {
+			if sh.Metrics != "" {
+				return errors.New("-server does not support -metrics (the service does not sample); drop one")
 			}
-		}()
-		r.Metrics = &runner.MetricsOptions{
-			Interval: *metricsIv,
-			W:        f,
-			CSV:      csv,
+			if r.Fault.Enabled() && !r.Fault.IsStore() {
+				return errors.New("-server cannot apply a local simulation fault plan; unset MCMGPU_FAULT or run locally")
+			}
+			return nil
 		}
 	}
+	r, closeRun, err := sh.Build(*nocache, check)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if closeRun() != nil {
+			code = 1
+		}
+	}()
+	r.Workers = *jobs
+	r.Limits.Ctx = ctx
 
 	// Phase 1: score the whole grid analytically. The baseline suite rides
 	// in the same estimate list so predicted speedups and predicted cell
 	// scores come from one pass.
 	p1Start := time.Now()
-	scores, estSpeedups, err := scoreGrid(r, base, cfgs, specs, *scale)
+	scores, estSpeedups, err := scoreGrid(r, base, cfgs, specs, sh.Scale)
 	if err != nil {
 		return fail(err)
 	}
@@ -233,7 +195,7 @@ func run() (code int) {
 		var jobList []runner.Job
 		addSuite := func(cfg *config.Config) {
 			for _, s := range specs {
-				jobList = append(jobList, runner.Job{Config: cfg, Spec: s, Scale: *scale})
+				jobList = append(jobList, runner.Job{Config: cfg, Spec: s, Scale: sh.Scale})
 			}
 		}
 		addSuite(base)
@@ -249,14 +211,14 @@ func run() (code int) {
 			// The local runner enforces -timeout through limits; the
 			// remote phase gets the same deadline on its context.
 			rctx := ctx
-			if *timeout > 0 {
+			if sh.Timeout > 0 {
 				var cancel context.CancelFunc
-				rctx, cancel = context.WithDeadline(ctx, limits.WallDeadline)
+				rctx, cancel = context.WithDeadline(ctx, r.Limits.WallDeadline)
 				defer cancel()
 			}
-			results, err = runRemote(rctx, *server, jobList, *maxEvents, *auditOn, warnf)
+			results, err = runRemote(rctx, *server, jobList, sh.MaxEvents, sh.Audit, warnf)
 			if errors.Is(err, context.DeadlineExceeded) {
-				err = fmt.Errorf("-timeout %v: %w", *timeout, err)
+				err = fmt.Errorf("-timeout %v: %w", sh.Timeout, err)
 			}
 		} else {
 			results, err = r.Run(jobList)
@@ -264,7 +226,7 @@ func run() (code int) {
 		p2Dur = time.Since(p2Start)
 		if err != nil {
 			var jerrs runner.JobErrors
-			if !*keepGoing || !errors.As(err, &jerrs) {
+			if !sh.KeepGoing || !errors.As(err, &jerrs) {
 				return fail(err)
 			}
 			failedCells = true

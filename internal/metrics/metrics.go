@@ -20,13 +20,10 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 
 	"mcmgpu/internal/engine"
-	"mcmgpu/internal/report"
-	"mcmgpu/internal/stats"
 )
 
 // DefaultInterval is the sampling interval, in cycles, when the caller does
@@ -92,9 +89,9 @@ func (c *cacheState) totals() (hits, acc uint64) {
 
 // Recorder samples one run at a time and streams records to a writer. It is
 // reusable: Begin resets the per-run state, so one Recorder can serve a
-// sequence of runs (the CLIs run it across every selected workload) while
-// writing a single concatenated stream. It is not safe for concurrent use;
-// the parallel runner gives each job its own Recorder over its own buffer.
+// sequence of runs while writing a single concatenated stream. It is not
+// safe for concurrent use; the parallel runner gives each job its own
+// Recorder over its own buffer.
 type Recorder struct {
 	w        io.Writer
 	interval engine.Cycle
@@ -113,8 +110,6 @@ type Recorder struct {
 	resources        []*probeState
 	caches           []*cacheState
 	state            func() State
-
-	sum *Summary
 
 	// Reused encoding scratch: the emit hot path appends records into buf
 	// and record fields into encRes/encCaches, so steady-state sampling
@@ -157,16 +152,12 @@ func (r *Recorder) Begin(config, workload string) {
 	r.resources = r.resources[:0]
 	r.caches = r.caches[:0]
 	r.state = nil
-	r.sum = &Summary{Config: config, Workload: workload, gpmIdx: map[int]int{}}
 }
 
 // AddResource registers one bandwidth-limited component under a kind tag
 // ("link", "xbar", "l2bank", "dram") attributed to a GPM.
 func (r *Recorder) AddResource(kind string, gpm int, name string, p Probe) {
 	r.resources = append(r.resources, &probeState{kind: kind, gpm: gpm, name: name, p: p})
-	if kind == "link" {
-		r.sum.addGPM(gpm)
-	}
 }
 
 // AddCaches registers the physical slices of one cache level within one GPM;
@@ -290,10 +281,6 @@ func (r *Recorder) emitSample(now engine.Cycle, events uint64) {
 	}
 	elapsed := float64(now - r.lastCycle)
 	r.encRes = r.encRes[:0]
-	pt := point{start: r.lastCycle, end: now, utilOff: len(r.sum.utilBuf)}
-	for range r.sum.gpms {
-		r.sum.utilBuf = append(r.sum.utilBuf, 0)
-	}
 	for _, p := range r.resources {
 		busy := p.p.BusyThrough(now)
 		units := p.p.Units()
@@ -307,14 +294,6 @@ func (r *Recorder) emitSample(now engine.Cycle, events uint64) {
 		}
 		p.lastBusy, p.lastUnits = busy, units
 		r.encRes = append(r.encRes, rec)
-		switch p.kind {
-		case "link":
-			if gi, ok := r.sum.gpmIdx[p.gpm]; ok && rec.Util > r.sum.utilBuf[pt.utilOff+gi] {
-				r.sum.utilBuf[pt.utilOff+gi] = rec.Util
-			}
-		case "dram":
-			pt.dramBytes += rec.Units
-		}
 	}
 	r.encCache = r.encCache[:0]
 	for _, c := range r.caches {
@@ -351,7 +330,6 @@ func (r *Recorder) emitSample(now engine.Cycle, events uint64) {
 	} else {
 		r.writeJSONRecord(func(dst []byte) ([]byte, error) { return appendJSONSample(dst, &rec) })
 	}
-	r.sum.points = append(r.sum.points, pt)
 	r.lastCycle, r.lastEvents = now, events
 	r.seq++
 }
@@ -484,89 +462,4 @@ func (r *Recorder) writeCSVKernel(rec *kernelRecord) {
 	if _, err := r.w.Write(buf); err != nil {
 		r.err = err
 	}
-}
-
-// point is one sample's compact summary retention: the per-GPM max link
-// utilization (a window of Summary.utilBuf starting at utilOff) and the DRAM
-// bytes moved over the span.
-type point struct {
-	start, end engine.Cycle
-	utilOff    int
-	dramBytes  uint64
-}
-
-// Summary retains a compact per-sample series for one run and renders the
-// report tables: peak/mean/p95 link utilization per GPM and a DRAM bandwidth
-// timeline.
-type Summary struct {
-	Config   string
-	Workload string
-
-	gpms   []int
-	gpmIdx map[int]int
-	points []point
-	// utilBuf is the flat per-sample × per-GPM max-link-utilization store:
-	// sample i's GPM g value lives at points[i].utilOff + gpmIdx[g]. One
-	// growing buffer instead of one slice per sample keeps the emit path
-	// allocation-free.
-	utilBuf []float64
-}
-
-func (s *Summary) addGPM(gpm int) {
-	if _, ok := s.gpmIdx[gpm]; ok {
-		return
-	}
-	s.gpmIdx[gpm] = len(s.gpms)
-	s.gpms = append(s.gpms, gpm)
-}
-
-// Summary returns the current run's summary series.
-func (r *Recorder) Summary() *Summary { return r.sum }
-
-// Tables renders the summary: a per-GPM link-utilization table (peak, mean,
-// p95 of the per-sample max across the GPM's egress links) and a DRAM
-// bandwidth timeline bucketed to at most 16 rows. Runs with no samples (or
-// no inter-GPM links) contribute no corresponding table.
-func (s *Summary) Tables() []*report.Table {
-	var out []*report.Table
-	if len(s.points) == 0 {
-		return out
-	}
-	if len(s.gpms) > 0 {
-		t := report.New(fmt.Sprintf("Link utilization by GPM — %s on %s", s.Workload, s.Config),
-			"GPM", "Peak", "Mean", "P95")
-		for gi, gpm := range s.gpms {
-			xs := make([]float64, len(s.points))
-			for i, p := range s.points {
-				xs[i] = s.utilBuf[p.utilOff+gi]
-			}
-			p95 := stats.Quantile(stats.Sorted(xs), 0.95)
-			t.AddRowF(gpm, stats.Max(xs), stats.Mean(xs), p95)
-		}
-		t.Note = "per-sample max across the GPM's egress links; interval utilization is clipped to [0,1]"
-		out = append(out, t)
-	}
-
-	t := report.New(fmt.Sprintf("DRAM bandwidth timeline — %s on %s", s.Workload, s.Config),
-		"Cycles", "GB/s")
-	per := (len(s.points) + 15) / 16
-	for i := 0; i < len(s.points); i += per {
-		j := i + per
-		if j > len(s.points) {
-			j = len(s.points)
-		}
-		var bytes uint64
-		for _, p := range s.points[i:j] {
-			bytes += p.dramBytes
-		}
-		span := s.points[j-1].end - s.points[i].start
-		rate := 0.0
-		if span > 0 {
-			rate = float64(bytes) / float64(span)
-		}
-		t.AddRowF(fmt.Sprintf("%d-%d", s.points[i].start, s.points[j-1].end), rate)
-	}
-	t.Note = "bytes moved at DRAM devices per cycle; 1 byte/cycle = 1 GB/s at the model's 1 GHz clock"
-	out = append(out, t)
-	return out
 }

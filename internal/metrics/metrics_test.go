@@ -159,26 +159,6 @@ func TestOmitCSVHeader(t *testing.T) {
 	}
 }
 
-func TestSummaryTables(t *testing.T) {
-	rec := NewRecorder(nil, 4096, false)
-	drive(rec)
-	tables := rec.Summary().Tables()
-	if len(tables) != 2 {
-		t.Fatalf("got %d summary tables, want 2 (link util + DRAM timeline)", len(tables))
-	}
-	lu := tables[0]
-	if len(lu.Rows) != 1 {
-		t.Fatalf("link util table has %d rows, want 1 GPM", len(lu.Rows))
-	}
-	// Peak per-sample link util is the saturated first interval: 1.000.
-	if lu.Rows[0][1] != "1.000" {
-		t.Fatalf("peak link util cell = %q, want 1.000", lu.Rows[0][1])
-	}
-	if len(tables[1].Rows) == 0 {
-		t.Fatal("DRAM timeline is empty")
-	}
-}
-
 func TestRecorderNilWriter(t *testing.T) {
 	rec := NewRecorder(nil, 0, false)
 	if rec.interval != DefaultInterval {
