@@ -268,7 +268,7 @@ func characterize(specs []*workload.Spec, scale float64) error {
 			return err
 		}
 		var ops, writes, accesses int
-		lines := make(map[uint64]struct{})
+		lines := make(map[uint32]struct{})
 		var op workload.Op
 		for cta := 0; cta < run.CTAs; cta++ {
 			for w := 0; w < run.WarpsPerCTA; w++ {
@@ -277,7 +277,7 @@ func characterize(specs []*workload.Spec, scale float64) error {
 					if op.Write {
 						writes++
 					}
-					accesses += op.NumLines
+					accesses += int(op.NumLines)
 					for _, l := range op.Lines[:op.NumLines] {
 						lines[l] = struct{}{}
 					}

@@ -17,13 +17,15 @@ import (
 	"mcmgpu/internal/stats"
 )
 
-// Way entry layout: each way is one uint64 holding tag<<2 | dirty | valid,
+// Way entry layout: each way is one uint32 holding tag<<2 | dirty | valid,
 // so an all-zero entry is an invalid way and a cleared array is an empty
-// cache. Tags therefore must fit in 62 bits (see New).
+// cache. A 16-way set then fits one 64-byte host line. Tags therefore must
+// be below tagLimit (see New).
 const (
 	flagValid = 1
 	flagDirty = 2
 	tagShift  = 2
+	tagLimit  = 1 << (32 - tagShift)
 )
 
 // Cache is a set-associative cache with true LRU replacement.
@@ -31,7 +33,8 @@ const (
 // cheap for the small associativities used here (4–16 ways).
 type Cache struct {
 	name      string
-	lines     []uint64 // way entries, set-major: set s occupies [s*ways, (s+1)*ways)
+	lines     []uint32 // way entries, set-major: set s occupies [s*ways, (s+1)*ways)
+	filled    []uint32 // indices of the sets filled since the last flush
 	setMask   uint64
 	setShift  uint
 	ways      int
@@ -43,13 +46,16 @@ type Cache struct {
 }
 
 // New creates a cache over lines, the caller's way array: one entry per
-// line of capacity, all zero (an empty cache). The cache owns the array
-// from then on. With the given associativity the line count must yield a
-// power-of-two set count. Addresses passed to the cache are line addresses
-// (byte address divided by the line size) below 2^62; the cache itself is
-// agnostic to the line size. Taking the array lets a machine cut every
-// cache from one slab it can recycle, so New allocates only the Cache.
-func New(name string, lines []uint64, ways int, writeBack bool) *Cache {
+// line of capacity, all zero (an empty cache). sets is the caller's
+// storage for the list of filled sets, one entry per set; its contents do
+// not matter. The cache owns both arrays from then on. With the given
+// associativity the line count must yield a power-of-two set count.
+// Addresses passed to the cache are line addresses (byte address divided by
+// the line size) below 2^30, so every tag fits a way entry whatever the set
+// count; the cache itself is agnostic to the line size. Taking the arrays
+// lets a machine cut every cache from slabs it can recycle, so New
+// allocates only the Cache.
+func New(name string, lines, sets []uint32, ways int, writeBack bool) *Cache {
 	n := len(lines)
 	if n == 0 || ways <= 0 || n%ways != 0 {
 		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", name, n, ways))
@@ -58,9 +64,13 @@ func New(name string, lines []uint64, ways int, writeBack bool) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %q: set count %d not a power of two", name, nSets))
 	}
+	if len(sets) != nSets {
+		panic(fmt.Sprintf("cache %q: %d set-list entries for %d sets", name, len(sets), nSets))
+	}
 	return &Cache{
 		name:      name,
 		lines:     lines,
+		filled:    sets[:0],
 		setMask:   uint64(nSets - 1),
 		setShift:  uint(bits.TrailingZeros(uint(nSets))),
 		ways:      ways,
@@ -83,17 +93,32 @@ type Result struct {
 }
 
 // set returns the ways of addr's set, MRU first.
-func (c *Cache) set(addr uint64) []uint64 {
+func (c *Cache) set(addr uint64) []uint32 {
 	i := int(addr&c.setMask) * c.ways
 	return c.lines[i : i+c.ways : i+c.ways]
 }
 
 // key returns the valid, clean way entry for addr's tag; a way holds addr
-// exactly when its entry with the dirty bit masked off equals the key.
-func (c *Cache) key(addr uint64) uint64 { return addr>>c.setShift<<tagShift | flagValid }
+// exactly when its entry with the dirty bit masked off equals the key. A tag
+// the entry cannot hold means a caller broke New's address bound.
+func (c *Cache) key(addr uint64) uint32 {
+	tag := addr >> c.setShift
+	if tag >= tagLimit {
+		c.badAddr(addr)
+	}
+	return uint32(tag)<<tagShift | flagValid
+}
+
+// badAddr panics for a line address whose tag does not fit a way entry. It
+// stays out of line so that key, on every access's path, inlines.
+//
+//go:noinline
+func (c *Cache) badAddr(addr uint64) {
+	panic(fmt.Sprintf("cache %q: line address %#x is beyond the way format", c.name, addr))
+}
 
 // find returns the way of s holding key, or -1.
-func find(s []uint64, key uint64) int {
+func find(s []uint32, key uint32) int {
 	for i, e := range s {
 		if e&^flagDirty == key {
 			return i
@@ -103,7 +128,7 @@ func find(s []uint64, key uint64) int {
 }
 
 // touch moves way i of set s to the MRU position.
-func touch(s []uint64, i int) {
+func touch(s []uint32, i int) {
 	if i == 0 {
 		return
 	}
@@ -132,11 +157,16 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 		return Result{Hit: true}
 	}
-	// Miss: fill into the LRU way.
+	// Miss: fill into the LRU way. Valid ways form a prefix of every set,
+	// so the set is empty exactly when its MRU way is; filling an empty set
+	// records it for Flush.
 	if write {
 		c.writes.Observe(false)
 	} else {
 		c.reads.Observe(false)
+	}
+	if s[0] == 0 {
+		c.filled = append(c.filled, uint32(addr&c.setMask))
 	}
 	return c.fill(s, addr&c.setMask, key, write)
 }
@@ -160,14 +190,14 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 // fill inserts key into set s (whose index is setIdx) as MRU, evicting the
 // LRU way. The victim's line address is reconstructed from its tag and the
 // shared set index.
-func (c *Cache) fill(s []uint64, setIdx, key uint64, write bool) Result {
+func (c *Cache) fill(s []uint32, setIdx uint64, key uint32, write bool) Result {
 	var res Result
 	victim := s[len(s)-1]
 	if victim&flagValid != 0 {
 		res.Evicted = true
 		if victim&flagDirty != 0 {
 			res.NeedsWriteback = true
-			res.WritebackAddr = victim>>tagShift<<c.setShift | setIdx
+			res.WritebackAddr = uint64(victim>>tagShift)<<c.setShift | setIdx
 			c.writebacks.Inc()
 		}
 	}
@@ -179,21 +209,17 @@ func (c *Cache) fill(s []uint64, setIdx, key uint64, write bool) Result {
 	return res
 }
 
-// Flush invalidates the entire cache and returns the line addresses of all
-// dirty lines in set-major, MRU-first order (write-back caches only; a
-// write-through cache never holds one). The paper flushes L1 and L1.5 at
-// kernel boundaries to implement software coherence.
-func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	if c.writeBack {
-		for i, e := range c.lines {
-			if e&flagDirty != 0 {
-				dirty = append(dirty, e>>tagShift<<c.setShift|uint64(i/c.ways))
-			}
-		}
+// Flush invalidates the entire cache by clearing the sets filled since the
+// last flush, and discards any dirty lines. The paper flushes the
+// write-through L1 and L1.5 at kernel boundaries to implement software
+// coherence, so no dirty data moves there; a machine flushes its
+// write-back L2s only once their contents no longer matter, to hand back an
+// all-zero way array.
+func (c *Cache) Flush() {
+	for _, si := range c.filled {
+		clear(c.set(uint64(si)))
 	}
-	clear(c.lines)
-	return dirty
+	c.filled = c.filled[:0]
 }
 
 // Accesses returns the total number of Access calls.
@@ -224,11 +250,19 @@ func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 // a prefix of every set), duplicate tags within a set, dirty lines in a
 // write-through cache (footnote 4 of the paper: L1/L1.5 must be
 // write-through for software coherence, so a dirty line there means lost
-// coherence), and hit counters exceeding access counters.
+// coherence), a filled set missing from the list Flush clears (it would
+// survive the flush), and hit counters exceeding access counters.
 func (c *Cache) Audit(r *audit.Reporter) {
+	recorded := make([]bool, c.Sets())
+	for _, si := range c.filled {
+		recorded[si] = true
+	}
 	occ := 0
 	for si := 0; si < c.Sets(); si++ {
 		s := c.set(uint64(si))
+		if s[0] != 0 && !recorded[si] {
+			r.Reportf("cache-filled-sets", c.name, "set %d holds lines but is not on the list Flush clears", si)
+		}
 		invalidAt := -1
 		for i, e := range s {
 			if e&flagValid == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mcmgpu/internal/config"
@@ -88,6 +89,13 @@ func TestInvalidSpecRejected(t *testing.T) {
 	wide := probeSpec(func(s *workload.Spec) { s.WarpsPerCTA = 128 })
 	if _, err := m2.RunWith(wide, RunOptions{}); err == nil {
 		t.Fatalf("CTA wider than an SM accepted")
+	}
+	// A shipped workload scaled past the footprint bound gets an error
+	// naming the bound instead of a run.
+	m3, _ := New(config.BaselineMCM())
+	huge := suiteCell(t, "Stream", 4096)
+	if _, err := m3.RunWith(huge, RunOptions{}); err == nil || !strings.Contains(err.Error(), "1073741824-line bound") {
+		t.Fatalf("Stream at scale 4096 (%d lines): RunWith = %v, want the footprint-bound error", huge.FootprintLines, err)
 	}
 }
 

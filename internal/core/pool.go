@@ -4,20 +4,21 @@ import (
 	"sync/atomic"
 
 	"mcmgpu/internal/engine"
-	"mcmgpu/internal/workload"
 )
 
 // storage is the part of a machine whose size grows with its geometry: one
-// slab every cache's way array is cut from, the event engine (its node slab,
-// far heap and calendar), and the context free lists below. Only raw
-// storage is recycled. The component structs (SMs, resources, cache
-// headers, NoC, page map, counters) are built fresh by every New, so no
-// counter can leak from one cell into the next.
+// slab every cache's way array is cut from, a second every cache's
+// filled-set list is cut from, the event engine (its node slab, far heap and
+// calendar), and the context free lists below. Only raw storage is recycled.
+// The component structs (SMs, resources, cache headers, NoC, page map,
+// counters) are built fresh by every New, so no counter can leak from one
+// cell into the next.
 type storage struct {
-	slab []uint64
+	slab []uint32 // way entries; all zero whenever no machine holds it
+	sets []uint32 // set lists; their contents never matter
 	sim  *engine.Sim
 
-	freeWarps  *warpCtx
+	freeWarps  []*warpCtx
 	freeCTAs   *ctaCtx
 	freeLoads  *loadCtx
 	freeStores *storeCtx
@@ -35,31 +36,38 @@ type storage struct {
 var spare atomic.Pointer[storage]
 
 // takeStorage returns storage for a machine whose caches need lines way
-// entries. It takes the spare, clearing the part of its slab the machine
-// uses, or growing a new slab when the spare's is too small. It drops a
-// spare whose slab is more than twice that size: a config with huge caches
-// must not pin its slab in a long-lived process. With no usable spare it
-// allocates fresh storage.
-func takeStorage(lines int) storage {
+// entries and sets set-list entries. It takes the spare as it is, since
+// handBack left its slab all zero, growing a new slab or set list when the
+// spare's is too small. It drops a spare whose slab is more than twice that
+// size: a config with huge caches must not pin its slab in a long-lived
+// process. With no usable spare it allocates fresh storage.
+func takeStorage(lines, sets int) storage {
 	st := spare.Swap(nil)
 	if st == nil || cap(st.slab) > 2*lines {
-		return storage{slab: make([]uint64, lines), sim: engine.New()}
+		return storage{slab: make([]uint32, lines), sets: make([]uint32, sets), sim: engine.New()}
 	}
 	if cap(st.slab) < lines {
-		st.slab = make([]uint64, lines)
-	} else {
-		st.slab = st.slab[:lines]
-		clear(st.slab)
+		st.slab = make([]uint32, lines)
 	}
+	if cap(st.sets) < sets {
+		st.sets = make([]uint32, sets)
+	}
+	st.slab, st.sets = st.slab[:lines], st.sets[:sets]
 	return *st
 }
 
 // handBack gives a drained machine's storage to the spare. Every context is
 // back on its free list by then, and the engine is reset, so the spare
-// references nothing of this machine. The machine drops its references to
-// the storage and to the components built on it: a stale use panics instead
-// of reading another machine's state.
+// references nothing of this machine. The last kernel boundary flushed the
+// L1s and L1.5s; flushing the L2s too clears exactly the sets the run
+// filled, so the slab goes back all zero without a pass over the untouched
+// rest. The machine drops its references to the storage and to the
+// components built on it: a stale use panics instead of reading another
+// machine's state.
 func (m *Machine) handBack() {
+	for _, pt := range m.prts {
+		pt.l2.Flush()
+	}
 	st := m.storage
 	st.sim.Reset()
 	spare.Store(&st)
@@ -70,11 +78,13 @@ func (m *Machine) handBack() {
 // Free lists for the event-path context structs. The simulator fires
 // millions of events per run; allocating a context (or a closure) per event
 // made the GC a first-order cost of every experiment. Instead each context
-// kind is recycled through an intrusive singly linked free list in the
-// machine's storage: get* pops a recycled struct (allocating only while the
-// pool grows toward the steady-state in-flight population), put* clears the
-// struct's references and pushes it back. The simulation is single
-// threaded, so the lists need no locking.
+// kind is recycled through a free list in the machine's storage: get* pops a
+// recycled struct (allocating only while the pool grows toward the
+// steady-state in-flight population), put* clears the struct's references
+// and pushes it back. Warps sit on a stack of pointers, since a kernel
+// launch pops thousands at once and a stack's pops do not wait on each
+// other's loads; the other kinds use an intrusive singly linked list. The
+// simulation is single threaded, so the lists need no locking.
 //
 // put* fully zeroes payload fields rather than relying on the next get* to
 // overwrite them: it drops references the GC would otherwise keep alive
@@ -84,26 +94,19 @@ func (m *Machine) handBack() {
 
 // getWarp returns a warp context with m set and all other state cleared.
 func (m *Machine) getWarp() *warpCtx {
-	wc := m.freeWarps
-	if wc == nil {
+	n := len(m.freeWarps)
+	if n == 0 {
 		return &warpCtx{m: m}
 	}
-	m.freeWarps = wc.next
-	wc.next = nil
+	wc := m.freeWarps[n-1]
+	m.freeWarps = m.freeWarps[:n-1]
 	wc.m = m
 	return wc
 }
 
 func (m *Machine) putWarp(wc *warpCtx) {
-	wc.m = nil
-	wc.cta = nil
-	wc.st = workload.Stream{}
-	wc.op = workload.Op{}
-	wc.lineIdx = 0
-	wc.pending = 0
-	wc.loadDone = 0
-	wc.next = m.freeWarps
-	m.freeWarps = wc
+	*wc = warpCtx{}
+	m.freeWarps = append(m.freeWarps, wc)
 }
 
 func (m *Machine) getCTA() *ctaCtx {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/workload"
@@ -38,7 +39,7 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	}
 
 	var nWarp, nCTA, nLoad, nStore int
-	for wc := st.freeWarps; wc != nil; wc = wc.next {
+	for _, wc := range st.freeWarps {
 		nWarp++
 		if wc.m != nil {
 			t.Fatalf("pooled warpCtx keeps its machine pointer")
@@ -143,5 +144,23 @@ func TestClampedEventsSurfaced(t *testing.T) {
 	res := mustRun(t, config.BaselineMCM(), probeSpec(nil))
 	if res.ClampedEvents != 0 {
 		t.Fatalf("baseline run clamped %d events, want 0", res.ClampedEvents)
+	}
+}
+
+// TestWarpContextSize holds the warp context to three host cache lines and
+// the op it embeds to 48 bytes, with the fields mem and loadComplete touch
+// in the first 64 bytes. A high-parallelism cell keeps 8,192 warps
+// resident, so a field that spills either struct into another host line
+// costs every cell; this makes that change fail loudly.
+func TestWarpContextSize(t *testing.T) {
+	var wc warpCtx
+	if n := unsafe.Sizeof(wc); n > 192 {
+		t.Errorf("warpCtx is %d bytes, budget 192", n)
+	}
+	if n := unsafe.Sizeof(wc.op); n > 48 {
+		t.Errorf("workload.Op is %d bytes, budget 48", n)
+	}
+	if end := unsafe.Offsetof(wc.op) + unsafe.Sizeof(wc.op); end > 64 {
+		t.Errorf("warpCtx's memory-op fields end at byte %d, past the first 64", end)
 	}
 }

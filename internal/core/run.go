@@ -31,18 +31,22 @@ type ctaCtx struct {
 // sm.StoreWaiter (it parks itself on a full store buffer). Recycled through
 // Machine.freeWarps across CTA launches; the embedded Stream is re-seeded in
 // place by launchCTA, so relaunching a warp allocates nothing.
+//
+// A high-parallelism cell keeps thousands of warps resident, so their size
+// is host working set: the fields mem and loadComplete touch come first,
+// within the first host cache line, and the whole context fits three
+// (TestWarpContextSize).
 type warpCtx struct {
-	m   *Machine
-	cta *ctaCtx
-	st  workload.Stream
-	op  workload.Op
+	m *Machine
 
 	// In-flight memory operation state.
-	lineIdx  int          // next store line to issue
-	pending  int          // outstanding loads of the current op
-	loadDone engine.Cycle // latest completion among them
+	loadDone engine.Cycle // latest completion among the op's loads
+	pending  int32        // outstanding loads of the current op
+	op       workload.Op
+	lineIdx  int32 // next store line to issue
 
-	next *warpCtx
+	cta *ctaCtx
+	st  workload.Stream
 }
 
 // Dispatch implements engine.Event.
@@ -298,7 +302,7 @@ func (wc *warpCtx) mem() {
 	wc.pending = wc.op.NumLines
 	wc.loadDone = wc.m.sim.Now()
 	for _, line := range wc.op.Lines[:wc.op.NumLines] {
-		wc.m.startLoad(wc, line)
+		wc.m.startLoad(wc, uint64(line))
 	}
 }
 
@@ -327,7 +331,7 @@ func (wc *warpCtx) memWrite() {
 			return
 		}
 		s.AcquireStore()
-		m.startStore(s, wc.op.Lines[wc.lineIdx])
+		m.startStore(s, uint64(wc.op.Lines[wc.lineIdx]))
 		wc.lineIdx++
 	}
 	m.sim.AfterEvent(StoreAckCycles, wc, evWarpStep)

@@ -46,11 +46,14 @@ func resultJSON(t *testing.T, res *Result) string {
 // for field. The geometries differ in cache shapes, slab size and context
 // populations, so a stale L2 line, a leftover event, a context still bound
 // to its old machine or an unreset counter shows up as a different result.
-// A budget-stopped run and a recovered panic sit in the middle: neither may
-// hand back its storage, so the cell after each starts cold. The sequence
-// also pins which New reuses the spare: one whose slab is more than twice
-// the size it needs is dropped, and one whose slab is too small keeps its
-// engine and contexts and grows a new slab.
+// Every drained run must also hand back a slab of all-zero ways, since New
+// takes it without clearing: the steps include dirty L2 lines (probe-write)
+// and a footprint that fills every set of its L2 (Stream on the 32-SM
+// monolithic GPU). A budget-stopped run and a recovered panic sit in the
+// middle: neither may hand back its storage, so the cell after each starts
+// cold. The sequence also pins which New reuses the spare: one whose slab
+// is more than twice the size it needs is dropped, and one whose slab is
+// too small keeps its engine and contexts and grows a new slab.
 func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 	a := config.BaselineMCM()
 	b, c, d, e := config.OptimizedMCM(), config.MustMonolithic(32), config.MultiGPUBaseline(), config.TiledRegionMCM()
@@ -71,7 +74,8 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 		{b, conv, drain, true},
 		{a, stream, drain, true},
 		{c, write, drain, false}, // a's slab is 8x what c needs: dropped
-		{a, conv, drain, true},   // c's slab is too small: new slab, same engine and contexts
+		{c, stream, drain, true},
+		{a, conv, drain, true}, // c's slab is too small: new slab, same engine and contexts
 		{b, write, stop, true},
 		{d, stream, drain, false}, // the stopped run kept its storage
 		{a, write, drain, true},
@@ -84,6 +88,9 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 		if s.end == drain {
 			want[i] = coldJSON(t, s.cfg, s.spec)
 		}
+	}
+	if filled, sets := l2SetsFilled(t, c, stream); filled != sets {
+		t.Fatalf("Stream fills %d of the %d L2 sets on %s; the step must fill them all", filled, sets, c.Name)
 	}
 
 	spare.Store(nil)
@@ -106,8 +113,14 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 				t.Errorf("step %d (%s on %s) on recycled storage differs from a cold run:\n got %s\nwant %s",
 					i, s.spec.Name, s.cfg.Name, got, want[i])
 			}
-			if spare.Load() == nil {
-				t.Errorf("step %d: drained run handed back no storage", i)
+			st := spare.Load()
+			if st == nil {
+				t.Fatalf("step %d: drained run handed back no storage", i)
+			}
+			for j, e := range st.slab[:cap(st.slab)] {
+				if e != 0 {
+					t.Fatalf("step %d (%s on %s): handed-back slab holds way entry %#x at %d", i, s.spec.Name, s.cfg.Name, e, j)
+				}
 			}
 		case stop:
 			_, err := m.RunWith(s.spec, RunOptions{MaxEvents: 10_000, CheckEvery: 64})
@@ -131,6 +144,33 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 	}
 }
 
+// l2SetsFilled runs spec's first kernel on a machine for cfg, which keeps
+// its storage, and counts the L2 sets holding a line against the total.
+// The L2 ways follow the L1.5 ways in the slab (see New).
+func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled, sets int) {
+	t.Helper()
+	m, err := New(cfg.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.spec = spec
+	m.setupPlacement()
+	if err := m.runKernel(); err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	if cfg.L15.Enabled() {
+		off = cfg.Modules * cfg.L15.Lines()
+	}
+	l2 := m.slab[off : off+cfg.TotalPartitions()*cfg.L2.Lines()]
+	for i := 0; i < len(l2); i += cfg.L2.Ways {
+		if l2[i] != 0 {
+			filled++
+		}
+	}
+	return filled, len(l2) / cfg.L2.Ways
+}
+
 // TestHandBackDropsMachineReferences pins what a machine keeps after its
 // storage goes to the spare: nothing that reaches the storage, so a stale
 // use panics rather than reading the next machine's caches or queue.
@@ -142,7 +182,7 @@ func TestHandBackDropsMachineReferences(t *testing.T) {
 	if _, err := m.RunWith(probeSpec(nil), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if m.sim != nil || m.slab != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
+	if m.sim != nil || m.slab != nil || m.sets != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
 		m.freeWarps != nil || m.freeCTAs != nil || m.freeLoads != nil || m.freeStores != nil {
 		t.Fatal("machine still references storage it handed back")
 	}

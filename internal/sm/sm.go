@@ -64,8 +64,9 @@ type SM struct {
 }
 
 // New builds SM id belonging to the given module. l1 is the L1's way
-// array, cfg.L1.Lines() zeroed entries (see cache.New).
-func New(id, module int, cfg *config.Config, l1 []uint64) *SM {
+// array, cfg.L1.Lines() zeroed entries, and l1Sets its set-list storage,
+// one entry per set (see cache.New).
+func New(id, module int, cfg *config.Config, l1, l1Sets []uint32) *SM {
 	maxCTAs := cfg.MaxCTAsPerSM
 	if maxCTAs <= 0 {
 		maxCTAs = cfg.WarpsPerSM // effectively warp-limited
@@ -74,7 +75,7 @@ func New(id, module int, cfg *config.Config, l1 []uint64) *SM {
 		id:       id,
 		module:   module,
 		Issue:    engine.NewResource(fmt.Sprintf("sm%d-issue", id), cfg.IssuePerSM),
-		L1:       cache.New(fmt.Sprintf("sm%d-l1", id), l1, cfg.L1.Ways, cfg.L1.WriteBack),
+		L1:       cache.New(fmt.Sprintf("sm%d-l1", id), l1, l1Sets, cfg.L1.Ways, cfg.L1.WriteBack),
 		maxWarps: cfg.WarpsPerSM,
 		maxCTAs:  maxCTAs,
 	}

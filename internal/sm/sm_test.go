@@ -9,7 +9,7 @@ import (
 func newSM(t *testing.T) *SM {
 	t.Helper()
 	cfg := config.BaselineMCM()
-	return New(3, 1, cfg, make([]uint64, cfg.L1.Lines()))
+	return New(3, 1, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
 }
 
 func TestOccupancyLimits(t *testing.T) {
@@ -38,7 +38,7 @@ func TestOccupancyLimits(t *testing.T) {
 func TestMaxCTAsCap(t *testing.T) {
 	cfg := config.BaselineMCM()
 	cfg.MaxCTAsPerSM = 2
-	s := New(0, 0, cfg, make([]uint64, cfg.L1.Lines()))
+	s := New(0, 0, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
 	s.HostCTA(1)
 	s.HostCTA(1)
 	if s.CanHost(1) {

@@ -26,11 +26,16 @@ import (
 // AddressMap translates virtual line addresses to memory partitions.
 // It is not safe for concurrent use.
 type AddressMap struct {
-	policy          config.PlacementKind
-	pageShift       uint
-	partitions      int
-	partsPerModule  int
-	pages           map[uint64]int // page number -> owning module
+	policy         config.PlacementKind
+	pageShift      uint
+	partitions     int
+	partsPerModule int
+	// pages is the page table, indexed by page number: the owning module
+	// plus one, or 0 for an unmapped page. Line addresses are dense from
+	// zero (a workload's footprint), so a flat table is smaller and faster
+	// than a hash map; it grows on demand to the highest page bound.
+	pages           []int32
+	mapped          int // bound pages, the nonzero entries of pages
 	pagesPerModule  []int
 	firstTouchFills uint64
 	regionBinds     uint64
@@ -41,17 +46,13 @@ type AddressMap struct {
 // NewAddressMap builds an address map for the machine described by cfg.
 func NewAddressMap(cfg *config.Config) *AddressMap {
 	linesPerPage := uint64(cfg.PageBytes / config.LineBytes)
-	m := &AddressMap{
+	return &AddressMap{
 		policy:         cfg.Placement,
 		pageShift:      uint(bits.TrailingZeros64(linesPerPage)),
 		partitions:     cfg.TotalPartitions(),
 		partsPerModule: cfg.PartitionsPerModule,
 		pagesPerModule: make([]int, cfg.Modules),
 	}
-	if cfg.Placement != config.PlaceInterleave {
-		m.pages = make(map[uint64]int)
-	}
-	return m
 }
 
 // SetBinder installs the region-aware page binder: a function returning the
@@ -64,15 +65,32 @@ func (m *AddressMap) SetBinder(binder func(page uint64) int) { m.binder = binder
 // already decided by an earlier phase (an init kernel's first-touch sweep).
 // Pages already mapped are left untouched.
 func (m *AddressMap) Prebind(page uint64, module int) {
-	if m.pages == nil {
+	if m.policy == config.PlaceInterleave {
 		return // interleave placement ignores page bindings
 	}
-	if _, ok := m.pages[page]; ok {
+	if _, ok := m.owner(page); ok {
 		return
 	}
-	m.pages[page] = module
-	m.pagesPerModule[module]++
+	m.set(page, module)
 	m.prebinds++
+}
+
+// owner returns the module a page is bound to, and whether it is bound.
+func (m *AddressMap) owner(page uint64) (int, bool) {
+	if page >= uint64(len(m.pages)) || m.pages[page] == 0 {
+		return 0, false
+	}
+	return int(m.pages[page]) - 1, true
+}
+
+// set binds an unmapped page to module, growing the table to reach it.
+func (m *AddressMap) set(page uint64, module int) {
+	if page >= uint64(len(m.pages)) {
+		m.pages = append(m.pages, make([]int32, page+1-uint64(len(m.pages)))...)
+	}
+	m.pages[page] = int32(module) + 1
+	m.mapped++
+	m.pagesPerModule[module]++
 }
 
 // bind maps an unmapped page, choosing the region-aware home when the
@@ -80,14 +98,12 @@ func (m *AddressMap) Prebind(page uint64, module int) {
 func (m *AddressMap) bind(page uint64, module int) int {
 	if m.policy == config.PlaceRegionAware && m.binder != nil {
 		if home := m.binder(page); home >= 0 {
-			m.pages[page] = home
-			m.pagesPerModule[home]++
+			m.set(page, home)
 			m.regionBinds++
 			return home
 		}
 	}
-	m.pages[page] = module
-	m.pagesPerModule[module]++
+	m.set(page, module)
 	m.firstTouchFills++
 	return module
 }
@@ -101,7 +117,7 @@ func (m *AddressMap) Partition(lineAddr uint64, module int) int {
 		return int(lineAddr % uint64(m.partitions))
 	case config.PlaceFirstTouch, config.PlaceRegionAware:
 		page := lineAddr >> m.pageShift
-		owner, ok := m.pages[page]
+		owner, ok := m.owner(page)
 		if !ok {
 			owner = m.bind(page, module)
 		}
@@ -131,22 +147,30 @@ func (m *AddressMap) CacheAddr(lineAddr uint64) uint64 {
 }
 
 // MappedPages returns the number of pages bound so far.
-func (m *AddressMap) MappedPages() int { return len(m.pages) }
+func (m *AddressMap) MappedPages() int { return m.mapped }
 
 // Audit checks page-table consistency into r. Under page-bound placement:
 // every binding event bound exactly one page (fills + region binds +
-// prebinds == mapped pages), the per-module counts partition the page table
-// (their sum == mapped pages), and every owner is a real module. Under
-// interleave nothing may have been bound at all — a non-zero count there
-// means the placement policy was misrouted.
+// prebinds == mapped pages), the mapped-page count and the per-module
+// counts agree with the table (their sum == mapped pages), and every owner
+// is a real module. Pages are checked in order, so the first violation
+// named is the same on every run. Under interleave nothing may have been
+// bound at all — a non-zero count there means the placement policy was
+// misrouted.
 func (m *AddressMap) Audit(r *audit.Reporter) {
-	mapped := uint64(len(m.pages))
+	var mapped uint64
+	for _, v := range m.pages {
+		if v != 0 {
+			mapped++
+		}
+	}
 	binds := m.firstTouchFills + m.regionBinds + m.prebinds
 	if m.policy == config.PlaceInterleave {
 		audit.Equal(r, "vm-pages", "vm", "page binds under interleave placement", binds, uint64(0))
 		return
 	}
 	audit.Equal(r, "vm-pages", "vm", "page binds", binds, mapped)
+	audit.Equal(r, "vm-pages", "vm", "mapped-page count", uint64(m.mapped), mapped)
 	if m.policy == config.PlaceFirstTouch {
 		audit.Equal(r, "vm-pages", "vm", "region binds under first-touch placement", m.regionBinds, uint64(0))
 	}
@@ -160,8 +184,8 @@ func (m *AddressMap) Audit(r *audit.Reporter) {
 	}
 	audit.Equal(r, "vm-pages", "vm", "sum of per-module page counts", sum, mapped)
 	modules := len(m.pagesPerModule)
-	for page, owner := range m.pages {
-		if owner < 0 || owner >= modules {
+	for page, v := range m.pages {
+		if owner := int(v) - 1; v != 0 && (owner < 0 || owner >= modules) {
 			r.Reportf("vm-pages", "vm", "page %#x owned by module %d, machine has %d modules", page, owner, modules)
 		}
 	}

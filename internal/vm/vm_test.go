@@ -2,9 +2,11 @@ package vm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"mcmgpu/internal/audit"
 	"mcmgpu/internal/config"
 )
 
@@ -42,7 +44,7 @@ func TestFirstTouchBindsToToucher(t *testing.T) {
 	if got := m.Partition(1, 0); got != 3 {
 		t.Fatalf("second toucher moved the page: partition %d", got)
 	}
-	owner, ok := m.pages[10>>m.pageShift]
+	owner, ok := m.owner(10 >> m.pageShift)
 	if !ok || owner != 3 {
 		t.Fatalf("owner of line 10's page = %d,%v; want 3,true", owner, ok)
 	}
@@ -132,6 +134,134 @@ func TestInterleaveBalanceProperty(t *testing.T) {
 			}
 		}
 		return max-min <= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// auditErr runs m's page-table audit and returns its error, nil when clean.
+func auditErr(m *AddressMap) error {
+	var a audit.Auditor
+	a.Register("vm", audit.Boundary, m.Audit)
+	return a.Run(audit.Boundary).Err()
+}
+
+// TestAuditNamesLowestBadPage pins the audit's determinism: with two pages
+// owned by modules the machine lacks, the error names the lower page, and
+// says the same on every run.
+func TestAuditNamesLowestBadPage(t *testing.T) {
+	var first string
+	for run := 0; run < 20; run++ {
+		m := firstTouchMap()
+		for page := uint64(0); page < 64; page++ {
+			m.Prebind(page, int(page)%4)
+		}
+		m.pages[41] = 7 + 1
+		m.pages[9] = 5 + 1
+		err := auditErr(m)
+		if err == nil {
+			t.Fatal("audit accepted pages owned by nonexistent modules")
+		}
+		if !strings.Contains(err.Error(), "page 0x9 owned by module 5") {
+			t.Fatalf("audit error does not name the lower bad page first: %v", err)
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("audit error changed between runs:\n%s\n%s", first, err.Error())
+		}
+	}
+}
+
+// TestPageTableGrowsOnDemand binds pages in a scattered order, some past
+// the table's current end, and requires the table to grow and every binding
+// to stick.
+func TestPageTableGrowsOnDemand(t *testing.T) {
+	m := firstTouchMap()
+	pages := []uint64{0, 1000, 3, 70000, 999}
+	for i, page := range pages {
+		before := len(m.pages)
+		m.Partition(page<<m.pageShift, i%4)
+		if page >= uint64(before) && uint64(len(m.pages)) <= page {
+			t.Fatalf("binding page %d past the table's %d entries left it at %d", page, before, len(m.pages))
+		}
+	}
+	for i, page := range pages {
+		if owner, ok := m.owner(page); !ok || owner != i%4 {
+			t.Fatalf("page %d: owner %d,%v; want %d,true", page, owner, ok, i%4)
+		}
+	}
+	if m.MappedPages() != len(pages) {
+		t.Fatalf("MappedPages = %d, want %d", m.MappedPages(), len(pages))
+	}
+	if err := auditErr(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrebindMappedPageIsNoOp: a page the init sweep (or an earlier touch)
+// already bound keeps its owner and its counts.
+func TestPrebindMappedPageIsNoOp(t *testing.T) {
+	m := firstTouchMap()
+	m.Prebind(5, 2)
+	m.Partition(6<<m.pageShift, 1)
+	m.Prebind(5, 3)
+	m.Prebind(6, 0)
+	for page, want := range map[uint64]int{5: 2, 6: 1} {
+		if owner, _ := m.owner(page); owner != want {
+			t.Fatalf("page %d owner = %d, want %d", page, owner, want)
+		}
+	}
+	if m.MappedPages() != 2 || m.prebinds != 1 || m.firstTouchFills != 1 {
+		t.Fatalf("mapped %d, prebinds %d, fills %d; want 2, 1, 1", m.MappedPages(), m.prebinds, m.firstTouchFills)
+	}
+	if got := m.pagesPerModule; got[0] != 0 || got[1] != 1 || got[2] != 1 || got[3] != 0 {
+		t.Fatalf("pagesPerModule = %v, want [0 1 1 0]", got)
+	}
+}
+
+// Property: under first-touch and region-aware placement, MappedPages and
+// the per-module counts equal a recount of the table after any sequence of
+// prebinds and touches, and the audit stays clean.
+func TestPageCountsProperty(t *testing.T) {
+	f := func(seed int64, regionAware bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := config.BaselineMCM()
+		c.Placement = config.PlaceFirstTouch
+		if regionAware {
+			c.Placement = config.PlaceRegionAware
+		}
+		m := NewAddressMap(c)
+		// Region pages are the multiples of 3, homed on page%4.
+		m.SetBinder(func(page uint64) int {
+			if page%3 == 0 {
+				return int(page % 4)
+			}
+			return -1
+		})
+		for i := 0; i < 300; i++ {
+			page := uint64(rng.Intn(512))
+			if rng.Intn(4) == 0 {
+				m.Prebind(page, rng.Intn(4))
+			} else {
+				m.Partition(page<<m.pageShift|uint64(rng.Intn(32)), rng.Intn(4))
+			}
+		}
+		perModule := make([]int, 4)
+		mapped := 0
+		for page := range m.pages {
+			if owner, ok := m.owner(uint64(page)); ok {
+				perModule[owner]++
+				mapped++
+			}
+		}
+		for mod, n := range perModule {
+			if m.pagesPerModule[mod] != n {
+				return false
+			}
+		}
+		return m.MappedPages() == mapped && (regionAware || m.regionBinds == 0) && auditErr(m) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

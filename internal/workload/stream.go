@@ -5,12 +5,14 @@ package workload
 const MaxLinesPerOp = 8
 
 // Op is one warp-level step: Compute instructions followed by a memory
-// operation touching NumLines cache lines.
+// operation touching NumLines cache lines. Its fields are 32 bits wide
+// (Spec.Validate bounds every value they take), which keeps a warp's
+// in-flight state within a few host cache lines.
 type Op struct {
-	Compute  int
-	NumLines int
-	Lines    [MaxLinesPerOp]uint64
 	Write    bool
+	NumLines int32
+	Compute  int32
+	Lines    [MaxLinesPerOp]uint32
 }
 
 // rng is a splitmix64 generator: tiny, fast, allocation-free and
@@ -40,24 +42,29 @@ func (r *rng) chance(p float64) bool {
 // kernel launch. The stream depends only on (spec seed, CTA, warp), not on
 // the kernel iteration: convergence-loop launches replay the same accesses,
 // giving the cross-kernel locality of Figure 12.
+//
+// Every line address and region base lies below the footprint, and every
+// counter at or below the op count, so they are held in 32 bits
+// (Spec.Validate bounds both); arithmetic widens them to 64 bits first,
+// which keeps every generated address that of a 64-bit stream.
 type Stream struct {
 	spec *Spec
-	cta  int
-	warp int // warp index within the CTA
-	op   int
-	ops  int // this CTA's per-warp op count (work imbalance)
 	r    rng
+	cta  int32
+	warp int32 // warp index within the CTA
+	op   int32
+	ops  int32 // this CTA's per-warp op count (work imbalance)
 
-	regionStart uint64
-	regionLen   uint64
-	ownBase     uint64 // first own-region line; everything below is reserved
-	rowPanel    uint64 // base of this CTA's row panel (2-D grids)
-	colPanel    uint64 // base of this CTA's column panel
-	rowPhase    uint64 // k-loop skew within the row panel (PatGEMM2D)
-	colPhase    uint64 // k-loop skew within the column panel
+	regionStart uint32
+	regionLen   uint32
+	ownBase     uint32 // first own-region line; everything below is reserved
+	rowPanel    uint32 // base of this CTA's row panel (2-D grids)
+	colPanel    uint32 // base of this CTA's column panel
+	rowPhase    uint32 // k-loop skew within the row panel (PatGEMM2D)
+	colPhase    uint32 // k-loop skew within the column panel
 
-	recent  [8]uint64
-	nRecent int
+	recent  [8]uint32
+	nRecent int32
 }
 
 // NewStream creates the access stream for warp w of CTA c.
@@ -71,27 +78,27 @@ func NewStream(spec *Spec, cta, warp int) *Stream {
 // discarding any prior state. It exists so pooled warp contexts can embed a
 // Stream by value and be relaunched onto a new CTA without allocating.
 func (s *Stream) Init(spec *Spec, cta, warp int) {
-	*s = Stream{spec: spec, cta: cta, warp: warp, ops: spec.OpsForCTA(cta)}
+	*s = Stream{spec: spec, cta: int32(cta), warp: int32(warp), ops: int32(spec.OpsForCTA(cta))}
 	// Seed mixes the identifiers so distinct warps get decorrelated streams.
 	s.r = rng{s: spec.Seed ^ uint64(cta)*0x9e3779b97f4a7c15 ^ uint64(warp)*0xc2b2ae3d27d4eb4f}
 	rowBase, colBase, ownBase, perCTA := spec.Regions()
-	s.ownBase = ownBase
-	s.regionStart = ownBase + uint64(cta)*perCTA
-	s.regionLen = perCTA
+	s.ownBase = uint32(ownBase)
+	s.regionStart = uint32(ownBase + uint64(cta)*perCTA)
+	s.regionLen = uint32(perCTA)
 	if spec.GridW > 0 {
 		x, y := cta%spec.GridW, cta/spec.GridW
-		s.rowPanel = rowBase + uint64(y)*spec.RowPanelLines
-		s.colPanel = colBase + uint64(x)*spec.ColPanelLines
+		s.rowPanel = uint32(rowBase + uint64(y)*spec.RowPanelLines)
+		s.colPanel = uint32(colBase + uint64(x)*spec.ColPanelLines)
 		// Tiled GEMM skews the k-loop so the CTAs along a panel start at
 		// staggered offsets (the classic wavefront that avoids hammering one
 		// operand block); attention streams K/V in order for every query
 		// block, so it keeps the lockstep phase.
 		if spec.Pattern == PatGEMM2D {
 			if spec.GridW > 1 && spec.RowPanelLines > 0 {
-				s.rowPhase = uint64(x) * maxU64(1, spec.RowPanelLines/uint64(spec.GridW))
+				s.rowPhase = uint32(uint64(x) * maxU64(1, spec.RowPanelLines/uint64(spec.GridW)))
 			}
 			if spec.GridH > 1 && spec.ColPanelLines > 0 {
-				s.colPhase = uint64(y) * maxU64(1, spec.ColPanelLines/uint64(spec.GridH))
+				s.colPhase = uint32(uint64(y) * maxU64(1, spec.ColPanelLines/uint64(spec.GridH)))
 			}
 		}
 	}
@@ -107,22 +114,22 @@ func (s *Stream) Next(op *Op) bool {
 	i := s.op
 	s.op++
 
-	op.Compute = sp.ComputePerMem
+	op.Compute = int32(sp.ComputePerMem)
 	op.Write = s.r.chance(sp.WriteFraction)
-	op.NumLines = sp.LinesPerOp
+	op.NumLines = int32(sp.LinesPerOp)
 
 	// Temporal reuse: re-touch a recently used line.
 	if s.nRecent > 0 && s.r.chance(sp.ReuseProb) {
-		base := s.recent[int(s.r.intn(uint64(s.nRecent)))]
-		for l := 0; l < op.NumLines; l++ {
-			op.Lines[l] = (base + uint64(l)) % sp.FootprintLines
+		base := uint64(s.recent[int(s.r.intn(uint64(s.nRecent)))])
+		for l := 0; l < sp.LinesPerOp; l++ {
+			op.Lines[l] = uint32((base + uint64(l)) % sp.FootprintLines)
 		}
 		return true
 	}
 
 	base := s.genBase(i)
 	coalesced := sp.Pattern != PatIrregular
-	for l := 0; l < op.NumLines; l++ {
+	for l := 0; l < sp.LinesPerOp; l++ {
 		var a uint64
 		switch {
 		case coalesced || l == 0:
@@ -135,7 +142,7 @@ func (s *Stream) Next(op *Op) bool {
 		default:
 			a = s.r.intn(sp.FootprintLines)
 		}
-		op.Lines[l] = a
+		op.Lines[l] = uint32(a)
 	}
 	s.remember(op.Lines[0])
 	return true
@@ -143,7 +150,7 @@ func (s *Stream) Next(op *Op) bool {
 
 // genBase produces the base line address for op index i according to the
 // spec's pattern and locality fractions.
-func (s *Stream) genBase(i int) uint64 {
+func (s *Stream) genBase(i int32) uint64 {
 	sp := s.spec
 	roll := float64(s.r.next()>>11) * (1.0 / (1 << 53))
 
@@ -162,12 +169,13 @@ func (s *Stream) genBase(i int) uint64 {
 		if s.r.next()&1 == 0 && s.cta > 0 {
 			dir = ^uint64(0) // -1
 		}
-		nStart := s.regionStart + dir*s.regionLen
-		if nStart >= sp.FootprintLines || nStart < s.ownBase {
-			nStart = s.regionStart
+		regionStart, regionLen := uint64(s.regionStart), uint64(s.regionLen)
+		nStart := regionStart + dir*regionLen
+		if nStart >= sp.FootprintLines || nStart < uint64(s.ownBase) {
+			nStart = regionStart
 		}
 		// Halo touches the edge of the neighbor's region.
-		edge := s.r.intn(maxU64(1, s.regionLen/8))
+		edge := s.r.intn(maxU64(1, regionLen/8))
 		return nStart + edge
 	}
 	roll -= sp.NeighborFraction
@@ -177,13 +185,13 @@ func (s *Stream) genBase(i int) uint64 {
 	// (warp, op), so every CTA along the panel streams it in the same
 	// phase — the lockstep k-loop of a tiled GEMM.
 	if roll < sp.RowPanelFraction && sp.RowPanelLines > 0 {
-		seq := s.rowPhase + uint64(s.warp)*uint64(sp.MemOpsPerWarp) + uint64(i)
-		return s.rowPanel + seq%sp.RowPanelLines
+		seq := uint64(s.rowPhase) + uint64(s.warp)*uint64(sp.MemOpsPerWarp) + uint64(i)
+		return uint64(s.rowPanel) + seq%sp.RowPanelLines
 	}
 	roll -= sp.RowPanelFraction
 	if roll < sp.ColPanelFraction && sp.ColPanelLines > 0 {
-		seq := s.colPhase + uint64(s.warp)*uint64(sp.MemOpsPerWarp) + uint64(i)
-		return s.colPanel + seq%sp.ColPanelLines
+		seq := uint64(s.colPhase) + uint64(s.warp)*uint64(sp.MemOpsPerWarp) + uint64(i)
+		return uint64(s.colPanel) + seq%sp.ColPanelLines
 	}
 	roll -= sp.ColPanelFraction
 
@@ -198,25 +206,26 @@ func (s *Stream) genBase(i int) uint64 {
 
 	// Own region, ordered by pattern.
 	seq := uint64(s.warp)*uint64(sp.MemOpsPerWarp) + uint64(i)
+	regionStart, regionLen := uint64(s.regionStart), uint64(s.regionLen)
 	switch sp.Pattern {
 	case PatStrided:
 		stride := sp.Stride
 		if stride == 0 {
 			stride = 1
 		}
-		return s.regionStart + (seq*stride)%s.regionLen
+		return regionStart + (seq*stride)%regionLen
 	case PatComputeTile:
 		// Re-walk a tile an eighth of the region (strong reuse).
-		tile := maxU64(1, s.regionLen/8)
-		return s.regionStart + seq%tile
+		tile := maxU64(1, regionLen/8)
+		return regionStart + seq%tile
 	default:
-		return s.regionStart + seq%s.regionLen
+		return regionStart + seq%regionLen
 	}
 }
 
-func (s *Stream) remember(a uint64) {
-	s.recent[s.op%len(s.recent)] = a
-	if s.nRecent < len(s.recent) {
+func (s *Stream) remember(a uint32) {
+	s.recent[s.op%int32(len(s.recent))] = a
+	if s.nRecent < int32(len(s.recent)) {
 		s.nRecent++
 	}
 }

@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"mcmgpu/internal/config"
 )
@@ -107,6 +108,17 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("Pattern(%d)", int(p))
 }
 
+// MaxFootprintLines bounds Spec.FootprintLines. Every line address a stream
+// generates lies below the footprint, so the bound lets the stream, the
+// caches' 32-bit way entries and the page table hold line addresses in 32
+// bits or fewer. The largest shipped workload is 2,048 times smaller.
+const MaxFootprintLines = 1 << 30
+
+// maxMemOpsPerWarp bounds Spec.MemOpsPerWarp so that a CTA's op count after
+// the work-imbalance skew, at most twice the nominal count, fits the
+// stream's 32-bit counters.
+const maxMemOpsPerWarp = math.MaxInt32 / 2
+
 // Spec describes one synthetic application.
 type Spec struct {
 	Name     string
@@ -184,16 +196,18 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: empty name")
 	case s.CTAs <= 0:
 		return fmt.Errorf("workload %s: CTAs = %d", s.Name, s.CTAs)
-	case s.WarpsPerCTA <= 0:
-		return fmt.Errorf("workload %s: WarpsPerCTA = %d", s.Name, s.WarpsPerCTA)
-	case s.MemOpsPerWarp <= 0:
-		return fmt.Errorf("workload %s: MemOpsPerWarp = %d", s.Name, s.MemOpsPerWarp)
-	case s.ComputePerMem < 0:
-		return fmt.Errorf("workload %s: ComputePerMem = %d", s.Name, s.ComputePerMem)
+	case s.WarpsPerCTA <= 0 || s.WarpsPerCTA > math.MaxInt32:
+		return fmt.Errorf("workload %s: WarpsPerCTA = %d (max %d)", s.Name, s.WarpsPerCTA, math.MaxInt32)
+	case s.MemOpsPerWarp <= 0 || s.MemOpsPerWarp > maxMemOpsPerWarp:
+		return fmt.Errorf("workload %s: MemOpsPerWarp = %d (max %d)", s.Name, s.MemOpsPerWarp, maxMemOpsPerWarp)
+	case s.ComputePerMem < 0 || s.ComputePerMem > math.MaxInt32:
+		return fmt.Errorf("workload %s: ComputePerMem = %d (max %d)", s.Name, s.ComputePerMem, math.MaxInt32)
 	case s.KernelIters <= 0:
 		return fmt.Errorf("workload %s: KernelIters = %d", s.Name, s.KernelIters)
 	case s.LinesPerOp <= 0 || s.LinesPerOp > MaxLinesPerOp:
 		return fmt.Errorf("workload %s: LinesPerOp = %d (max %d)", s.Name, s.LinesPerOp, MaxLinesPerOp)
+	case s.FootprintLines > MaxFootprintLines:
+		return fmt.Errorf("workload %s: footprint %d lines exceeds the %d-line bound", s.Name, s.FootprintLines, MaxFootprintLines)
 	case s.FootprintLines < uint64(s.CTAs)+s.SharedLines+s.ScatterLines+s.PanelLines():
 		return fmt.Errorf("workload %s: footprint %d lines too small for %d CTAs + %d shared + %d scatter + %d panel",
 			s.Name, s.FootprintLines, s.CTAs, s.SharedLines, s.ScatterLines, s.PanelLines())

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -117,8 +120,8 @@ func TestStreamDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b []uint64
-	for _, dst := range []*[]uint64{&a, &b} {
+	var a, b []uint32
+	for _, dst := range []*[]uint32{&a, &b} {
 		st := NewStream(spec, 7, 3)
 		var op Op
 		for st.Next(&op) {
@@ -148,10 +151,10 @@ func TestStreamOpCount(t *testing.T) {
 	n := 0
 	for st.Next(&op) {
 		n++
-		if op.NumLines != spec.LinesPerOp {
+		if int(op.NumLines) != spec.LinesPerOp {
 			t.Fatalf("op %d touches %d lines, want %d", n, op.NumLines, spec.LinesPerOp)
 		}
-		if op.Compute != spec.ComputePerMem {
+		if int(op.Compute) != spec.ComputePerMem {
 			t.Fatalf("op %d compute = %d, want %d", n, op.Compute, spec.ComputePerMem)
 		}
 	}
@@ -165,8 +168,8 @@ func TestStreamingCTAsTouchDisjointRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched := func(cta int) map[uint64]bool {
-		m := map[uint64]bool{}
+	touched := func(cta int) map[uint32]bool {
+		m := map[uint32]bool{}
 		for w := 0; w < spec.WarpsPerCTA; w++ {
 			st := NewStream(spec, cta, w)
 			var op Op
@@ -192,8 +195,8 @@ func TestStencilNeighborsShareLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched := func(cta int) map[uint64]bool {
-		m := map[uint64]bool{}
+	touched := func(cta int) map[uint32]bool {
+		m := map[uint32]bool{}
 		for w := 0; w < spec.WarpsPerCTA; w++ {
 			st := NewStream(spec, cta, w)
 			var op Op
@@ -230,7 +233,7 @@ func TestAddressesInRangeProperty(t *testing.T) {
 		var op Op
 		for st.Next(&op) {
 			for _, l := range op.Lines[:op.NumLines] {
-				if l >= spec.FootprintLines {
+				if uint64(l) >= spec.FootprintLines {
 					return false
 				}
 			}
@@ -278,6 +281,52 @@ func TestScaledRejectsNonPositive(t *testing.T) {
 	}()
 	spec := Suite()[0]
 	spec.Scaled(0)
+}
+
+// TestValidateBounds pins the bounds that let a stream hold addresses and
+// counters in 32 bits: each is accepted at its limit and rejected one past
+// it, with an error naming the limit. At the limits a stream still yields
+// addresses inside the footprint and a skewed op count that fits.
+func TestValidateBounds(t *testing.T) {
+	base, err := ByName("Stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		limit int
+		set   func(s *Spec, v int)
+	}{
+		{"footprint", MaxFootprintLines, func(s *Spec, v int) { s.FootprintLines = uint64(v) }},
+		{"ops per warp", math.MaxInt32 / 2, func(s *Spec, v int) { s.MemOpsPerWarp = v }},
+		{"compute per op", math.MaxInt32, func(s *Spec, v int) { s.ComputePerMem = v }},
+		{"warps per CTA", math.MaxInt32, func(s *Spec, v int) { s.WarpsPerCTA = v }},
+	}
+	for _, tc := range cases {
+		at := *base
+		at.WorkImbalance = 1
+		tc.set(&at, tc.limit)
+		if err := at.Validate(); err != nil {
+			t.Errorf("%s at the limit rejected: %v", tc.name, err)
+		}
+		if ops := at.OpsForCTA(at.CTAs - 1); ops > math.MaxInt32 {
+			t.Errorf("%s at the limit: the last CTA runs %d ops per warp, beyond int32", tc.name, ops)
+		}
+		st := NewStream(&at, at.CTAs-1, 0)
+		var op Op
+		for n := 0; n < 64 && st.Next(&op); n++ {
+			for _, l := range op.Lines[:op.NumLines] {
+				if uint64(l) >= at.FootprintLines {
+					t.Fatalf("%s at the limit: line %d outside the %d-line footprint", tc.name, l, at.FootprintLines)
+				}
+			}
+		}
+		past := *base
+		tc.set(&past, tc.limit+1)
+		if err := past.Validate(); err == nil || !strings.Contains(err.Error(), strconv.Itoa(tc.limit)) {
+			t.Errorf("%s one past the limit: Validate = %v, want an error naming %d", tc.name, err, tc.limit)
+		}
+	}
 }
 
 func TestTotalMemOps(t *testing.T) {
