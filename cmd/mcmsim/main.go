@@ -260,10 +260,7 @@ func characterize(specs []*workload.Spec, scale float64) error {
 	t := report.New("Workload characterization (one kernel launch)",
 		"Workload", "Category", "Pattern", "Ops", "Unique lines", "Footprint (MB)", "Write frac", "Reuse")
 	for _, spec := range specs {
-		run := spec
-		if scale != 1.0 {
-			run = spec.Scaled(scale)
-		}
+		run := spec.AtScale(scale)
 		if err := run.Validate(); err != nil {
 			return err
 		}

@@ -56,3 +56,12 @@ func TestRejectsBadScale(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsNegativeL15: a negative -l15 capacity is a usage error reported
+// before phase 1, not a grid row that silently runs with no L1.5.
+func TestRejectsNegativeL15(t *testing.T) {
+	args := []string{"-workloads", "Stream", "-links", "768", "-l15", "0,-8", "-analytic-only"}
+	if code, out, _ := runFlags(t, args...); code != 1 || out != "" {
+		t.Errorf("-l15 0,-8: exit %d, stdout %q; want exit 1 and no output", code, out)
+	}
+}

@@ -118,6 +118,11 @@ func run() (code int) {
 	if err != nil {
 		return fail(err)
 	}
+	for _, mb := range l15Vals {
+		if mb < 0 {
+			return fail(fmt.Errorf("-l15 %d: an L1.5 capacity cannot be negative (0 = none)", mb))
+		}
+	}
 	specs, err := workload.Select(*wl)
 	if err != nil {
 		return fail(err)

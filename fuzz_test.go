@@ -1,6 +1,7 @@
 package mcmgpu
 
 import (
+	"errors"
 	"testing"
 
 	"mcmgpu/internal/config"
@@ -51,11 +52,13 @@ func FuzzFaultSpec(f *testing.F) {
 
 // fuzzSpec is the tiny fixed workload FuzzConfigValidate drives through any
 // machine that validates: small enough to stay fast per fuzz exec, with
-// writes and multiple CTAs so every memory path is exercised.
-func fuzzSpec() *workload.Spec {
+// writes and multiple CTAs so every memory path is exercised. Its CTAs have
+// two warps, or one on a machine whose SMs hold only one, so every
+// validated config can host them.
+func fuzzSpec(cfg *config.Config) *workload.Spec {
 	return &workload.Spec{
 		Name: "fuzz-probe", Category: workload.MemoryIntensive, Pattern: workload.PatStreaming,
-		CTAs: 8, WarpsPerCTA: 2, MemOpsPerWarp: 4, ComputePerMem: 2,
+		CTAs: 8, WarpsPerCTA: min(2, cfg.WarpsPerSM), MemOpsPerWarp: 4, ComputePerMem: 2,
 		KernelIters: 1, FootprintLines: 256, WriteFraction: 0.3, LinesPerOp: 1, Seed: 1,
 	}
 }
@@ -127,14 +130,14 @@ func FuzzConfigValidate(f *testing.F) {
 		// routing, translation and scheduling paths panic lazily. The event
 		// budget bounds pathological-but-valid geometries (e.g. bandwidths
 		// so small every transfer takes eons of simulated time).
-		_, err = m.RunWith(fuzzSpec(), core.RunOptions{
+		_, err = m.RunWith(fuzzSpec(cfg), core.RunOptions{
 			Audit:      true,
 			MaxEvents:  200_000,
 			CheckEvery: 256,
 		})
 		if err != nil {
 			var se *core.SimError
-			if !errorsAs(err, &se) {
+			if !errors.As(err, &se) {
 				t.Fatalf("run failed with a non-SimError: %v", err)
 			}
 			if se.Kind == core.KindInvariant {
@@ -142,21 +145,4 @@ func FuzzConfigValidate(f *testing.F) {
 			}
 		}
 	})
-}
-
-// errorsAs avoids importing errors solely for the fuzz target.
-func errorsAs[T any](err error, target *T) bool {
-	for err != nil {
-		if t, ok := err.(T); ok {
-			*target = t
-			return true
-		}
-		switch x := err.(type) {
-		case interface{ Unwrap() error }:
-			err = x.Unwrap()
-		default:
-			return false
-		}
-	}
-	return false
 }

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
+
+	"mcmgpu/internal/analytic"
 )
 
 // updateGolden regenerates testdata/golden.json instead of diffing against
@@ -44,7 +47,7 @@ func goldenOptions(t *testing.T) Options {
 }
 
 // goldenRun executes every experiment at the golden scale and returns the
-// snapshots sorted by id.
+// snapshots sorted by id, followed by the estimator's table.
 func goldenRun(t *testing.T) []goldenTable {
 	t.Helper()
 	drivers := Experiments()
@@ -64,7 +67,41 @@ func goldenRun(t *testing.T) []goldenTable {
 			ID: id, Title: tab.Title, Note: tab.Note, Head: tab.Headers, Rows: tab.Rows,
 		})
 	}
-	return out
+	return append(out, goldenEstimator(t))
+}
+
+// goldenEstimator pins the analytic estimator the way the experiment tables
+// pin the engine: one row per TestAnalyticValidation cell, with every float
+// at full precision, so any change to a prediction names its cell.
+func goldenEstimator(t *testing.T) goldenTable {
+	t.Helper()
+	tab := goldenTable{
+		ID:    "estimator",
+		Title: "Analytic estimator on the validation cells",
+		Head: []string{"Cell", "Cycles", "L1 hit", "L1.5 hit", "L2 hit", "Local",
+			"Wire bytes", "DRAM bytes", "Bottleneck"},
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, fam := range valFamilies() {
+		for _, cfg := range fam.configs {
+			e, err := analytic.NewEstimator(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: estimator: %v", fam.name, cfg.Name, err)
+			}
+			for _, s := range fam.workloads() {
+				est, err := e.Estimate(s, fam.atScale())
+				if err != nil {
+					t.Fatalf("%s/%s/%s: estimate: %v", fam.name, cfg.Name, s.Name, err)
+				}
+				tab.Rows = append(tab.Rows, []string{
+					fam.name + "/" + cfg.Name + "/" + s.Name,
+					g(est.Cycles), g(est.L1HitRate), g(est.L15HitRate), g(est.L2HitRate),
+					g(est.LocalFraction), g(est.InterModuleBytes), g(est.DRAMBytes), est.Bottleneck,
+				})
+			}
+		}
+	}
+	return tab
 }
 
 // TestGoldenResults is the repository's end-to-end regression net: every

@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"fmt"
 	"math"
 
 	"mcmgpu/internal/config"
@@ -171,42 +170,45 @@ const (
 	nClasses
 )
 
-// Estimate predicts spec's execution at the given scale (<= 0 or 1 = full
-// size), mirroring how runner.Job applies scale before simulating.
+// Estimate predicts spec's execution at the given scale, which it applies
+// as a simulation does (workload.Spec.AtScale).
 func (e *Estimator) Estimate(spec *workload.Spec, scale float64) (*Estimate, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if scale > 0 && scale != 1 {
-		spec = spec.Scaled(scale)
-	}
+	spec = spec.AtScale(scale)
 	cfg := e.cfg
-	if spec.WarpsPerCTA > cfg.WarpsPerSM {
-		return nil, fmt.Errorf("analytic: CTA needs %d warps, SM holds %d", spec.WarpsPerCTA, cfg.WarpsPerSM)
+
+	// ---- Occupancy: the engine's own first-wave fill --------------------
+	// It gives the resident CTAs, the SMs that hold them, and the CTAs
+	// that share SM 0, which stand for every SM's in the L1 set-conflict
+	// factor.
+	hosting := make([]bool, cfg.TotalSMs())
+	var residentCTAs, activeSMs int
+	var sm0CTAs []int
+	if _, err := core.FirstWave(cfg, spec, func(id, sm int) {
+		residentCTAs++
+		if !hosting[sm] {
+			hosting[sm] = true
+			activeSMs++
+		}
+		if sm == 0 {
+			sm0CTAs = append(sm0CTAs, id)
+		}
+	}); err != nil {
+		return nil, err
 	}
+	waves := math.Ceil(float64(spec.CTAs) / float64(residentCTAs))
 
 	p := spec.Profile()
 	G := float64(cfg.Modules)
-	K := float64(p.KernelIters)
+	K := float64(spec.KernelIters)
 
 	// ---- Work totals ---------------------------------------------------
 	memOps := float64(spec.TotalMemOps())
 	instrs := memOps * float64(spec.ComputePerMem+1)
-	loads := p.LineAccesses * (1 - p.WriteFraction) // line loads per kernel
-	stores := p.LineAccesses * p.WriteFraction      // line stores per kernel
-
-	// ---- Occupancy -----------------------------------------------------
-	totalSMs := cfg.TotalSMs()
-	activeSMs := totalSMs
-	if spec.CTAs < activeSMs {
-		activeSMs = spec.CTAs
-	}
-	ctasPerSM := cfg.CTAsPerSM(spec.WarpsPerCTA)
-	residentCTAs := activeSMs * ctasPerSM
-	if residentCTAs > spec.CTAs {
-		residentCTAs = spec.CTAs
-	}
-	waves := math.Ceil(float64(spec.CTAs) / float64(residentCTAs))
+	loads := p.LineAccesses * (1 - spec.WriteFraction) // line loads per kernel
+	stores := p.LineAccesses * spec.WriteFraction      // line stores per kernel
 
 	share := [nClasses]float64{p.Own, p.Neighbor, p.Shared, p.Scatter, p.Uniform, p.RowPanel, p.ColPanel}
 
@@ -237,28 +239,28 @@ func (e *Estimator) Estimate(spec *workload.Spec, scale float64) (*Estimate, err
 		// between do not cost them anything.
 		ideal := clamp01(1 - dOwnCTA/accOwnCTA)
 		spatial := math.Min(clamp01(1-ownNewPerLine(spec, &p)), ideal)
-		wrap := (ideal - spatial) * l1TimingEff * e.l1OwnConflict(&p, ctasPerActiveSM)
+		wrap := (ideal - spatial) * l1TimingEff * e.l1OwnConflict(int(p.OwnRegionLines), sm0CTAs, ctasPerActiveSM)
 		if cap := e.l1Lines / ctasPerActiveSM; dOwnCTA > cap {
 			wrap *= math.Pow(clamp01(cap/dOwnCTA), capSoftness)
 		}
-		h1[clOwn] = spatial*(1-p.WriteFraction) + wrap
+		h1[clOwn] = spatial*(1-spec.WriteFraction) + wrap
 	}
 	accNbCTA := loads * share[clNeighbor] / float64(spec.CTAs)
 	h1[clNeighbor] = hitWorkingSet(accNbCTA, float64(p.NeighborWindowLines),
 		e.l1Lines*math.Max(share[clNeighbor], 0.05)/ctasPerActiveSM)
 	perSM := loads / float64(activeSMs)
-	h1[clShared] = hitWorkingSet(perSM*share[clShared], float64(p.SharedRegionLines), e.l1Lines*share[clShared])
-	h1[clScatter] = hitWorkingSet(perSM*share[clScatter], float64(p.ScatterRegionLines), e.l1Lines*share[clScatter])
-	h1[clUniform] = hitWorkingSet(perSM*share[clUniform], float64(p.FootprintLines), e.l1Lines*share[clUniform])
+	h1[clShared] = hitWorkingSet(perSM*share[clShared], float64(spec.SharedLines), e.l1Lines*share[clShared])
+	h1[clScatter] = hitWorkingSet(perSM*share[clScatter], float64(spec.ScatterLines), e.l1Lines*share[clScatter])
+	h1[clUniform] = hitWorkingSet(perSM*share[clUniform], float64(spec.FootprintLines), e.l1Lines*share[clUniform])
 	// Panel streams walk strictly increasing positions (seq = warp*ops + i),
 	// so within one kernel a CTA re-touches a panel line only if its walk
 	// wraps the panel: the distinct count is the access count capped at the
-	// candidate window the CTA's warps can reach.
-	cand := panelCandidate(spec, &p)
+	// panel lines the CTA's warps can reach.
+	cand := float64(spec.PanelReach())
 	for _, pc := range [2]struct {
 		c     int
 		panel float64
-	}{{clRowPanel, float64(p.RowPanelLines)}, {clColPanel, float64(p.ColPanelLines)}} {
+	}{{clRowPanel, float64(spec.RowPanelLines)}, {clColPanel, float64(spec.ColPanelLines)}} {
 		if pc.panel <= 0 || share[pc.c] == 0 {
 			continue
 		}
@@ -279,7 +281,7 @@ func (e *Estimator) Estimate(spec *workload.Spec, scale float64) (*Estimate, err
 		h1[pc.c] = hitWorkingSet2(n, d, cap1)
 	}
 
-	rho := p.ReuseProb
+	rho := spec.ReuseProb
 	l1Hit := rho
 	for c := 0; c < nClasses; c++ {
 		l1Hit += (1 - rho) * share[c] * h1[c]
@@ -460,9 +462,9 @@ func (e *Estimator) Estimate(spec *workload.Spec, scale float64) (*Estimate, err
 		instrs / (float64(activeSMs) * cfg.IssuePerSM) * imb, // issue
 		config.LineBytes * postL1 * K / e.xbarGBps,           // xbar
 		0, // link
-		config.LineBytes * l2ArrRun / e.l2BankGBps * hot,                       // l2bank
-		dramBytes / e.dramGBps * hot,                                           // dram
-		e.latencyTerm(spec, &p, pLocal, share, missL1, l1Hit, h15, l2Hit, imb), // latency
+		config.LineBytes * l2ArrRun / e.l2BankGBps * hot,                              // l2bank
+		dramBytes / e.dramGBps * hot,                                                  // dram
+		e.latencyTerm(spec, &p, pLocal, share, missL1, l1Hit, h15, l2Hit, imb, waves), // latency
 	}
 	if e.aggLinkGBps > 0 {
 		terms[2] = wireBytes / e.aggLinkGBps
@@ -759,36 +761,26 @@ func maxU64(a, b uint64) uint64 {
 }
 
 // l1OwnConflict returns the set-conflict factor (<= 1) on own-region L1
-// revisit hits. CTA regions are contiguous slabs of OwnRegionLines at
+// revisit hits. CTA regions are contiguous slabs of region lines at
 // cta*region, and the L1 indexes sets by the low line-address bits, so the
-// sets an SM's resident regions can occupy are fixed by the CTA-index
-// stride between CTAs co-resident on one SM: the number of SMs drawing
-// from the same scheduler cursor (every SM for the centralized policy, one
-// module's SMs for the distributed/dynamic chunk). When stride*region is
-// congruent to 0 modulo the set count, every resident region aliases into
-// the same handful of sets and the revisit hits collapse — which is why
-// the engine's L1 hit rate swings with the scheduler and the SM count even
-// at identical cache geometry.
-func (e *Estimator) l1OwnConflict(p *workload.AccessProfile, ctasPerActiveSM float64) float64 {
+// sets an SM's resident regions can occupy are fixed by which CTAs share
+// the SM: the first round(ctasPerActiveSM) of sm0CTAs, the CTAs the first
+// wave puts on SM 0. When their regions are congruent modulo the set
+// count, every resident region aliases into the same handful of sets and
+// the revisit hits collapse — which is why the engine's L1 hit rate swings
+// with the scheduler and the SM count even at identical cache geometry.
+func (e *Estimator) l1OwnConflict(region int, sm0CTAs []int, ctasPerActiveSM float64) float64 {
 	cfg := e.cfg
 	sets := cfg.L1.Lines() / cfg.L1.Ways
-	region := int(p.OwnRegionLines)
-	resident := int(math.Round(ctasPerActiveSM))
+	resident := min(int(math.Round(ctasPerActiveSM)), len(sm0CTAs))
 	if sets <= 0 || region <= 0 || resident <= 1 {
 		return 1
 	}
-	stride := cfg.TotalSMs()
-	if cfg.Scheduler != config.SchedCentralized {
-		stride = cfg.SMsPerModule
-	}
-	span := region
-	if span > sets {
-		span = sets
-	}
+	span := min(region, sets)
 	covered := make([]bool, sets)
 	slots := 0
-	for j := 0; j < resident; j++ {
-		base := j * stride % sets * region % sets
+	for _, id := range sm0CTAs[:resident] {
+		base := id % sets * region % sets
 		for k := 0; k < span; k++ {
 			if s := (base + k) % sets; !covered[s] {
 				covered[s] = true
@@ -811,15 +803,15 @@ func (e *Estimator) classUniverses(spec *workload.Spec, p *workload.AccessProfil
 	u[clOwn] = ownDistinctCTA(spec, p, accOwnCTA) * float64(spec.CTAs)
 	accNbCTA := loads * p.Neighbor / float64(spec.CTAs)
 	u[clNeighbor] = expDistinct(accNbCTA, float64(p.NeighborWindowLines)) * float64(spec.CTAs)
-	u[clShared] = float64(p.SharedRegionLines)
-	u[clScatter] = float64(p.ScatterRegionLines)
-	u[clUniform] = float64(p.FootprintLines)
+	u[clShared] = float64(spec.SharedLines)
+	u[clScatter] = float64(spec.ScatterLines)
+	u[clUniform] = float64(spec.FootprintLines)
 	// Panels: the CTAs along a row (column) stream a bounded candidate
 	// window of their panel (the whole panel when the GEMM k-loop skew
 	// staggers the walks), so the machine-wide universe is one window per
 	// panel, not the full panel allocation.
-	u[clRowPanel] = float64(p.GridH) * float64(p.RowPanelWindow)
-	u[clColPanel] = float64(p.GridW) * float64(p.ColPanelWindow)
+	u[clRowPanel] = float64(spec.GridH) * float64(p.RowPanelWindow)
+	u[clColPanel] = float64(spec.GridW) * float64(p.ColPanelWindow)
 	for c := range u {
 		if u[c] < 1 {
 			u[c] = 1
@@ -834,7 +826,7 @@ func (e *Estimator) classUniverses(spec *workload.Spec, p *workload.AccessProfil
 // line accessed, a compute tile caps at the tile, an irregular walk's base
 // lines are all distinct, and everything caps at the region (wrap-around).
 func ownDistinctCTA(spec *workload.Spec, p *workload.AccessProfile, accOwnCTA float64) float64 {
-	L := float64(p.LinesPerOp)
+	L := float64(spec.LinesPerOp)
 	if p.TileLines > 0 {
 		return math.Min(float64(p.TileLines), accOwnCTA)
 	}
@@ -856,7 +848,7 @@ func ownNewPerLine(spec *workload.Spec, p *workload.AccessProfile) float64 {
 		}
 		return math.Min(1, float64(p.TileLines)/acc)
 	}
-	L := float64(p.LinesPerOp)
+	L := float64(spec.LinesPerOp)
 	return math.Min(float64(p.StrideLines), L) / L
 }
 
@@ -869,13 +861,6 @@ func classDistinct(c int, n, u float64) float64 {
 		return math.Min(n, u)
 	}
 	return expDistinct(n, u)
-}
-
-// panelCandidate returns the panel lines one CTA's warps can reach in one
-// kernel: the seq = warp*ops + i walk spans WarpsPerCTA*MemOpsPerWarp
-// positions plus the multi-line op spill.
-func panelCandidate(spec *workload.Spec, p *workload.AccessProfile) float64 {
-	return float64(spec.WarpsPerCTA*spec.MemOpsPerWarp) + float64(p.LinesPerOp-1)
 }
 
 // panelSpan returns how many module columns (mw) and rows (mh) the config's
@@ -925,7 +910,7 @@ func (e *Estimator) scheduleImbalance(spec *workload.Spec) float64 {
 // hidden when parallelism is scarce.
 func (e *Estimator) latencyTerm(spec *workload.Spec, p *workload.AccessProfile,
 	pLocal [nClasses]float64, share, missL1 [nClasses]float64,
-	l1Hit float64, h15 [nClasses]float64, l2Hit, imb float64) float64 {
+	l1Hit float64, h15 [nClasses]float64, l2Hit, imb, waves float64) float64 {
 
 	cfg := e.cfg
 	// Expected latency of one line load, weighted over the hit/miss and
@@ -962,25 +947,14 @@ func (e *Estimator) latencyTerm(spec *workload.Spec, p *workload.AccessProfile,
 	}
 	loadLat := l1Hit*hitLat + (1-l1Hit)*missLat
 	// Loads block on the slowest of LinesPerOp lines.
-	if p.LinesPerOp > 1 {
-		loadLat *= 1 + maxLineSpread*math.Log2(float64(p.LinesPerOp))
+	if spec.LinesPerOp > 1 {
+		loadLat *= 1 + maxLineSpread*math.Log2(float64(spec.LinesPerOp))
 	}
 
 	issue := float64(spec.ComputePerMem+1) / cfg.IssuePerSM
-	wf := p.WriteFraction
+	wf := spec.WriteFraction
 	opLat := issue + (1-wf)*loadLat + wf*core.StoreAckCycles
-
-	ctasPerSM := cfg.CTAsPerSM(spec.WarpsPerCTA)
-	activeSMs := cfg.TotalSMs()
-	if spec.CTAs < activeSMs {
-		activeSMs = spec.CTAs
-	}
-	residentCTAs := activeSMs * ctasPerSM
-	if residentCTAs > spec.CTAs {
-		residentCTAs = spec.CTAs
-	}
-	waves := math.Ceil(float64(spec.CTAs) / float64(residentCTAs))
-	return waves * p.MeanOpsPerWarp * opLat * float64(p.KernelIters) * imb
+	return waves * p.MeanOpsPerWarp * opLat * float64(spec.KernelIters) * imb
 }
 
 // hitWorkingSet estimates the hit rate of n uniform random accesses into a

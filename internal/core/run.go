@@ -83,9 +83,6 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.WarpsPerCTA > m.cfg.WarpsPerSM {
-		return nil, fmt.Errorf("core: CTA needs %d warps, SM holds %d", spec.WarpsPerCTA, m.cfg.WarpsPerSM)
-	}
 	m.spec = spec
 	m.opts = opts
 	m.setupPlacement()
@@ -221,28 +218,49 @@ func (m *Machine) setupPlacement() {
 	}
 }
 
-// runKernel launches all CTAs of one kernel and drains the event queue. It
-// returns the budget error that stopped the drain, if any.
-func (m *Machine) runKernel() error {
-	m.sched = cta.New(m.cfg, KernelGrid(m.spec))
-	// Initial fill: pass over SMs (which alternate across modules) until
-	// no SM can accept another CTA. With the centralized scheduler this
-	// spreads consecutive CTAs across GPMs (Figure 8a); the distributed
-	// scheduler hands each module only its own contiguous chunk (Figure 8b).
-	for launched := true; launched; {
+// FirstWave starts a kernel of spec on an idle machine built from cfg. It
+// builds the scheduler cfg selects and passes over the SMs, which alternate
+// across modules, handing each SM the next CTA its module's scheduler gives
+// until every SM is full or a pass launches nothing. With the centralized
+// scheduler this spreads consecutive CTAs across GPMs (Figure 8a); the
+// distributed scheduler hands each module only its own contiguous chunk
+// (Figure 8b). launch receives every CTA of the wave with the index of its
+// SM, in launch order, and the returned scheduler holds the CTAs left for
+// the SMs that free up later. FirstWave refuses a CTA wider than an SM.
+//
+// The engine starts every kernel here, and the analytic estimator reads
+// its occupancy and co-residency from the same fill.
+func FirstWave(cfg *config.Config, spec *workload.Spec, launch func(cta, sm int)) (cta.Scheduler, error) {
+	if spec.WarpsPerCTA > cfg.WarpsPerSM {
+		return nil, fmt.Errorf("core: CTA needs %d warps, SM holds %d", spec.WarpsPerCTA, cfg.WarpsPerSM)
+	}
+	sched := cta.New(cfg, KernelGrid(spec))
+	// A pass launches at most one CTA per SM, so every SM has room during
+	// the first perSM passes. An SM still not full after them belongs to a
+	// module the scheduler ran dry, and a dry module stays dry for the rest
+	// of the wave.
+	sms, perSM := cfg.TotalSMs(), cfg.CTAsPerSM(spec.WarpsPerCTA)
+	for pass, launched := 0, true; launched && pass < perSM; pass++ {
 		launched = false
-		for _, s := range m.sms {
-			if !s.CanHost(m.spec.WarpsPerCTA) {
-				continue
+		for s := 0; s < sms; s++ {
+			if idx := sched.Next(smModule(cfg, s)); idx >= 0 {
+				launch(idx, s)
+				launched = true
 			}
-			idx := m.sched.Next(s.Module())
-			if idx < 0 {
-				continue
-			}
-			m.launchCTA(idx, s, m.sim.Now())
-			launched = true
 		}
 	}
+	return sched, nil
+}
+
+// runKernel launches all CTAs of one kernel and drains the event queue. It
+// returns the error that refused the launch or stopped the drain, if any.
+func (m *Machine) runKernel() error {
+	now := m.sim.Now()
+	sched, err := FirstWave(m.cfg, m.spec, func(idx, s int) { m.launchCTA(idx, m.sms[s], now) })
+	if err != nil {
+		return err
+	}
+	m.sched = sched
 	m.sim.Run()
 	if err := m.sim.StopErr(); err != nil {
 		// A budget terminated the drain; the queue is intentionally not

@@ -59,15 +59,11 @@ func (j Job) key() string {
 // so concurrent jobs sharing one *Config can never observe each other
 // through it.
 func (j Job) run(opts core.RunOptions) (*core.Result, error) {
-	spec := j.Spec
-	if j.Scale > 0 && j.Scale != 1 {
-		spec = spec.Scaled(j.Scale)
-	}
 	m, err := core.New(j.Config.Clone())
 	if err != nil {
 		return nil, err
 	}
-	return m.RunWith(spec, opts)
+	return m.RunWith(j.Spec.AtScale(j.Scale), opts)
 }
 
 // PanicError is a panic recovered from a simulation job, carrying the

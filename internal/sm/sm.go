@@ -93,7 +93,8 @@ func (s *SM) CanHost(warpsPerCTA int) bool {
 }
 
 // HostCTA admits a CTA of the given warp count. It panics if the CTA does
-// not fit; callers must check CanHost.
+// not fit (CanHost): the core launches only into slots its first-wave fill
+// or a retiring CTA left free.
 func (s *SM) HostCTA(warpsPerCTA int) {
 	if !s.CanHost(warpsPerCTA) {
 		panic(fmt.Sprintf("sm %d: HostCTA(%d warps) with %d/%d warps and %d/%d CTAs resident",

@@ -2,14 +2,12 @@ package workload
 
 // AccessProfile is the closed-form summary of a spec's access stream that
 // the analytic estimator (internal/analytic) consumes: how much work one
-// kernel launch performs and where its line accesses land, derived from the
-// same parameters that drive Stream. Keeping the derivation here, next to
-// genBase, is what keeps the estimator and the event engine reading one
-// description of the workload instead of two.
+// kernel launch performs and where its line accesses land. It holds only
+// what the spec does not state directly; the estimator reads the rest from
+// the spec. The region geometry comes from the helpers genBase calls, which
+// keeps the estimator and the event engine reading one description of the
+// workload instead of two.
 type AccessProfile struct {
-	// MemOpsPerKernel is warp memory operations per kernel launch
-	// (imbalance-adjusted mean across CTAs).
-	MemOpsPerKernel float64
 	// LineAccesses is cache-line accesses per kernel launch.
 	LineAccesses float64
 	// MeanOpsPerWarp is the imbalance-adjusted mean of per-warp ops in one
@@ -27,53 +25,28 @@ type AccessProfile struct {
 
 	// Region geometry, in lines.
 	OwnRegionLines      uint64 // one CTA's partition of the footprint
-	NeighborWindowLines uint64 // the halo edge window (regionLen/8)
-	SharedRegionLines   uint64
-	ScatterRegionLines  uint64
-	FootprintLines      uint64
-	RowPanelLines       uint64 // one grid row's shared panel
-	ColPanelLines       uint64 // one grid column's shared panel
+	NeighborWindowLines uint64 // the halo edge window (see haloWindow)
 	RowPanelWindow      uint64 // panel lines a kernel's CTAs can reach (see Spec.PanelWindows)
 	ColPanelWindow      uint64
-
-	// 2-D grid shape (zero for 1-D workloads).
-	GridW, GridH int
 
 	// Own-region walk structure: the effective stride between consecutive
 	// ops (1 for sequential patterns) and, for PatComputeTile, the tile the
 	// warp re-walks (0 otherwise).
 	StrideLines uint64
 	TileLines   uint64
-
-	ReuseProb     float64
-	WriteFraction float64
-	LinesPerOp    int
-	KernelIters   int
 }
 
 // Profile derives the spec's access profile. The spec must be valid.
 func (s *Spec) Profile() AccessProfile {
-	p := AccessProfile{
-		ReuseProb:      s.ReuseProb,
-		WriteFraction:  s.WriteFraction,
-		LinesPerOp:     s.LinesPerOp,
-		KernelIters:    s.KernelIters,
-		FootprintLines: s.FootprintLines,
-	}
-	p.MemOpsPerKernel = float64(s.TotalMemOps()) / float64(s.KernelIters)
-	p.LineAccesses = p.MemOpsPerKernel * float64(s.LinesPerOp)
-	p.MeanOpsPerWarp = p.MemOpsPerKernel / float64(s.TotalWarps())
+	var p AccessProfile
+	memOpsPerKernel := float64(s.TotalMemOps()) / float64(s.KernelIters)
+	p.LineAccesses = memOpsPerKernel * float64(s.LinesPerOp)
+	p.MeanOpsPerWarp = memOpsPerKernel / float64(s.TotalWarps())
 
-	// Region geometry mirrors Stream.Init.
 	_, _, _, perCTA := s.Regions()
 	p.OwnRegionLines = perCTA
-	p.NeighborWindowLines = maxU64(1, perCTA/8)
-	p.SharedRegionLines = s.SharedLines
-	p.ScatterRegionLines = s.ScatterLines
-	p.RowPanelLines = s.RowPanelLines
-	p.ColPanelLines = s.ColPanelLines
+	p.NeighborWindowLines = haloWindow(perCTA)
 	p.RowPanelWindow, p.ColPanelWindow = s.PanelWindows()
-	p.GridW, p.GridH = s.GridW, s.GridH
 
 	// Base-line class mix mirrors genBase's roll order. A SharedFraction
 	// with no shared region falls through to the neighbor branch, exactly
@@ -115,13 +88,32 @@ func (s *Spec) Profile() AccessProfile {
 	p.StrideLines = 1
 	switch s.Pattern {
 	case PatStrided:
-		if s.Stride > 0 {
-			p.StrideLines = s.Stride
-		}
+		p.StrideLines = s.stride()
 	case PatComputeTile:
-		p.TileLines = maxU64(1, perCTA/8)
+		p.TileLines = computeTile(perCTA)
 	}
 	return p
+}
+
+// haloWindow returns how many lines at the edge of a neighbor's region of
+// regionLen lines the halo accesses touch.
+func haloWindow(regionLen uint64) uint64 { return maxU64(1, regionLen/8) }
+
+// computeTile returns the tile a PatComputeTile warp re-walks within its
+// CTA's region of regionLen lines: an eighth of it (strong reuse).
+func computeTile(regionLen uint64) uint64 { return maxU64(1, regionLen/8) }
+
+// skewStep returns how far apart the k-loop skew starts the walks of
+// neighboring CTAs along a PatGEMM2D panel of panelLines lines that n CTAs
+// share.
+func skewStep(panelLines uint64, n int) uint64 { return maxU64(1, panelLines/uint64(n)) }
+
+// stride returns the line stride of a PatStrided own-region walk.
+func (s *Spec) stride() uint64 {
+	if s.Stride == 0 {
+		return 1
+	}
+	return s.Stride
 }
 
 // ChunkImbalance returns the load skew a contiguous chunk partition of the

@@ -95,10 +95,10 @@ func (s *Stream) Init(spec *Spec, cta, warp int) {
 		// block, so it keeps the lockstep phase.
 		if spec.Pattern == PatGEMM2D {
 			if spec.GridW > 1 && spec.RowPanelLines > 0 {
-				s.rowPhase = uint32(uint64(x) * maxU64(1, spec.RowPanelLines/uint64(spec.GridW)))
+				s.rowPhase = uint32(uint64(x) * skewStep(spec.RowPanelLines, spec.GridW))
 			}
 			if spec.GridH > 1 && spec.ColPanelLines > 0 {
-				s.colPhase = uint32(uint64(y) * maxU64(1, spec.ColPanelLines/uint64(spec.GridH)))
+				s.colPhase = uint32(uint64(y) * skewStep(spec.ColPanelLines, spec.GridH))
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func (s *Stream) genBase(i int32) uint64 {
 			nStart = regionStart
 		}
 		// Halo touches the edge of the neighbor's region.
-		edge := s.r.intn(maxU64(1, regionLen/8))
+		edge := s.r.intn(haloWindow(regionLen))
 		return nStart + edge
 	}
 	roll -= sp.NeighborFraction
@@ -209,15 +209,9 @@ func (s *Stream) genBase(i int32) uint64 {
 	regionStart, regionLen := uint64(s.regionStart), uint64(s.regionLen)
 	switch sp.Pattern {
 	case PatStrided:
-		stride := sp.Stride
-		if stride == 0 {
-			stride = 1
-		}
-		return regionStart + (seq*stride)%regionLen
+		return regionStart + (seq*sp.stride())%regionLen
 	case PatComputeTile:
-		// Re-walk a tile an eighth of the region (strong reuse).
-		tile := maxU64(1, regionLen/8)
-		return regionStart + seq%tile
+		return regionStart + seq%computeTile(regionLen)
 	default:
 		return regionStart + seq%regionLen
 	}

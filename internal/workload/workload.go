@@ -257,24 +257,30 @@ func (s *Spec) Regions() (rowBase, colBase, ownBase, perCTA uint64) {
 	return rowBase, colBase, ownBase, perCTA
 }
 
+// PanelReach returns the panel lines one CTA's warps can reach in one
+// kernel: their shared walk (seq = warp*ops + i) spans
+// WarpsPerCTA*MemOpsPerWarp positions, plus the multi-line op spill.
+func (s *Spec) PanelReach() uint64 {
+	return uint64(s.WarpsPerCTA*s.MemOpsPerWarp) + uint64(s.LinesPerOp-1)
+}
+
 // PanelWindows returns the candidate line span one kernel's CTAs can touch
-// within a row panel and a column panel: the warps' shared walk covers
-// WarpsPerCTA*MemOpsPerWarp positions (plus the multi-line spill), and the
-// GEMM k-loop skew staggers the walks of the CTAs along the panel, widening
-// the window by the stagger span. Both are capped at the panel size.
+// within a row panel and a column panel: one CTA's PanelReach, widened by
+// the stagger span when the GEMM k-loop skew staggers the walks of the CTAs
+// along the panel. Both are capped at the panel size.
 func (s *Spec) PanelWindows() (row, col uint64) {
 	if s.GridW == 0 {
 		return 0, 0
 	}
-	cand := uint64(s.WarpsPerCTA*s.MemOpsPerWarp) + uint64(s.LinesPerOp-1)
+	cand := s.PanelReach()
 	row, col = minU64(cand, s.RowPanelLines), minU64(cand, s.ColPanelLines)
 	if s.Pattern == PatGEMM2D {
 		if s.GridW > 1 && s.RowPanelLines > 0 {
-			skew := uint64(s.GridW-1) * maxU64(1, s.RowPanelLines/uint64(s.GridW))
+			skew := uint64(s.GridW-1) * skewStep(s.RowPanelLines, s.GridW)
 			row = minU64(skew+cand, s.RowPanelLines)
 		}
 		if s.GridH > 1 && s.ColPanelLines > 0 {
-			skew := uint64(s.GridH-1) * maxU64(1, s.ColPanelLines/uint64(s.GridH))
+			skew := uint64(s.GridH-1) * skewStep(s.ColPanelLines, s.GridH)
 			col = minU64(skew+cand, s.ColPanelLines)
 		}
 	}
@@ -384,6 +390,17 @@ func (s *Spec) TotalMemOps() uint64 {
 // ModelFootprintMB returns the model working set in MB.
 func (s *Spec) ModelFootprintMB() float64 {
 	return float64(s.FootprintLines) * float64(config.LineBytes) / float64(config.MB)
+}
+
+// AtScale returns the spec a run at scale f simulates: s.Scaled(f) for a
+// positive f other than 1, and s itself otherwise, since 1 and any scale
+// that is not positive mean full size. Every path that runs or estimates a
+// spec at a scale applies it here.
+func (s *Spec) AtScale(f float64) *Spec {
+	if f > 0 && f != 1 {
+		return s.Scaled(f)
+	}
+	return s
 }
 
 // Scaled returns a copy with per-warp work and footprint scaled by f, used

@@ -283,6 +283,20 @@ func TestScaledRejectsNonPositive(t *testing.T) {
 	spec.Scaled(0)
 }
 
+// TestAtScale: 1 and any scale that is not positive mean full size, the
+// spec itself; any other scale is Scaled.
+func TestAtScale(t *testing.T) {
+	spec := Suite()[0]
+	for _, f := range []float64{1, 0, -1, math.NaN()} {
+		if got := spec.AtScale(f); got != spec {
+			t.Errorf("AtScale(%v) = %p, want the spec itself (%p)", f, got, spec)
+		}
+	}
+	if got, want := spec.AtScale(0.5), spec.Scaled(0.5); *got != *want {
+		t.Errorf("AtScale(0.5) = %+v, want Scaled(0.5) = %+v", got, want)
+	}
+}
+
 // TestValidateBounds pins the bounds that let a stream hold addresses and
 // counters in 32 bits: each is accepted at its limit and rejected one past
 // it, with an error naming the limit. At the limits a stream still yields

@@ -180,13 +180,11 @@ func RunWith(cfg *Config, spec *Spec, opts RunOptions) (*Result, error) {
 }
 
 // RunScaled is Run with the workload's per-warp work and footprint scaled
-// by scale (1 = full size). Scaling trades fidelity for simulation speed
-// while preserving parallelism and locality structure.
+// by scale (1, or any scale that is not positive, = full size). Scaling
+// trades fidelity for simulation speed while preserving parallelism and
+// locality structure.
 func RunScaled(cfg *Config, spec *Spec, scale float64) (*Result, error) {
-	if scale != 1 {
-		spec = spec.Scaled(scale)
-	}
-	return Run(cfg, spec)
+	return Run(cfg, spec.AtScale(scale))
 }
 
 // Speedup returns how much faster "sys" runs a workload than "base"

@@ -2,8 +2,11 @@ package mcmgpu
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mcmgpu/internal/runner"
 )
 
 // quick returns options that keep facade tests fast: one workload per
@@ -110,6 +113,70 @@ func TestEstimateScaledFacade(t *testing.T) {
 	}
 	if _, err := EstimateScaled(&Config{}, spec, 0.05); err == nil {
 		t.Fatal("zero config: want error")
+	}
+}
+
+// smallSpec is a workload small enough to simulate at full size in a test.
+func smallSpec() *Spec {
+	return &Spec{
+		Name: "small", Category: MemoryIntensive,
+		CTAs: 64, WarpsPerCTA: 4, MemOpsPerWarp: 8, ComputePerMem: 2,
+		KernelIters: 1, FootprintLines: 4096, WriteFraction: 0.2, LinesPerOp: 1, Seed: 3,
+	}
+}
+
+// TestNonPositiveScaleRunsFullSize: a scale of 0 or below means full size
+// on every path that applies one, the same as a scale of 1, and never
+// panics.
+func TestNonPositiveScaleRunsFullSize(t *testing.T) {
+	cfg, spec := OptimizedMCM(), smallSpec()
+	full, err := RunScaled(cfg, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullEst, err := EstimateScaled(cfg, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0, -1} {
+		res, err := RunScaled(cfg, spec, scale)
+		if err != nil {
+			t.Fatalf("RunScaled at %g: %v", scale, err)
+		}
+		if !reflect.DeepEqual(res, full) {
+			t.Errorf("RunScaled at %g differs from the full-size run", scale)
+		}
+		ran, err := (&runner.Runner{Workers: 1}).Run([]runner.Job{{Config: cfg, Spec: spec, Scale: scale}})
+		if err != nil {
+			t.Fatalf("runner at %g: %v", scale, err)
+		}
+		if !reflect.DeepEqual(ran[0], full) {
+			t.Errorf("runner at %g differs from the full-size run", scale)
+		}
+		est, err := EstimateScaled(cfg, spec, scale)
+		if err != nil {
+			t.Fatalf("EstimateScaled at %g: %v", scale, err)
+		}
+		if *est != *fullEst {
+			t.Errorf("EstimateScaled at %g differs from the full-size estimate", scale)
+		}
+	}
+}
+
+// TestWideCTARefusedAlike: the engine and the estimator refuse a CTA with
+// more warps than an SM holds, with the same error, since both take the
+// refusal from the fill that launches a kernel.
+func TestWideCTARefusedAlike(t *testing.T) {
+	cfg, spec := BaselineMCM(), smallSpec()
+	spec.WarpsPerCTA = cfg.WarpsPerSM + 1
+	_, runErr := RunWith(cfg, spec, RunOptions{})
+	_, estErr := EstimateScaled(cfg, spec, 1)
+	if runErr == nil || estErr == nil {
+		t.Fatalf("a %d-warp CTA on a %d-warp SM: run error %v, estimate error %v; want both refused",
+			spec.WarpsPerCTA, cfg.WarpsPerSM, runErr, estErr)
+	}
+	if runErr.Error() != estErr.Error() {
+		t.Errorf("run refused with %q, estimate with %q; want one error", runErr, estErr)
 	}
 }
 
