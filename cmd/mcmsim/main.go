@@ -269,7 +269,7 @@ func characterize(specs []*workload.Spec, scale float64) error {
 		var op workload.Op
 		for cta := 0; cta < run.CTAs; cta++ {
 			for w := 0; w < run.WarpsPerCTA; w++ {
-				for st := workload.NewStream(run, cta, w); st.Next(&op); {
+				for st := workload.NewStream(run, cta, w); st.Next(run, &op); {
 					ops++
 					if op.Write {
 						writes++

@@ -4,7 +4,6 @@ import (
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/energy"
 	"mcmgpu/internal/engine"
-	"mcmgpu/internal/sm"
 )
 
 // lineBytes is the machine-wide cache line size (Table 3: 128 B).
@@ -19,78 +18,44 @@ const lineBytes = config.LineBytes
 // intervening latency as dead time in the resource's FIFO timeline and
 // starve later-issued, earlier-arriving traffic.
 //
-// Each in-flight operation's state rides in a pooled context struct
-// (loadCtx, storeCtx) scheduled through the engine's typed-event API; the
-// stages below are the contexts' Dispatch kinds. This is the closure-free
-// dispatch contract: a stage may read the context freely but must release it
-// (putLoad/putStore) exactly once, on the path that completes the operation,
-// and must not touch it afterwards.
-
-// loadCtx event kinds.
-const (
-	evLoadArrive  uint8 = iota // request reached the line's home partition
-	evLoadRespond              // response data departs the home module
-)
-
-// storeCtx event kinds.
-const (
-	evStoreArrive  uint8 = iota // store reached the line's home partition
-	evStoreRelease              // line landed in the home L2; free the slot
-)
+// Each in-flight operation's state rides in a context (loadCtx, storeCtx)
+// in the machine's load or store arena, and its events carry the context's
+// index; the stages below are the kinds Machine.Dispatch routes to them. A
+// stage may read the context freely but must put it back exactly once, on
+// the path that completes the operation, and must not touch it afterwards.
+// Line addresses fit 32 bits (see workload.Op).
 
 // loadCtx carries one in-flight cache-line load from the point startLoad
 // schedules its arrival event until the data-ready time is delivered to the
-// issuing warp. Recycled through Machine.freeLoads.
+// issuing warp.
 type loadCtx struct {
-	m    *Machine
-	wc   *warpCtx   // issuing warp; receives loadComplete
-	pt   *partition // the line's home partition
-	line uint64
-	g    int // requesting module
-	next *loadCtx
-}
-
-// Dispatch implements engine.Event.
-func (lc *loadCtx) Dispatch(kind uint8) {
-	if kind == evLoadArrive {
-		lc.m.partitionLoad(lc)
-		return
-	}
-	lc.respond()
+	warp uint32 // issuing warp; receives loadComplete
+	pt   uint32 // the line's home partition
+	line uint32
+	g    uint32 // requesting module
 }
 
 // storeCtx carries one in-flight cache-line store from startStore to the
-// release of its store-buffer slot. Recycled through Machine.freeStores.
+// release of its store-buffer slot.
 type storeCtx struct {
-	m    *Machine
-	sm   *sm.SM // issuing SM; owns the occupied store-buffer slot
-	pt   *partition
-	line uint64
-	next *storeCtx
+	sm   uint32 // issuing SM; owns the occupied store-buffer slot
+	pt   uint32 // the line's home partition
+	line uint32
 }
 
-// Dispatch implements engine.Event.
-func (sc *storeCtx) Dispatch(kind uint8) {
-	if kind == evStoreArrive {
-		sc.m.partitionStore(sc)
-		return
-	}
-	sc.release()
-}
-
-// startLoad begins one cache-line load for warp wc. wc.loadComplete is
-// invoked exactly once with the data-ready cycle; for cache hits and local
+// startLoad begins one cache-line load for warp w. loadComplete is invoked
+// exactly once for it with the data-ready cycle; for cache hits and local
 // accesses it is invoked synchronously with a (possibly future) timestamp,
 // for remote accesses it is invoked from the response event.
-func (m *Machine) startLoad(wc *warpCtx, line uint64) {
+func (m *Machine) startLoad(w uint32, line uint64) {
 	cfg := m.cfg
 	now := m.sim.Now()
 	m.lineReads++
-	s := wc.cta.sm
+	s := m.sms[m.warps.slots[w].sm]
 
 	// SM-private L1.
 	if s.L1.Access(line, false).Hit {
-		wc.loadComplete(now + engine.Cycle(cfg.L1.HitLatency))
+		m.loadComplete(w, now+engine.Cycle(cfg.L1.HitLatency))
 		return
 	}
 	t := now + engine.Cycle(cfg.L1.HitLatency) // tag lookup paid on miss too
@@ -102,7 +67,8 @@ func (m *Machine) startLoad(wc *warpCtx, line uint64) {
 	m.mtr.AddBytes(energy.DomainChip, lineBytes)
 
 	// Home lookup; first touch binds the page here.
-	pt := m.prts[m.amap.Partition(line, g)]
+	p := m.amap.Partition(line, g)
+	pt := m.prts[p]
 	remote := pt.module != g
 	if remote {
 		m.remoteAcc++
@@ -116,7 +82,7 @@ func (m *Machine) startLoad(wc *warpCtx, line uint64) {
 	// line hit without issuing duplicate traffic.
 	if mod.l15 != nil && (remote || cfg.L15Alloc == config.AllocAll) {
 		if mod.l15.Access(line, false).Hit {
-			wc.loadComplete(t + engine.Cycle(cfg.L15.HitLatency))
+			m.loadComplete(w, t+engine.Cycle(cfg.L15.HitLatency))
 			return
 		}
 		t += L15MissPenalty
@@ -128,19 +94,20 @@ func (m *Machine) startLoad(wc *warpCtx, line uint64) {
 		t = m.net.Send(t, g, pt.module, uint64(cfg.Link.ReqHeaderBytes))
 		m.mtr.AddBytes(m.linkDomain, hops*uint64(cfg.Link.ReqHeaderBytes))
 	}
-	lc := m.getLoad()
-	lc.wc, lc.pt, lc.line, lc.g = wc, pt, line, g
-	m.sim.AtEvent(t, lc, evLoadArrive)
+	l := m.loads.get()
+	m.loads.slots[l] = loadCtx{warp: w, pt: uint32(p), line: uint32(line), g: uint32(g)}
+	m.sim.At(t, l, evLoadArrive)
 }
 
-// partitionLoad runs at the line's home partition when the request arrives:
+// partitionLoad runs at load l's home partition when the request arrives:
 // memory-side L2 lookup, DRAM fill on miss, and the response leg.
-func (m *Machine) partitionLoad(lc *loadCtx) {
+func (m *Machine) partitionLoad(l uint32) {
 	cfg := m.cfg
-	pt := lc.pt
+	lc := m.loads.slots[l]
+	pt := m.prts[lc.pt]
 	now := m.sim.Now()
 	t := pt.bank.Reserve(now, lineBytes) + engine.Cycle(cfg.L2.HitLatency)
-	l2 := pt.l2.Access(m.amap.CacheAddr(lc.line), false)
+	l2 := pt.l2.Access(m.amap.CacheAddr(uint64(lc.line)), false)
 	if !l2.Hit {
 		// The dirty victim departs as the fill arrives: both transactions
 		// are booked at the device arrival time.
@@ -151,39 +118,39 @@ func (m *Machine) partitionLoad(lc *loadCtx) {
 		t = pt.dram.Read(t, lineBytes)
 		m.mtr.AddDRAM(lineBytes)
 	}
-	if pt.module == lc.g {
-		wc := lc.wc
-		m.putLoad(lc)
-		wc.loadComplete(t)
+	if pt.module == int(lc.g) {
+		m.loads.put(l)
+		m.loadComplete(lc.warp, t)
 		return
 	}
 	// Response departs home when the data is ready.
-	m.sim.AtEvent(t, lc, evLoadRespond)
+	m.sim.At(t, l, evLoadRespond)
 }
 
-// respond runs at the home module when the data is ready: it books the
+// respond runs at load l's home module when the data is ready: it books the
 // response transfer back across the ring and wakes the warp at arrival.
-func (lc *loadCtx) respond() {
-	m := lc.m
+func (m *Machine) respond(l uint32) {
 	cfg := m.cfg
+	lc := m.loads.slots[l]
+	home, g := m.prts[lc.pt].module, int(lc.g)
 	resp := uint64(lineBytes + cfg.Link.RespHeaderBytes)
-	hops := uint64(m.net.Hops(lc.pt.module, lc.g))
-	arrive := m.net.Send(m.sim.Now(), lc.pt.module, lc.g, resp)
+	hops := uint64(m.net.Hops(home, g))
+	arrive := m.net.Send(m.sim.Now(), home, g, resp)
 	m.mtr.AddBytes(m.linkDomain, hops*resp)
-	wc := lc.wc
-	m.putLoad(lc)
-	wc.loadComplete(arrive)
+	m.loads.put(l)
+	m.loadComplete(lc.warp, arrive)
 }
 
-// startStore begins one cache-line store. The caller has already acquired a
-// store-buffer slot; the slot is released when the line lands in the home
-// L2. The L1 and L1.5 are write-through (footnote 4 of the paper: required
-// for software coherence): stores update them in place when present, never
-// allocate, and always travel to the home partition.
-func (m *Machine) startStore(s *sm.SM, line uint64) {
+// startStore begins one cache-line store from SM si. The caller has
+// already acquired a store-buffer slot; the slot is released when the line
+// lands in the home L2. The L1 and L1.5 are write-through (footnote 4 of
+// the paper: required for software coherence): stores update them in place
+// when present, never allocate, and always travel to the home partition.
+func (m *Machine) startStore(si uint32, line uint64) {
 	cfg := m.cfg
 	now := m.sim.Now()
 	m.lineWrites++
+	s := m.sms[si]
 
 	s.L1.Probe(line, true)
 	t := now + engine.Cycle(cfg.L1.HitLatency)
@@ -193,7 +160,8 @@ func (m *Machine) startStore(s *sm.SM, line uint64) {
 	t = mod.xbar.Reserve(t, lineBytes) + engine.Cycle(cfg.XbarLatency)
 	m.mtr.AddBytes(energy.DomainChip, lineBytes)
 
-	pt := m.prts[m.amap.Partition(line, g)]
+	p := m.amap.Partition(line, g)
+	pt := m.prts[p]
 	remote := pt.module != g
 	if remote {
 		m.remoteAcc++
@@ -211,20 +179,21 @@ func (m *Machine) startStore(s *sm.SM, line uint64) {
 		t = m.net.Send(t, g, pt.module, payload)
 		m.mtr.AddBytes(m.linkDomain, hops*payload)
 	}
-	sc := m.getStore()
-	sc.sm, sc.pt, sc.line = s, pt, line
-	m.sim.AtEvent(t, sc, evStoreArrive)
+	st := m.stores.get()
+	m.stores.slots[st] = storeCtx{sm: si, pt: uint32(p), line: uint32(line)}
+	m.sim.At(t, st, evStoreArrive)
 }
 
-// partitionStore absorbs a store at the home partition's write-back L2
+// partitionStore absorbs store st at the home partition's write-back L2
 // (write-allocate: a miss fills the line from DRAM and may evict a dirty
 // victim) and then releases the issuing SM's store-buffer slot.
-func (m *Machine) partitionStore(sc *storeCtx) {
+func (m *Machine) partitionStore(st uint32) {
 	cfg := m.cfg
-	pt := sc.pt
+	sc := &m.stores.slots[st]
+	pt := m.prts[sc.pt]
 	now := m.sim.Now()
 	end := pt.bank.Reserve(now, lineBytes) + engine.Cycle(cfg.L2.HitLatency)
-	l2 := pt.l2.Access(m.amap.CacheAddr(sc.line), true)
+	l2 := pt.l2.Access(m.amap.CacheAddr(uint64(sc.line)), true)
 	if !l2.Hit {
 		pt.dram.Read(now, lineBytes) // allocate fill
 		m.mtr.AddDRAM(lineBytes)
@@ -233,15 +202,15 @@ func (m *Machine) partitionStore(sc *storeCtx) {
 			m.mtr.AddDRAM(lineBytes)
 		}
 	}
-	m.sim.AtEvent(end, sc, evStoreRelease)
+	m.sim.At(end, st, evStoreRelease)
 }
 
-// release frees the store-buffer slot the store occupied and resumes a warp
+// release frees the store-buffer slot store st occupied and resumes a warp
 // parked on the full buffer, if any.
-func (sc *storeCtx) release() {
-	s := sc.sm
-	sc.m.putStore(sc)
-	if w := s.ReleaseStore(); w != nil {
-		w.StoreSlotFree()
+func (m *Machine) release(st uint32) {
+	s := m.sms[m.stores.slots[st].sm]
+	m.stores.put(st)
+	if w, ok := s.ReleaseStore(); ok {
+		m.memWrite(w)
 	}
 }

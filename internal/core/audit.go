@@ -30,8 +30,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// lost wakeup: some warp will sleep forever in a longer run.
 	a.Register("warp-drain", audit.Boundary, func(r *audit.Reporter) {
 		audit.Equal(r, "warp-drain", "machine", "live CTAs", m.liveCTA, 0)
-		audit.Equal(r, "warp-drain", "machine", "in-flight loads", m.liveLoads, 0)
-		audit.Equal(r, "warp-drain", "machine", "in-flight stores", m.liveStores, 0)
+		audit.Equal(r, "warp-drain", "machine", "in-flight loads", m.loads.live(), 0)
+		audit.Equal(r, "warp-drain", "machine", "in-flight stores", m.stores.live(), 0)
 		audit.Equal(r, "warp-drain", "machine", "pending events", m.sim.Pending(), 0)
 		if m.sched != nil {
 			audit.Equal(r, "warp-drain", "machine", "unissued CTAs", m.sched.Remaining(), 0)
@@ -243,8 +243,8 @@ func (m *Machine) corruptCounter(target string) {
 	case faultinject.TargetEnergyDRAM:
 		m.mtr.AddDRAM(1)
 	case faultinject.TargetInFlight:
-		m.liveLoads++
+		m.loads.get() // a load context that is never put back
 	case faultinject.TargetClamp:
-		(&faultinject.ClampStorm{Sim: m.sim}).Start()
+		m.sim.After(0, 0, evClamp)
 	}
 }

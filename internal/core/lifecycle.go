@@ -160,7 +160,7 @@ func (m *Machine) simError(kind ErrKind, cause error) *SimError {
 		Events:   m.sim.Processed(),
 		HeapLen:  m.sim.Pending(),
 		LiveCTAs: m.liveCTA,
-		InFlight: m.liveLoads + m.liveStores,
+		InFlight: m.loads.live() + m.stores.live(),
 		Stack:    string(debug.Stack()),
 		Cause:    cause,
 	}
@@ -181,9 +181,9 @@ func (m *Machine) checkBudgets() error {
 		case faultinject.Panic:
 			panic(faultinject.Injected{Plan: m.opts.Fault})
 		case faultinject.Stall:
-			(&faultinject.Staller{Sim: m.sim}).Start()
+			m.sim.After(0, 0, evStall)
 		case faultinject.Spin:
-			(&faultinject.Staller{Sim: m.sim, Delta: 1}).Start()
+			m.sim.After(0, 0, evSpin)
 		case faultinject.CorruptBudget:
 			m.budgetCorrupt = true
 		case faultinject.CorruptCounter:

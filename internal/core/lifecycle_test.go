@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcmgpu/internal/config"
+	"mcmgpu/internal/engine"
 	"mcmgpu/internal/faultinject"
 	"mcmgpu/internal/workload"
 )
@@ -130,6 +131,53 @@ func TestFaultSpin(t *testing.T) {
 		MaxCycles:  natural.Cycles * 4,
 		CheckEvery: 64,
 	})), KindMaxCycles)
+}
+
+// TestFaultStallFreezesClock drives the stall and spin fault events
+// through the machine's dispatch: a stall keeps the queue alive without
+// advancing the clock, and a spin advances it one cycle per event.
+func TestFaultStallFreezesClock(t *testing.T) {
+	for _, tc := range []struct {
+		kind uint8
+		name string
+		now  engine.Cycle
+	}{{evStall, "stall", 0}, {evSpin, "spin", 99}} {
+		m, err := New(config.BaselineMCM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.sim.After(0, 0, tc.kind)
+		for i := 0; i < 100; i++ {
+			if !m.sim.Step() {
+				t.Fatalf("%s let the queue drain", tc.name)
+			}
+		}
+		if m.sim.Now() != tc.now || m.sim.Pending() != 1 {
+			t.Fatalf("%s: after 100 events the clock reads %d with %d pending, want %d and 1",
+				tc.name, m.sim.Now(), m.sim.Pending(), tc.now)
+		}
+	}
+}
+
+// TestFaultClampClampsEveryEvent drives the clamp-storm fault event
+// through the machine's dispatch: every dispatch schedules one event in the
+// past, so the engine clamps one event per dispatch and the queue stays
+// live.
+func TestFaultClampClampsEveryEvent(t *testing.T) {
+	m, err := New(config.BaselineMCM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.sim.RunUntil(1000)
+	m.sim.After(0, 0, evClamp)
+	for i := 0; i < 100; i++ {
+		if !m.sim.Step() {
+			t.Fatal("clamp storm let the queue drain")
+		}
+	}
+	if got := m.sim.Clamped(); got != 100 {
+		t.Fatalf("clamp storm clamped %d events in 100 dispatches, want 100", got)
+	}
 }
 
 // TestFaultCorruptBudget proves a corrupted budget trips the next check even

@@ -87,16 +87,13 @@ type Machine struct {
 	kernelsDone int
 
 	// Bounded-run state (see lifecycle.go). opts is only consulted when a
-	// budget check is installed; liveLoads/liveStores count in-flight memory
-	// operations for SimError snapshots.
+	// budget check is installed.
 	opts          RunOptions
 	faultFired    bool
 	budgetCorrupt bool
-	liveLoads     int
-	liveStores    int
 
 	// The event engine, the caches' way arrays and set lists and the
-	// context free lists, taken from the spare by New and handed back by a
+	// context arenas, taken from the spare by New and handed back by a
 	// drained run (see pool.go).
 	storage
 
@@ -139,6 +136,7 @@ func New(cfg *config.Config) (*Machine, error) {
 		*s = (*s)[n:]
 		return w
 	}
+	m.sim.SetHandler(m)
 	m.linkDomain = energy.DomainPackage
 	if cfg.Link.Board {
 		m.linkDomain = energy.DomainBoard

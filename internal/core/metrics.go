@@ -52,8 +52,8 @@ func (m *Machine) attachMetrics(rec *metrics.Recorder) {
 	rec.SetStateProbe(func() metrics.State {
 		return metrics.State{
 			LiveCTAs:       m.liveCTA,
-			InFlightLoads:  m.liveLoads,
-			InFlightStores: m.liveStores,
+			InFlightLoads:  m.loads.live(),
+			InFlightStores: m.stores.live(),
 		}
 	})
 	m.sim.AddHook(DefaultSampleEvery, func() error {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"mcmgpu/internal/engine"
@@ -9,19 +10,19 @@ import (
 // storage is the part of a machine whose size grows with its geometry: one
 // slab every cache's way array is cut from, a second every cache's
 // filled-set list is cut from, the event engine (its node slab, far heap and
-// calendar), and the context free lists below. Only raw storage is recycled.
-// The component structs (SMs, resources, cache headers, NoC, page map,
-// counters) are built fresh by every New, so no counter can leak from one
-// cell into the next.
+// calendar), and the four context arenas below. Only raw storage is
+// recycled. The component structs (SMs, resources, cache headers, NoC, page
+// map, counters) are built fresh by every New, so no counter can leak from
+// one cell into the next.
 type storage struct {
 	slab []uint32 // way entries; all zero whenever no machine holds it
 	sets []uint32 // set lists; their contents never matter
 	sim  *engine.Sim
 
-	freeWarps  []*warpCtx
-	freeCTAs   *ctaCtx
-	freeLoads  *loadCtx
-	freeStores *storeCtx
+	warps  arena[warpCtx]
+	ctas   arena[ctaCtx]
+	loads  arena[loadCtx]
+	stores arena[storeCtx]
 }
 
 // spare is the storage of the last machine whose run drained, waiting for
@@ -57,13 +58,13 @@ func takeStorage(lines, sets int) storage {
 }
 
 // handBack gives a drained machine's storage to the spare. Every context is
-// back on its free list by then, and the engine is reset, so the spare
-// references nothing of this machine. The last kernel boundary flushed the
-// L1s and L1.5s; flushing the L2s too clears exactly the sets the run
-// filled, so the slab goes back all zero without a pass over the untouched
-// rest. The machine drops its references to the storage and to the
-// components built on it: a stale use panics instead of reading another
-// machine's state.
+// back in its arena by then, and the engine is reset, which drops its
+// handler, so the spare references nothing of this machine. The last kernel
+// boundary flushed the L1s and L1.5s; flushing the L2s too clears exactly
+// the sets the run filled, so the slab goes back all zero without a pass
+// over the untouched rest. The machine drops its references to the storage
+// and to the components built on it: a stale use panics instead of reading
+// another machine's state.
 func (m *Machine) handBack() {
 	for _, pt := range m.prts {
 		pt.l2.Flush()
@@ -75,99 +76,74 @@ func (m *Machine) handBack() {
 	m.sms, m.mods, m.prts = nil, nil, nil
 }
 
-// Free lists for the event-path context structs. The simulator fires
-// millions of events per run; allocating a context (or a closure) per event
-// made the GC a first-order cost of every experiment. Instead each context
-// kind is recycled through a free list in the machine's storage: get* pops a
-// recycled struct (allocating only while the pool grows toward the
-// steady-state in-flight population), put* clears the struct's references
-// and pushes it back. Warps sit on a stack of pointers, since a kernel
-// launch pops thousands at once and a stack's pops do not wait on each
-// other's loads; the other kinds use an intrusive singly linked list. The
-// simulation is single threaded, so the lists need no locking.
+// arena holds one kind of event context in a slab addressed by uint32
+// index, with a stack of the free indices. The simulator fires millions of
+// events per run, so an event carries its context's index (see
+// Machine.Dispatch) and no context type holds a pointer: scheduling
+// allocates nothing, and the collector never scans an arena. A free slot
+// is all zero: put clears it, so nothing leaks from one context into the
+// next that takes its slot. The simulation is single threaded, so arenas
+// need no locking.
 //
-// put* fully zeroes payload fields rather than relying on the next get* to
-// overwrite them: it drops references the GC would otherwise keep alive
-// through the pool, and it is what the cross-relaunch state-leak test in
-// pool_test.go pins down. That includes the machine pointer, which get*
-// sets: a list handed to the next machine then needs no walk to rebind it.
+// Warps and CTAs live in sized arenas: runKernel sizes them from the
+// kernel's launch bound before the first wave, so they never grow
+// mid-kernel and no context moves. Loads and stores live in growable
+// arenas, whose slots move when the slab grows; a caller holds no pointer
+// into one across a get.
+type arena[T any] struct {
+	slots []T
+	free  []uint32
+}
 
-// getWarp returns a warp context with m set and all other state cleared.
-func (m *Machine) getWarp() *warpCtx {
-	n := len(m.freeWarps)
-	if n == 0 {
-		return &warpCtx{m: m}
+// size gives an arena whose every slot is free exactly n slots, reusing its
+// storage when that has room for n. Slots past n stay zero. The free
+// stack's capacity is never below the slab's (see get).
+func (a *arena[T]) size(n int) {
+	if cap(a.slots) < n {
+		a.slots, a.free = make([]T, n), make([]uint32, n)
 	}
-	wc := m.freeWarps[n-1]
-	m.freeWarps = m.freeWarps[:n-1]
-	wc.m = m
-	return wc
-}
-
-func (m *Machine) putWarp(wc *warpCtx) {
-	*wc = warpCtx{}
-	m.freeWarps = append(m.freeWarps, wc)
-}
-
-func (m *Machine) getCTA() *ctaCtx {
-	cc := m.freeCTAs
-	if cc == nil {
-		return &ctaCtx{}
+	a.slots, a.free = a.slots[:n], a.free[:n]
+	for i := range a.free {
+		a.free[i] = uint32(n - 1 - i) // slot 0 on top
 	}
-	m.freeCTAs = cc.next
-	cc.next = nil
-	return cc
 }
 
-func (m *Machine) putCTA(cc *ctaCtx) {
-	cc.idx = 0
-	cc.sm = nil
-	cc.live = 0
-	cc.next = m.freeCTAs
-	m.freeCTAs = cc
-}
-
-func (m *Machine) getLoad() *loadCtx {
-	m.liveLoads++
-	lc := m.freeLoads
-	if lc == nil {
-		return &loadCtx{m: m}
+// take pops a free slot. A sized arena that runs out was sized from a
+// wrong bound, so take panics rather than grow it under live contexts.
+func (a *arena[T]) take() uint32 {
+	n := len(a.free) - 1
+	if n < 0 {
+		panic(fmt.Sprintf("core: context arena overrun: all %d slots live", len(a.slots)))
 	}
-	m.freeLoads = lc.next
-	lc.next = nil
-	lc.m = m
-	return lc
+	i := a.free[n]
+	a.free = a.free[:n]
+	return i
 }
 
-func (m *Machine) putLoad(lc *loadCtx) {
-	m.liveLoads--
-	lc.m = nil
-	lc.wc = nil
-	lc.pt = nil
-	lc.line = 0
-	lc.g = 0
-	lc.next = m.freeLoads
-	m.freeLoads = lc
-}
-
-func (m *Machine) getStore() *storeCtx {
-	m.liveStores++
-	sc := m.freeStores
-	if sc == nil {
-		return &storeCtx{m: m}
+// get pops a free slot of a growable arena, adding one when none is free.
+// The slab grows by append, which doubles it, and the free stack is
+// reallocated to the slab's new capacity at the same time (it is empty
+// then), so a growth costs two allocations however many contexts it adds,
+// and put never allocates.
+func (a *arena[T]) get() uint32 {
+	if len(a.free) == 0 {
+		var zero T
+		a.slots = append(a.slots, zero)
+		if cap(a.free) < cap(a.slots) {
+			a.free = make([]uint32, 0, cap(a.slots))
+		}
+		a.free = append(a.free, uint32(len(a.slots)-1))
 	}
-	m.freeStores = sc.next
-	sc.next = nil
-	sc.m = m
-	return sc
+	return a.take()
 }
 
-func (m *Machine) putStore(sc *storeCtx) {
-	m.liveStores--
-	sc.m = nil
-	sc.sm = nil
-	sc.pt = nil
-	sc.line = 0
-	sc.next = m.freeStores
-	m.freeStores = sc
+// put clears slot i and frees it.
+func (a *arena[T]) put(i uint32) {
+	var zero T
+	a.slots[i] = zero
+	a.free = append(a.free, i)
 }
+
+// live returns the number of slots taken and not yet put back: for loads
+// and stores, the operations in flight.
+func (a *arena[T]) live() int { return len(a.slots) - len(a.free) }

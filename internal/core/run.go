@@ -7,60 +7,82 @@ import (
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/cta"
 	"mcmgpu/internal/engine"
-	"mcmgpu/internal/sm"
 	"mcmgpu/internal/workload"
 )
 
-// warpCtx event kinds.
+// Event kinds. Every event the machine schedules is a (ref, kind) pair:
+// kind names the action, and ref the index of the context it acts on in
+// that context's arena (the fault kinds ignore it).
 const (
-	evWarpStep uint8 = iota // issue the next compute block or retire
-	evWarpMem               // perform the memory operation
+	evWarpStep     uint8 = iota // warp: issue the next compute block or retire
+	evWarpMem                   // warp: perform the memory operation
+	evLoadArrive                // load: request reached the line's home partition
+	evLoadRespond               // load: response data departs the home module
+	evStoreArrive               // store: reached the line's home partition
+	evStoreRelease              // store: line landed in the home L2; free the slot
+	evStall                     // fault: reschedule in the same cycle (see checkBudgets)
+	evSpin                      // fault: reschedule one cycle ahead
+	evClamp                     // fault: reschedule one cycle in the past (see corruptCounter)
 )
 
-// ctaCtx tracks one resident CTA until all of its warps drain. Recycled
-// through Machine.freeCTAs.
-type ctaCtx struct {
-	idx  int
-	sm   *sm.SM
-	live int
-	next *ctaCtx
+// Dispatch implements engine.Handler: it is the one place an event reaches
+// its receiver.
+func (m *Machine) Dispatch(ref uint32, kind uint8) {
+	switch kind {
+	case evWarpStep:
+		m.step(ref)
+	case evWarpMem:
+		m.mem(ref)
+	case evLoadArrive:
+		m.partitionLoad(ref)
+	case evLoadRespond:
+		m.respond(ref)
+	case evStoreArrive:
+		m.partitionStore(ref)
+	case evStoreRelease:
+		m.release(ref)
+	case evStall:
+		// The queue never drains and the clock never advances: the
+		// livelock only an event or wall-clock budget catches.
+		m.sim.After(0, ref, evStall)
+	case evSpin:
+		// The queue never drains and the clock runs away, which is what a
+		// cycle budget catches.
+		m.sim.After(1, ref, evSpin)
+	case evClamp:
+		// The engine clamps one event per dispatch, so the clamped count
+		// grows with the event count while simulated time still advances;
+		// only the clamp guard catches it.
+		m.sim.At(m.sim.Now()-1, ref, evClamp)
+	}
 }
 
-// warpCtx is one warp's event-driven execution state. It is an engine.Event
-// (its step/mem transitions are scheduled without closures) and an
-// sm.StoreWaiter (it parks itself on a full store buffer). Recycled through
-// Machine.freeWarps across CTA launches; the embedded Stream is re-seeded in
-// place by launchCTA, so relaunching a warp allocates nothing.
+// ctaCtx tracks one resident CTA until all of its warps drain.
+type ctaCtx struct {
+	sm   uint32 // index of the CTA's SM
+	live int32  // warps not yet retired
+}
+
+// warpCtx is one warp's event-driven execution state, addressed by its
+// index in the warp arena. It parks itself on a full store buffer by that
+// index too. The embedded Stream is re-seeded in place by launchCTA, so
+// relaunching a warp allocates nothing.
 //
 // A high-parallelism cell keeps thousands of warps resident, so their size
 // is host working set: the fields mem and loadComplete touch come first,
 // within the first host cache line, and the whole context fits three
 // (TestWarpContextSize).
 type warpCtx struct {
-	m *Machine
-
 	// In-flight memory operation state.
 	loadDone engine.Cycle // latest completion among the op's loads
 	pending  int32        // outstanding loads of the current op
 	op       workload.Op
 	lineIdx  int32 // next store line to issue
 
-	cta *ctaCtx
+	sm  uint32 // index of the warp's SM
+	cta uint32 // index of the warp's CTA context
 	st  workload.Stream
 }
-
-// Dispatch implements engine.Event.
-func (wc *warpCtx) Dispatch(kind uint8) {
-	if kind == evWarpStep {
-		wc.step()
-		return
-	}
-	wc.mem()
-}
-
-// StoreSlotFree implements sm.StoreWaiter: the warp resumes issuing the
-// store lines it was parked on.
-func (wc *warpCtx) StoreSlotFree() { wc.memWrite() }
 
 // RunWith executes the workload on the machine: KernelIters sequential
 // kernel launches with cache flushes at each kernel boundary, then collects
@@ -252,11 +274,23 @@ func FirstWave(cfg *config.Config, spec *workload.Spec, launch func(cta, sm int)
 	return sched, nil
 }
 
+// launchBound returns the most CTAs a kernel of spec can keep resident on
+// a machine built from cfg at once: all of them, or as many as fill every
+// SM. No scheduler, however it places CTAs, launches more.
+func launchBound(cfg *config.Config, spec *workload.Spec) int {
+	return min(spec.CTAs, cfg.TotalSMs()*cfg.CTAsPerSM(spec.WarpsPerCTA))
+}
+
 // runKernel launches all CTAs of one kernel and drains the event queue. It
 // returns the error that refused the launch or stopped the drain, if any.
+// The CTA and warp arenas are sized from the launch bound first, so they
+// never grow while the kernel runs.
 func (m *Machine) runKernel() error {
 	now := m.sim.Now()
-	sched, err := FirstWave(m.cfg, m.spec, func(idx, s int) { m.launchCTA(idx, m.sms[s], now) })
+	ctas := launchBound(m.cfg, m.spec)
+	m.ctas.size(ctas)
+	m.warps.size(ctas * m.spec.WarpsPerCTA)
+	sched, err := FirstWave(m.cfg, m.spec, func(idx, s int) { m.launchCTA(idx, s, now) })
 	if err != nil {
 		return err
 	}
@@ -275,95 +309,98 @@ func (m *Machine) runKernel() error {
 }
 
 // launchCTA places CTA idx on SM s and starts its warps at time at.
-func (m *Machine) launchCTA(idx int, s *sm.SM, at engine.Cycle) {
-	s.HostCTA(m.spec.WarpsPerCTA)
+func (m *Machine) launchCTA(idx, s int, at engine.Cycle) {
+	m.sms[s].HostCTA(m.spec.WarpsPerCTA)
 	m.liveCTA++
-	cc := m.getCTA()
-	cc.idx, cc.sm, cc.live = idx, s, m.spec.WarpsPerCTA
+	c := m.ctas.take()
+	m.ctas.slots[c] = ctaCtx{sm: uint32(s), live: int32(m.spec.WarpsPerCTA)}
 	for w := 0; w < m.spec.WarpsPerCTA; w++ {
-		wc := m.getWarp()
-		wc.cta = cc
+		i := m.warps.take()
+		wc := &m.warps.slots[i]
+		wc.sm, wc.cta = uint32(s), c
 		wc.st.Init(m.spec, idx, w)
-		m.sim.AtEvent(at, wc, evWarpStep)
+		m.sim.At(at, i, evWarpStep)
 	}
 }
 
-// step issues the warp's next compute block, or retires the warp when its
+// step issues warp w's next compute block, or retires the warp when its
 // stream is exhausted.
-func (wc *warpCtx) step() {
-	m := wc.m
-	if !wc.st.Next(&wc.op) {
-		cc := wc.cta
-		m.putWarp(wc) // no events reference the warp once its stream ends
+func (m *Machine) step(w uint32) {
+	wc := &m.warps.slots[w]
+	if !wc.st.Next(m.spec, &wc.op) {
+		c := wc.cta
+		m.warps.put(w) // no events reference the warp once its stream ends
+		cc := &m.ctas.slots[c]
 		cc.live--
 		if cc.live == 0 {
-			m.ctaDone(cc)
+			m.ctaDone(c)
 		}
 		return
 	}
 	instrs := uint64(wc.op.Compute) + 1 // the memory instruction issues too
 	m.instrs += instrs
-	t := wc.cta.sm.Issue.Reserve(m.sim.Now(), instrs)
-	m.sim.AtEvent(t, wc, evWarpMem)
+	t := m.sms[wc.sm].Issue.Reserve(m.sim.Now(), instrs)
+	m.sim.At(t, w, evWarpMem)
 }
 
-// mem performs the warp's memory operation. Loads block the warp until the
+// mem performs warp w's memory operation. Loads block the warp until the
 // slowest line returns; stores retire after a fixed acknowledge delay while
 // their traffic drains asynchronously, subject to store-buffer backpressure.
-func (wc *warpCtx) mem() {
-	wc.m.memOps++
+func (m *Machine) mem(w uint32) {
+	m.memOps++
+	wc := &m.warps.slots[w]
 	if wc.op.Write {
 		wc.lineIdx = 0
-		wc.memWrite()
+		m.memWrite(w)
 		return
 	}
 	wc.pending = wc.op.NumLines
-	wc.loadDone = wc.m.sim.Now()
+	wc.loadDone = m.sim.Now()
 	for _, line := range wc.op.Lines[:wc.op.NumLines] {
-		wc.m.startLoad(wc, uint64(line))
+		m.startLoad(w, uint64(line))
 	}
 }
 
-// loadComplete joins one line of a load op; when the last line lands the
-// warp resumes at the latest completion time.
-func (wc *warpCtx) loadComplete(t engine.Cycle) {
+// loadComplete joins one line of warp w's load op; when the last line lands
+// the warp resumes at the latest completion time.
+func (m *Machine) loadComplete(w uint32, t engine.Cycle) {
+	wc := &m.warps.slots[w]
 	if t > wc.loadDone {
 		wc.loadDone = t
 	}
 	wc.pending--
 	if wc.pending == 0 {
-		wc.m.sim.AtEvent(wc.loadDone, wc, evWarpStep)
+		m.sim.At(wc.loadDone, w, evWarpStep)
 	}
 }
 
-// memWrite issues the op's store lines. Stores retire once they enter the
+// memWrite issues warp w's store lines. Stores retire once they enter the
 // store buffer; a full buffer parks the warp until an in-flight store
 // completes, which is how memory-system congestion back-pressures
 // write-heavy code.
-func (wc *warpCtx) memWrite() {
-	m := wc.m
-	s := wc.cta.sm
+func (m *Machine) memWrite(w uint32) {
+	wc := &m.warps.slots[w]
+	s := m.sms[wc.sm]
 	for wc.lineIdx < wc.op.NumLines {
 		if s.StoreFull() {
-			s.AwaitStore(wc)
+			s.AwaitStore(w)
 			return
 		}
 		s.AcquireStore()
-		m.startStore(s, uint64(wc.op.Lines[wc.lineIdx]))
+		m.startStore(wc.sm, uint64(wc.op.Lines[wc.lineIdx]))
 		wc.lineIdx++
 	}
-	m.sim.AfterEvent(StoreAckCycles, wc, evWarpStep)
+	m.sim.After(StoreAckCycles, w, evWarpStep)
 }
 
-// ctaDone retires a CTA and immediately pulls the next CTA for the freed
+// ctaDone retires CTA c and immediately pulls the next CTA for the freed
 // SM's module, as hardware does when resources free up.
-func (m *Machine) ctaDone(cc *ctaCtx) {
-	s := cc.sm
-	m.putCTA(cc)
-	s.RetireCTA(m.spec.WarpsPerCTA)
+func (m *Machine) ctaDone(c uint32) {
+	s := int(m.ctas.slots[c].sm)
+	m.ctas.put(c)
+	m.sms[s].RetireCTA(m.spec.WarpsPerCTA)
 	m.liveCTA--
-	idx := m.sched.Next(s.Module())
-	if idx >= 0 {
+	if idx := m.sched.Next(m.sms[s].Module()); idx >= 0 {
 		m.launchCTA(idx, s, m.sim.Now())
 	}
 }

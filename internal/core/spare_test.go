@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -183,7 +184,7 @@ func TestHandBackDropsMachineReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.sim != nil || m.slab != nil || m.sets != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
-		m.freeWarps != nil || m.freeCTAs != nil || m.freeLoads != nil || m.freeStores != nil {
+		m.warps.slots != nil || m.ctas.slots != nil || m.loads.slots != nil || m.stores.slots != nil {
 		t.Fatal("machine still references storage it handed back")
 	}
 }
@@ -253,6 +254,12 @@ func TestConcurrentCellsMatchSequential(t *testing.T) {
 // structs (SMs, resources, cache headers, NoC, page map, result), not its
 // caches, contexts or event queue. Without the spare the same cells
 // allocate 7.6 to 8.4 MB in 17k to 27k objects.
+//
+// The warm cell must grow no arena and no node slab or far heap: each keeps
+// its capacity and backing array. A cold cell's context storage costs a few
+// allocations per arena growth (see TestArenaGrowthAllocs), not one per
+// context, so the cold cell's extra allocations stay a small fraction of
+// the contexts it uses.
 func TestWarmCellAllocBudget(t *testing.T) {
 	if audit.Forced() {
 		t.Skip("the forced auditor allocates its own state in every run")
@@ -260,23 +267,59 @@ func TestWarmCellAllocBudget(t *testing.T) {
 	const maxObjects, maxBytes = 2000, 256 << 10
 	spec := suiteCell(t, "NN-Conv", 0.05)
 	for _, cfg := range []*config.Config{config.BaselineMCM(), config.OptimizedMCM()} {
-		mustRun(t, cfg.Clone(), spec) // warm the spare for this geometry
-		c := cfg.Clone()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.RunWith(spec, RunOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-		t.Logf("%s: warm New+RunWith allocated %d objects, %d bytes", cfg.Name, objects, bytes)
+		spare.Store(nil)
+		coldObjects, _ := cellAllocs(t, cfg, spec)
+		shape := storageShape(spare.Load())
+		objects, bytes := cellAllocs(t, cfg, spec)
+		st := spare.Load()
+		contexts := len(st.warps.slots) + len(st.ctas.slots) + len(st.loads.slots) + len(st.stores.slots)
+		t.Logf("%s: warm New+RunWith allocated %d objects, %d bytes; the cold cell %d more objects for %d contexts",
+			cfg.Name, objects, bytes, coldObjects-objects, contexts)
 		if objects > maxObjects || bytes > maxBytes {
 			t.Errorf("%s: warm New+RunWith allocated %d objects and %d bytes, budget %d and %d",
 				cfg.Name, objects, bytes, maxObjects, maxBytes)
 		}
+		if got := storageShape(st); !reflect.DeepEqual(got, shape) {
+			t.Errorf("%s: the warm cell grew its storage: capacities and arrays %v, were %v", cfg.Name, got, shape)
+		}
+		if extra := coldObjects - objects; extra*20 > uint64(contexts) {
+			t.Errorf("%s: the cold cell allocated %d objects more than the warm one for %d contexts", cfg.Name, extra, contexts)
+		}
 	}
+}
+
+// cellAllocs runs spec on a new machine for cfg and returns the objects and
+// bytes New and RunWith allocated.
+func cellAllocs(t *testing.T, cfg *config.Config, spec *workload.Spec) (objects, bytes uint64) {
+	t.Helper()
+	c := cfg.Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunWith(spec, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// storageShape lists, for everything in st a cell can grow (each arena's
+// slot slab and free stack, the engine's node slab and far heap), its
+// capacity and the address of its backing array.
+func storageShape(st *storage) []uintptr {
+	sim := reflect.ValueOf(st.sim).Elem()
+	var shape []uintptr
+	for _, v := range []reflect.Value{
+		reflect.ValueOf(st.warps.slots), reflect.ValueOf(st.warps.free),
+		reflect.ValueOf(st.ctas.slots), reflect.ValueOf(st.ctas.free),
+		reflect.ValueOf(st.loads.slots), reflect.ValueOf(st.loads.free),
+		reflect.ValueOf(st.stores.slots), reflect.ValueOf(st.stores.free),
+		sim.FieldByName("nodes"), sim.FieldByName("far"),
+	} {
+		shape = append(shape, uintptr(v.Cap()), v.Pointer())
+	}
+	return shape
 }

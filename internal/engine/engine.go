@@ -8,10 +8,12 @@
 // the order they were scheduled, and a simulation with a fixed configuration
 // and seed always produces identical results.
 //
-// Events are scheduled with AtEvent/AfterEvent, which dispatch to a
-// long-lived receiver implementing Event with a small kind tag, so the hot
-// paths that fire millions of events schedule without allocating; see
-// core's pooled warp/load/store contexts.
+// An event is a (ref, kind) pair of plain integers, and every event of a
+// simulator goes to its one Handler: core's machine, which keeps its warp,
+// load and store contexts in index-addressed arenas and reaches the receiver
+// through one switch on the kind. The queue therefore holds no pointer the
+// garbage collector must trace, and scheduling allocates nothing once the
+// queue has grown to its high-water mark.
 //
 // The queue is a calendar queue: events due within a fixed window of the
 // clock wait in per-cycle FIFO buckets, and only the rare events due later
@@ -34,13 +36,12 @@ import (
 // bytes per cycle.
 type Cycle uint64
 
-// Event is the receiver side of the scheduling API. A receiver with more
-// than one schedulable action distinguishes them by the kind tag it passed
-// to AtEvent/AfterEvent. Implementations are typically pooled, long-lived
-// objects, which is what makes scheduling allocation-free: an interface
-// value holding an existing pointer does not allocate.
-type Event interface {
-	Dispatch(kind uint8)
+// Handler receives every event a simulator dispatches: the ref and kind the
+// event was scheduled with by At or After. What they mean is the handler's
+// business; core's machine reads kind as the action and ref as the index of
+// the context it acts on.
+type Handler interface {
+	Dispatch(ref uint32, kind uint8)
 }
 
 // calendarWindow is the calendar's span in cycles: an event due less than
@@ -56,9 +57,10 @@ const (
 )
 
 // node is one near event, chained into its bucket's FIFO (or the free list)
-// through next, an index into Sim.nodes.
+// through next, an index into Sim.nodes. It is 12 bytes and holds no
+// pointer, so the collector never scans the slab.
 type node struct {
-	ev   Event
+	ref  uint32
 	next int32
 	kind uint8
 }
@@ -67,11 +69,11 @@ type node struct {
 // meaningful only while the bucket's occupancy bit is set.
 type bucket struct{ head, tail int32 }
 
-// event is one far-heap entry.
+// event is one far-heap entry: 24 bytes, no pointer.
 type event struct {
 	at   Cycle
 	seq  uint64
-	ev   Event
+	ref  uint32
 	kind uint8
 }
 
@@ -105,6 +107,7 @@ func (e *event) before(o *event) bool {
 // Queue memory is the fixed calendar plus one slab node or heap entry per
 // in-flight event.
 type Sim struct {
+	h       Handler
 	now     Cycle
 	seq     uint64
 	nRun    uint64
@@ -129,17 +132,17 @@ func New() *Sim {
 	return &Sim{free: -1}
 }
 
-// Reset returns s to New's state: cycle 0, no queued events, no hooks and
-// zeroed counters. It keeps the capacity of the node slab and the far heap,
-// so a simulator reused for another run schedules without regrowing them.
-// It may be called on a simulator a hook stopped mid-queue; the dropped
-// events' receivers are released.
+// SetHandler makes h the receiver of every event s dispatches.
+func (s *Sim) SetHandler(h Handler) { s.h = h }
+
+// Reset returns s to New's state: cycle 0, no queued events, no hooks, no
+// handler and zeroed counters. It keeps the capacity of the node slab and
+// the far heap, so a simulator reused for another run schedules without
+// regrowing them. It may be called on a simulator a hook stopped
+// mid-queue; the dropped events are discarded.
 func (s *Sim) Reset() {
-	nodes, far := s.nodes, s.far
-	clear(nodes)
-	clear(far)
-	*s = Sim{free: -1}
-	s.nodes, s.far = nodes[:0], far[:0]
+	nodes, far := s.nodes[:0], s.far[:0]
+	*s = Sim{free: -1, nodes: nodes, far: far}
 }
 
 // Now returns the current simulated time.
@@ -157,39 +160,39 @@ func (s *Sim) Pending() int { return s.near + len(s.far) }
 // causality bug upstream that the clamp would otherwise hide.
 func (s *Sim) Clamped() uint64 { return s.clamped }
 
-// AtEvent schedules ev.Dispatch(kind) at absolute time t. Scheduling in the
-// past is an error in the caller; the engine clamps it to the current time
-// (counted by Clamped) so the simulation still makes forward progress, which
-// keeps small floating-point slop in callers from wedging a run. The queue
-// stores the receiver and tag inline, so scheduling allocates nothing once
-// the queue has grown to its high-water mark.
-func (s *Sim) AtEvent(t Cycle, ev Event, kind uint8) {
+// At schedules the handler's Dispatch(ref, kind) at absolute time t.
+// Scheduling in the past is an error in the caller; the engine clamps it to
+// the current time (counted by Clamped) so the simulation still makes
+// forward progress, which keeps small floating-point slop in callers from
+// wedging a run. The queue stores ref and kind inline, so scheduling
+// allocates nothing once the queue has grown to its high-water mark.
+func (s *Sim) At(t Cycle, ref uint32, kind uint8) {
 	s.seq++
 	if t < s.now {
 		s.clamped++
 		t = s.now
 	}
 	if t-s.now < calendarWindow {
-		s.enqueue(t, ev, kind)
+		s.enqueue(t, ref, kind)
 		return
 	}
-	s.push(event{at: t, seq: s.seq, ev: ev, kind: kind})
+	s.push(event{at: t, seq: s.seq, ref: ref, kind: kind})
 }
 
-// AfterEvent schedules ev.Dispatch(kind) delay cycles from now.
-func (s *Sim) AfterEvent(delay Cycle, ev Event, kind uint8) {
-	s.AtEvent(s.now+delay, ev, kind)
+// After schedules the handler's Dispatch(ref, kind) delay cycles from now.
+func (s *Sim) After(delay Cycle, ref uint32, kind uint8) {
+	s.At(s.now+delay, ref, kind)
 }
 
 // enqueue appends a near event to the tail of cycle t's bucket.
-func (s *Sim) enqueue(t Cycle, ev Event, kind uint8) {
+func (s *Sim) enqueue(t Cycle, ref uint32, kind uint8) {
 	i := s.free
 	if i >= 0 {
 		s.free = s.nodes[i].next
-		s.nodes[i] = node{ev: ev, kind: kind}
+		s.nodes[i] = node{ref: ref, kind: kind}
 	} else {
 		i = int32(len(s.nodes))
-		s.nodes = append(s.nodes, node{ev: ev, kind: kind})
+		s.nodes = append(s.nodes, node{ref: ref, kind: kind})
 	}
 	b := int(t & (calendarWindow - 1))
 	bk := &s.buckets[b]
@@ -242,7 +245,6 @@ func (s *Sim) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	e := h[n]
-	h[n] = event{} // release the vacated slot's receiver reference
 	h = h[:n]
 	s.far = h
 	if n > 0 {
@@ -303,24 +305,24 @@ func (s *Sim) dispatch(t Cycle) {
 		s.now = t
 		for len(s.far) > 0 && s.far[0].at-t < calendarWindow {
 			e := s.pop()
-			s.enqueue(e.at, e.ev, e.kind)
+			s.enqueue(e.at, e.ref, e.kind)
 		}
 	}
 	b := int(t & (calendarWindow - 1))
 	bk := &s.buckets[b]
 	i := bk.head
 	n := &s.nodes[i]
-	ev, kind := n.ev, n.kind
+	ref, kind := n.ref, n.kind
 	if i == bk.tail {
 		s.occ[b>>6] &^= 1 << (b & 63)
 	} else {
 		bk.head = n.next
 	}
-	*n = node{next: s.free} // release the receiver reference
+	n.next = s.free
 	s.free = i
 	s.near--
 	s.nRun++
-	ev.Dispatch(kind)
+	s.h.Dispatch(ref, kind)
 }
 
 // AddHook appends fn to the periodic hooks Run and RunUntil consult: fn runs
@@ -503,20 +505,25 @@ func (r *Resource) Units() uint64 { return r.units }
 // successive deltas never exceed the elapsed cycles between them and sum to
 // the busy total once the resource drains.
 //
-// Queries at or before the current watermark return the settled value
-// unchanged; interval samplers always query with monotone timestamps.
+// A query at or before the current watermark returns the settled value
+// unchanged, unless all booked occupancy is over by then: a reservation
+// made in the cycle of the last settlement can end before the next
+// published cycle, and the drained total must still include it. Interval
+// samplers always query with monotone timestamps.
 func (r *Resource) BusyThrough(now Cycle) float64 {
 	t := float64(now)
-	if t <= r.mark {
-		return r.done
-	}
 	if now >= toCycle(r.nextFree) {
 		// All booked occupancy is over (on the published cycle grid):
 		// settle everything. Re-basing done on busy here also resyncs any
 		// float drift the pro-rata branch accumulated.
 		r.done = r.busy
-		r.mark = t
+		if t > r.mark {
+			r.mark = t
+		}
 		r.tailLo = r.nextFree
+		return r.done
+	}
+	if t <= r.mark {
 		return r.done
 	}
 	lo := r.tailLo

@@ -9,17 +9,39 @@ import (
 	"testing/quick"
 )
 
-// funcEvent adapts a closure to Event so tests can schedule one-off actions
-// without declaring a receiver type.
-type funcEvent func()
+// funcs is a Handler that runs the closure registered under each ref, so
+// tests can schedule one-off actions without declaring a handler type.
+type funcs []func()
 
-func (f funcEvent) Dispatch(uint8) { f() }
+func (f *funcs) Dispatch(ref uint32, _ uint8) { (*f)[ref]() }
+
+// register adds fn to s's funcs handler, installing one on first use, and
+// returns the ref that runs it.
+func register(s *Sim, fn func()) uint32 {
+	f, _ := s.h.(*funcs)
+	if f == nil {
+		f = new(funcs)
+		s.SetHandler(f)
+	}
+	*f = append(*f, fn)
+	return uint32(len(*f) - 1)
+}
 
 // schedAt schedules fn at absolute time t.
-func schedAt(s *Sim, t Cycle, fn func()) { s.AtEvent(t, funcEvent(fn), 0) }
+func schedAt(s *Sim, t Cycle, fn func()) { s.At(t, register(s, fn), 0) }
 
 // schedAfter schedules fn delay cycles from now.
-func schedAfter(s *Sim, delay Cycle, fn func()) { s.AfterEvent(delay, funcEvent(fn), 0) }
+func schedAfter(s *Sim, delay Cycle, fn func()) { s.After(delay, register(s, fn), 0) }
+
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(ref uint32, kind uint8)
+
+func (f handlerFunc) Dispatch(ref uint32, kind uint8) { f(ref, kind) }
+
+// appendRefs is a Handler that records each dispatched ref.
+type appendRefs []int
+
+func (a *appendRefs) Dispatch(ref uint32, _ uint8) { *a = append(*a, int(ref)) }
 
 func TestSimEmptyRun(t *testing.T) {
 	s := New()
@@ -91,11 +113,12 @@ func TestSimPastClamped(t *testing.T) {
 
 func TestSimClampedCounter(t *testing.T) {
 	s := New()
+	nop := register(s, func() {})
 	schedAt(s, 100, func() {
-		schedAt(s, 50, func() {})      // past: clamped
-		s.AtEvent(10, countEv(nil), 0) // past: clamped
-		schedAt(s, 100, func() {})     // now: not clamped
-		schedAfter(s, 5, func() {})    // future: not clamped
+		schedAt(s, 50, func() {})   // past: clamped
+		s.At(10, nop, 1)            // past: clamped
+		schedAt(s, 100, func() {})  // now: not clamped
+		schedAfter(s, 5, func() {}) // future: not clamped
 	})
 	if s.Clamped() != 0 {
 		t.Fatalf("Clamped = %d before any past scheduling", s.Clamped())
@@ -106,30 +129,17 @@ func TestSimClampedCounter(t *testing.T) {
 	}
 }
 
-// countEv is a trivial Event recording dispatches for tests.
-type countEv []uint8
-
-func (c countEv) Dispatch(uint8) {}
-
-// recordEv appends (id, kind, time) on dispatch.
-type recordEv struct {
-	s   *Sim
-	id  int
-	out *[][3]uint64
-}
-
-func (r *recordEv) Dispatch(kind uint8) {
-	*r.out = append(*r.out, [3]uint64{uint64(r.id), uint64(kind), uint64(r.s.Now())})
-}
-
+// TestSimTypedEvents checks the handler receives each event's ref and kind
+// at its cycle.
 func TestSimTypedEvents(t *testing.T) {
 	s := New()
 	var got [][3]uint64
-	a := &recordEv{s: s, id: 1, out: &got}
-	b := &recordEv{s: s, id: 2, out: &got}
-	s.AtEvent(20, a, 7)
-	s.AtEvent(10, b, 3)
-	s.AfterEvent(10, a, 1) // same cycle as b's event, scheduled later
+	s.SetHandler(handlerFunc(func(ref uint32, kind uint8) {
+		got = append(got, [3]uint64{uint64(ref), uint64(kind), uint64(s.Now())})
+	}))
+	s.At(20, 1, 7)
+	s.At(10, 2, 3)
+	s.After(10, 1, 1) // same cycle as ref 2's event, scheduled later
 	s.Run()
 	want := [][3]uint64{{2, 3, 10}, {1, 1, 10}, {1, 7, 20}}
 	if len(got) != len(want) {
@@ -142,33 +152,22 @@ func TestSimTypedEvents(t *testing.T) {
 	}
 }
 
-// Events of different receiver types share one queue and one total order:
+// Events of different kinds share one queue and one total order:
 // interleaving them at the same cycle preserves global scheduling order.
 func TestSimMixedFormsSameCycleFIFO(t *testing.T) {
 	s := New()
-	var got []int
+	var got appendRefs
+	s.SetHandler(&got)
 	for i := 0; i < 50; i++ {
-		i := i
-		if i%2 == 0 {
-			schedAt(s, 5, func() { got = append(got, i) })
-		} else {
-			s.AtEvent(5, appendEv{&got, i}, 0)
-		}
+		s.At(5, uint32(i), uint8(i%2))
 	}
 	s.Run()
 	for i := range got {
 		if got[i] != i {
-			t.Fatalf("mixed-form same-cycle order broke at %d: %v", i, got[:i+1])
+			t.Fatalf("mixed-kind same-cycle order broke at %d: %v", i, got[:i+1])
 		}
 	}
 }
-
-type appendEv struct {
-	out *[]int
-	v   int
-}
-
-func (a appendEv) Dispatch(uint8) { *a.out = append(*a.out, a.v) }
 
 func TestSimRunUntil(t *testing.T) {
 	s := New()
@@ -289,7 +288,7 @@ func TestResourceMonotoneProperty(t *testing.T) {
 
 // Property: all events scheduled for one cycle fire in exact scheduling
 // order, no matter how bursts at different cycles interleave, how large the
-// bursts are, or which receiver type each event uses.
+// bursts are, or which kind each event carries.
 // This pins the (at, seq) FIFO contract the specialized heap must preserve.
 func TestSimSameCycleBurstOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -297,17 +296,13 @@ func TestSimSameCycleBurstOrderProperty(t *testing.T) {
 		s := New()
 		n := 200 + rng.Intn(300)
 		times := make([]Cycle, n)
-		var order []int
+		var order appendRefs
+		s.SetHandler(&order)
 		for i := 0; i < n; i++ {
 			// Few distinct timestamps => large same-cycle bursts.
 			at := Cycle(rng.Intn(7))
 			times[i] = at
-			i := i
-			if i%3 == 0 {
-				s.AtEvent(at, appendEv{&order, i}, 0)
-			} else {
-				schedAt(s, at, func() { order = append(order, i) })
-			}
+			s.At(at, uint32(i), uint8(i%3))
 		}
 		s.Run()
 		if len(order) != n {
@@ -380,14 +375,6 @@ func (r *refQueue) pop() refEvent {
 	return e
 }
 
-// orderEv reports its dispatch to the test driving it.
-type orderEv struct {
-	fn func(id int)
-	id int
-}
-
-func (e *orderEv) Dispatch(uint8) { e.fn(e.id) }
-
 // The queue must dispatch in exactly the order a reference sort of
 // (at, seq) produces, across everything that moves events between the
 // calendar's buckets and its far heap: delays on both sides of the window
@@ -399,7 +386,8 @@ func (e *orderEv) Dispatch(uint8) { e.fn(e.id) }
 //
 // Each sequence runs twice: on a new simulator, and on one that a hook
 // stopped with events queued in its buckets and its far heap and that was
-// then Reset. A leftover event, hook, clock or counter fails the second.
+// then Reset. A leftover event, hook, handler, clock or counter fails the
+// second.
 func TestSimHeapMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		checkReferenceOrder(t, New(), seed)
@@ -409,23 +397,19 @@ func TestSimHeapMatchesReferenceOrder(t *testing.T) {
 
 // stoppedThenReset returns a simulator that ran part of a queue spanning
 // both sides of the calendar window, including clamped events, until a
-// hook stopped it, and was then Reset. Its dropped events fail the test if
-// they ever fire.
+// hook stopped it, and was then Reset. Reset must drop the handler, so a
+// dropped event can no longer reach it, and any that still fired would
+// break the reference order.
 func stoppedThenReset(t *testing.T) *Sim {
 	t.Helper()
 	s := New()
-	reset := false
-	stale := funcEvent(func() {
-		if reset {
-			t.Error("an event queued before Reset fired after it")
-		}
-	})
+	stale := register(s, func() {})
 	for i := Cycle(0); i < 3*calendarWindow; i += 7 {
-		s.AtEvent(i, stale, 0)
+		s.At(i, stale, 0)
 	}
 	s.AddHook(1, func() error {
 		if s.Now() > calendarWindow {
-			s.AtEvent(0, stale, 0) // clamped
+			s.At(0, stale, 0) // clamped
 			return errors.New("stop")
 		}
 		return nil
@@ -435,10 +419,9 @@ func stoppedThenReset(t *testing.T) *Sim {
 		t.Fatalf("set-up did not stop mid-queue: StopErr %v, Pending %d, Clamped %d", s.StopErr(), s.Pending(), s.Clamped())
 	}
 	s.Reset()
-	reset = true
-	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 || s.Clamped() != 0 || s.StopErr() != nil {
-		t.Fatalf("Reset left Now %d, Pending %d, Processed %d, Clamped %d, StopErr %v",
-			s.Now(), s.Pending(), s.Processed(), s.Clamped(), s.StopErr())
+	if s.h != nil || s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 || s.Clamped() != 0 || s.StopErr() != nil {
+		t.Fatalf("Reset left handler %v, Now %d, Pending %d, Processed %d, Clamped %d, StopErr %v",
+			s.h, s.Now(), s.Pending(), s.Processed(), s.Clamped(), s.StopErr())
 	}
 	return s
 }
@@ -455,14 +438,14 @@ func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
 	var leaf []bool // by id: leaves schedule nothing, chain events schedule their successor
 	var farAt []Cycle
 	budget := 10000
-	sched := func(at Cycle, isLeaf bool, fn func(int)) {
+	sched := func(at Cycle, isLeaf bool) {
 		budget--
 		leaf = append(leaf, isLeaf)
-		s.AtEvent(at, &orderEv{fn: fn, id: len(leaf) - 1}, 0)
+		s.At(at, uint32(len(leaf)-1), 0)
 		ref.at(at, len(leaf)-1)
 	}
-	var onDispatch func(id int)
-	onDispatch = func(id int) {
+	s.SetHandler(handlerFunc(func(r uint32, _ uint8) {
+		id := int(r)
 		if want := ref.pop(); id != want.id || s.Now() != want.at {
 			fails = append(fails, fmt.Sprintf("got id %d at %d, want id %d at %d", id, s.Now(), want.id, want.at))
 		}
@@ -477,14 +460,14 @@ func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
 		if d >= W {
 			farAt = append(farAt, now+d)
 		}
-		sched(now+d, false, onDispatch)
+		sched(now+d, false)
 		switch rng.Intn(6) {
 		case 0: // a same-cycle burst
 			for j := rng.Intn(16); j >= 0; j-- {
-				sched(now, true, onDispatch)
+				sched(now, true)
 			}
 		case 1: // in the past: clamped to now
-			sched(now-Cycle(rng.Intn(int(now)+1)), true, onDispatch)
+			sched(now-Cycle(rng.Intn(int(now)+1)), true)
 		case 2, 3: // a direct push into a cycle a far event was scheduled for
 			for i := 0; i < len(farAt); {
 				if farAt[i] < now {
@@ -493,13 +476,13 @@ func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
 					continue
 				}
 				if farAt[i]-now < W {
-					sched(farAt[i], true, onDispatch)
+					sched(farAt[i], true)
 					break
 				}
 				i++
 			}
 		}
-	}
+	}))
 	stop := errors.New("stop")
 	stopAt := uint64(0)
 	s.AddHook(1, func() error {
@@ -515,11 +498,11 @@ func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		sched(ref.now+delays[rng.Intn(len(delays))], false, onDispatch)
+		sched(ref.now+delays[rng.Intn(len(delays))], false)
 	}
 	for len(fails) == 0 && len(ref.q) > 0 {
 		if budget > 0 && rng.Intn(4) == 0 {
-			sched(ref.now+Cycle(rng.Intn(3*W+1)), true, onDispatch)
+			sched(ref.now+Cycle(rng.Intn(3*W+1)), true)
 		}
 		switch rng.Intn(3) {
 		case 0:
@@ -551,7 +534,7 @@ func checkReferenceOrder(t *testing.T, s *Sim, seed int64) {
 	s.RunUntil(ref.now + 5)
 	ref.now += 5
 	check("idle RunUntil")
-	sched(ref.now+2*W+3, true, onDispatch)
+	sched(ref.now+2*W+3, true)
 	s.Run()
 	check("final Run")
 	if len(fails) > 0 {

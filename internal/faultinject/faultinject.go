@@ -9,7 +9,7 @@
 //
 // Plans are plain values with no behavior of their own: internal/core
 // consults the plan from its periodic budget check and performs the fault,
-// so this package stays free of simulator dependencies beyond the engine.
+// so this package stays free of simulator dependencies.
 // CLIs arm a plan from the MCMGPU_FAULT environment variable (see FromEnv);
 // tests construct plans directly.
 package faultinject
@@ -19,8 +19,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"mcmgpu/internal/engine"
 )
 
 // EnvVar is the environment variable the CLIs read to arm a fault plan.
@@ -145,11 +143,12 @@ const (
 	// TargetEnergyDRAM books one phantom byte of DRAM energy
 	// (energy-bytes: meter vs. DRAM partition byte reconciliation).
 	TargetEnergyDRAM = "energy-dram"
-	// TargetInFlight leaks one in-flight load count
+	// TargetInFlight leaks one in-flight load context
 	// (drain: in-flight operations nonzero at the kernel boundary).
 	TargetInFlight = "inflight"
-	// TargetClamp starts a ClampStorm so the clamped-event count grows with
-	// the event count (clamp-guard: the ClampedEvents ratio ceiling).
+	// TargetClamp starts a self-rescheduling event that schedules itself one
+	// cycle in the past, so the clamped-event count grows with the event
+	// count (clamp-guard: the ClampedEvents ratio ceiling).
 	TargetClamp = "clamp"
 )
 
@@ -428,43 +427,4 @@ type Injected struct {
 // treat it as one.
 func (i Injected) Error() string {
 	return fmt.Sprintf("faultinject: injected panic (%s)", i.Plan)
-}
-
-// Staller is the self-rescheduling engine event behind the Stall and Spin
-// kinds: every dispatch reschedules itself Delta cycles ahead, so the queue
-// never drains. Delta == 0 freezes the clock (Stall); Delta > 0 makes it run
-// away (Spin).
-type Staller struct {
-	Sim   *engine.Sim
-	Delta engine.Cycle
-}
-
-// Dispatch implements engine.Event.
-func (st *Staller) Dispatch(uint8) {
-	st.Sim.AtEvent(st.Sim.Now()+st.Delta, st, 0)
-}
-
-// Start schedules the staller's first event at the current time.
-func (st *Staller) Start() {
-	st.Sim.AtEvent(st.Sim.Now(), st, 0)
-}
-
-// ClampStorm is the self-rescheduling event behind the corrupt-counter
-// "clamp" target: every dispatch reschedules itself one cycle in the past,
-// so the engine clamps one event per dispatch and the clamped-event count
-// grows linearly with the event count — far past the auditor's
-// ClampedEvents ratio budget. Unlike Staller it lets simulated time advance
-// (the clamp pins each event to Now), so only the clamp guard catches it.
-type ClampStorm struct {
-	Sim *engine.Sim
-}
-
-// Dispatch implements engine.Event.
-func (cs *ClampStorm) Dispatch(uint8) {
-	cs.Sim.AtEvent(cs.Sim.Now()-1, cs, 0)
-}
-
-// Start schedules the storm's first event at the current time.
-func (cs *ClampStorm) Start() {
-	cs.Sim.AtEvent(cs.Sim.Now(), cs, 0)
 }

@@ -2,8 +2,6 @@ package faultinject
 
 import (
 	"testing"
-
-	"mcmgpu/internal/engine"
 )
 
 func TestParseStringRoundTrip(t *testing.T) {
@@ -95,34 +93,6 @@ func TestFromEnv(t *testing.T) {
 	}
 }
 
-// TestStallerFreezesClock asserts the Delta==0 staller keeps the queue alive
-// without advancing time, and the Delta==1 variant advances it.
-func TestStallerFreezesClock(t *testing.T) {
-	sim := engine.New()
-	st := &Staller{Sim: sim}
-	st.Start()
-	for i := 0; i < 100; i++ {
-		if !sim.Step() {
-			t.Fatal("staller let the queue drain")
-		}
-	}
-	if sim.Now() != 0 {
-		t.Fatalf("stall advanced the clock to %d", sim.Now())
-	}
-
-	sim2 := engine.New()
-	sp := &Staller{Sim: sim2, Delta: 1}
-	sp.Start()
-	for i := 0; i < 100; i++ {
-		if !sim2.Step() {
-			t.Fatal("spinner let the queue drain")
-		}
-	}
-	if sim2.Now() < 99 {
-		t.Fatalf("spin advanced the clock only to %d after 100 events", sim2.Now())
-	}
-}
-
 func TestInjectedError(t *testing.T) {
 	inj := Injected{Plan: Plan{Kind: Panic, AtEvent: 10}}
 	if inj.Error() == "" {
@@ -156,22 +126,6 @@ func TestCorruptCounterTargets(t *testing.T) {
 		if ValidTarget(tgt) {
 			t.Errorf("ValidTarget(%q) = true", tgt)
 		}
-	}
-}
-
-// TestClampStormClampsEveryEvent asserts the storm forces the engine to
-// clamp one event per dispatch while still letting the queue stay live.
-func TestClampStormClampsEveryEvent(t *testing.T) {
-	sim := engine.New()
-	cs := &ClampStorm{Sim: sim}
-	cs.Start()
-	for i := 0; i < 100; i++ {
-		if !sim.Step() {
-			t.Fatal("clamp storm let the queue drain")
-		}
-	}
-	if got := sim.Clamped(); got < 99 {
-		t.Fatalf("clamp storm produced only %d clamped events after 100 steps", got)
 	}
 }
 

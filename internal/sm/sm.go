@@ -24,27 +24,18 @@ import (
 // memory system.
 const StoreBufferSlots = 48
 
-// StoreWaiter is a warp parked on a full store buffer, resumed when a slot
-// frees. It is an interface rather than a func() so parking is
-// allocation-free: the waiter is the caller's long-lived warp context, and
-// boxing an existing pointer into an interface value allocates nothing,
-// where binding a method value would build a closure per park.
-type StoreWaiter interface {
-	StoreSlotFree()
-}
-
 // SM is one streaming multiprocessor.
 type SM struct {
 	id     int
 	module int
 
-	// Store buffer occupancy and warps parked waiting for a free slot.
-	// waitHead indexes the FIFO front; the slice is compacted when it
-	// drains so its capacity is reused instead of sliding away (a
-	// [1:]-style pop would shrink the usable window and force the next
-	// append to reallocate).
+	// Store buffer occupancy and the FIFO of warps parked waiting for a
+	// free slot, by the caller's warp index. waitHead indexes the FIFO
+	// front; the slice is compacted when it drains so its capacity is
+	// reused instead of sliding away (a [1:]-style pop would shrink the
+	// usable window and force the next append to reallocate).
 	storeInFlight int
-	storeWaiters  []StoreWaiter
+	storeWaiters  []uint32
 	waitHead      int
 
 	// Issue is the SM's instruction issue bandwidth in warp instructions
@@ -143,30 +134,29 @@ func (s *SM) AcquireStore() {
 	s.storeInFlight++
 }
 
-// AwaitStore parks a waiter until a store buffer slot frees.
-func (s *SM) AwaitStore(w StoreWaiter) {
+// AwaitStore parks warp w until a store buffer slot frees.
+func (s *SM) AwaitStore(w uint32) {
 	s.storeWaiters = append(s.storeWaiters, w)
 }
 
-// ReleaseStore frees a store buffer slot and returns the next parked waiter
-// to resume, if any. The caller resumes it at the current simulated time;
-// the waiter re-acquires the freed slot.
-func (s *SM) ReleaseStore() StoreWaiter {
+// ReleaseStore frees a store buffer slot and returns the longest-parked
+// warp to resume, if any. The caller resumes it at the current simulated
+// time; the warp re-acquires the freed slot.
+func (s *SM) ReleaseStore() (w uint32, ok bool) {
 	if s.storeInFlight <= 0 {
 		panic(fmt.Sprintf("sm %d: store buffer underflow", s.id))
 	}
 	s.storeInFlight--
 	if s.waitHead == len(s.storeWaiters) {
-		return nil
+		return 0, false
 	}
-	w := s.storeWaiters[s.waitHead]
-	s.storeWaiters[s.waitHead] = nil // drop the reference for the GC
+	w = s.storeWaiters[s.waitHead]
 	s.waitHead++
 	if s.waitHead == len(s.storeWaiters) {
 		s.storeWaiters = s.storeWaiters[:0]
 		s.waitHead = 0
 	}
-	return w
+	return w, true
 }
 
 // StoresInFlight returns current store buffer occupancy.

@@ -47,8 +47,10 @@ func (r *rng) chance(p float64) bool {
 // counter at or below the op count, so they are held in 32 bits
 // (Spec.Validate bounds both); arithmetic widens them to 64 bits first,
 // which keeps every generated address that of a 64-bit stream.
+//
+// A Stream holds no pointer: the caller passes the spec it was initialized
+// with to every Next, so a warp context that embeds one stays pointer-free.
 type Stream struct {
-	spec *Spec
 	r    rng
 	cta  int32
 	warp int32 // warp index within the CTA
@@ -78,7 +80,7 @@ func NewStream(spec *Spec, cta, warp int) *Stream {
 // discarding any prior state. It exists so pooled warp contexts can embed a
 // Stream by value and be relaunched onto a new CTA without allocating.
 func (s *Stream) Init(spec *Spec, cta, warp int) {
-	*s = Stream{spec: spec, cta: int32(cta), warp: int32(warp), ops: int32(spec.OpsForCTA(cta))}
+	*s = Stream{cta: int32(cta), warp: int32(warp), ops: int32(spec.OpsForCTA(cta))}
 	// Seed mixes the identifiers so distinct warps get decorrelated streams.
 	s.r = rng{s: spec.Seed ^ uint64(cta)*0x9e3779b97f4a7c15 ^ uint64(warp)*0xc2b2ae3d27d4eb4f}
 	rowBase, colBase, ownBase, perCTA := spec.Regions()
@@ -105,9 +107,8 @@ func (s *Stream) Init(spec *Spec, cta, warp int) {
 }
 
 // Next fills op with the warp's next operation and reports whether one
-// remained.
-func (s *Stream) Next(op *Op) bool {
-	sp := s.spec
+// remained. sp must be the spec s was initialized with.
+func (s *Stream) Next(sp *Spec, op *Op) bool {
 	if s.op >= s.ops {
 		return false
 	}
@@ -127,7 +128,7 @@ func (s *Stream) Next(op *Op) bool {
 		return true
 	}
 
-	base := s.genBase(i)
+	base := s.genBase(sp, i)
 	coalesced := sp.Pattern != PatIrregular
 	for l := 0; l < sp.LinesPerOp; l++ {
 		var a uint64
@@ -150,8 +151,7 @@ func (s *Stream) Next(op *Op) bool {
 
 // genBase produces the base line address for op index i according to the
 // spec's pattern and locality fractions.
-func (s *Stream) genBase(i int32) uint64 {
-	sp := s.spec
+func (s *Stream) genBase(sp *Spec, i int32) uint64 {
 	roll := float64(s.r.next()>>11) * (1.0 / (1 << 53))
 
 	// Shared hot region.

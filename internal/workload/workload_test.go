@@ -124,7 +124,7 @@ func TestStreamDeterminism(t *testing.T) {
 	for _, dst := range []*[]uint32{&a, &b} {
 		st := NewStream(spec, 7, 3)
 		var op Op
-		for st.Next(&op) {
+		for st.Next(spec, &op) {
 			*dst = append(*dst, op.Lines[:op.NumLines]...)
 		}
 	}
@@ -149,7 +149,7 @@ func TestStreamOpCount(t *testing.T) {
 	st := NewStream(spec, 0, 0)
 	var op Op
 	n := 0
-	for st.Next(&op) {
+	for st.Next(spec, &op) {
 		n++
 		if int(op.NumLines) != spec.LinesPerOp {
 			t.Fatalf("op %d touches %d lines, want %d", n, op.NumLines, spec.LinesPerOp)
@@ -173,7 +173,7 @@ func TestStreamingCTAsTouchDisjointRegions(t *testing.T) {
 		for w := 0; w < spec.WarpsPerCTA; w++ {
 			st := NewStream(spec, cta, w)
 			var op Op
-			for st.Next(&op) {
+			for st.Next(spec, &op) {
 				for _, l := range op.Lines[:op.NumLines] {
 					m[l] = true
 				}
@@ -200,7 +200,7 @@ func TestStencilNeighborsShareLines(t *testing.T) {
 		for w := 0; w < spec.WarpsPerCTA; w++ {
 			st := NewStream(spec, cta, w)
 			var op Op
-			for st.Next(&op) {
+			for st.Next(spec, &op) {
 				for _, l := range op.Lines[:op.NumLines] {
 					m[l] = true
 				}
@@ -231,7 +231,7 @@ func TestAddressesInRangeProperty(t *testing.T) {
 		w := int(warp) % spec.WarpsPerCTA
 		st := NewStream(spec, c, w)
 		var op Op
-		for st.Next(&op) {
+		for st.Next(spec, &op) {
 			for _, l := range op.Lines[:op.NumLines] {
 				if uint64(l) >= spec.FootprintLines {
 					return false
@@ -328,7 +328,7 @@ func TestValidateBounds(t *testing.T) {
 		}
 		st := NewStream(&at, at.CTAs-1, 0)
 		var op Op
-		for n := 0; n < 64 && st.Next(&op); n++ {
+		for n := 0; n < 64 && st.Next(&at, &op); n++ {
 			for _, l := range op.Lines[:op.NumLines] {
 				if uint64(l) >= at.FootprintLines {
 					t.Fatalf("%s at the limit: line %d outside the %d-line footprint", tc.name, l, at.FootprintLines)
@@ -359,7 +359,7 @@ func TestWriteFractionApproximatelyHonored(t *testing.T) {
 	for c := 0; c < 32; c++ {
 		st := NewStream(spec, c, 0)
 		var op Op
-		for st.Next(&op) {
+		for st.Next(spec, &op) {
 			total++
 			if op.Write {
 				writes++
@@ -417,7 +417,7 @@ func TestWorkImbalance(t *testing.T) {
 	var op Op
 	for cta := 0; cta < spec.CTAs; cta++ {
 		st := NewStream(spec, cta, 0)
-		for st.Next(&op) {
+		for st.Next(spec, &op) {
 			produced++
 		}
 	}
