@@ -131,8 +131,8 @@ func TestChaosEndToEnd(t *testing.T) {
 
 	// Zero duplicated work: across all three backends, exactly one
 	// simulation and one store write per distinct cell.
-	sims := sA.cache.Stats().Simulations() + sB.cache.Stats().Simulations() + sC.cache.Stats().Simulations()
-	if sims != uint64(len(jobs)) {
+	sims := computed(sA) + computed(sB) + computed(sC)
+	if sims != len(jobs) {
 		t.Fatalf("fleet ran %d simulations for %d distinct cells", sims, len(jobs))
 	}
 	puts := sA.store.Stats().Puts + sB.store.Stats().Puts + sC.store.Stats().Puts

@@ -1,8 +1,8 @@
 // Command mcmserve is simulation-as-a-service in front of the durable run
 // store: clients POST batched sweep manifests, the server deduplicates
-// identical cells across all clients (via the content-addressed store plus
-// the in-process single-flight cache), simulates what is genuinely new, and
-// serves warm cells instantly.
+// identical cells across all clients (by content-derived job IDs, one live
+// record per ID, plus the content-addressed store), simulates what is
+// genuinely new, and serves warm cells instantly.
 //
 // Robustness contract:
 //
@@ -21,12 +21,11 @@
 //   - SIGTERM flips /readyz first, then drains gracefully: in-flight jobs
 //     finish, queued jobs persist to <store>/pending.json (resumed by the
 //     next server), and the process exits 0.
-//   - Deterministic job failures (panic, budget, invariant — the classes
-//     a retry anywhere would reproduce) burn an attempt and re-run up to
-//     -poison-attempts, then the job is poisoned: quarantined in
-//     <store>/poisoned.json, shared by every server on the store, and
-//     resubmissions answer instantly with the structured failure instead
-//     of burning another backend.
+//   - A deterministic job failure (panic, budget, invariant — the classes
+//     a retry anywhere would reproduce) poisons the job on its first
+//     attempt: it is quarantined in <store>/poisoned.json, shared by every
+//     server on the store, and resubmissions answer instantly with the
+//     structured failure instead of burning another backend.
 //
 // Usage:
 //
@@ -58,7 +57,6 @@ func main() {
 		storeDir = flag.String("store", "", "durable run store directory (empty = memory-only, results die with the process)")
 		workers  = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 		queueCap = flag.Int("queue", 256, "maximum queued jobs; a full queue answers 429")
-		poisonK  = flag.Int("poison-attempts", 0, "deterministic failures a job may accumulate before quarantine (0 = default 3)")
 	)
 	flag.Parse()
 
@@ -97,12 +95,11 @@ func main() {
 		n = defaultWorkers()
 	}
 	s := newServerOpts(serverOptions{
-		Store:          store,
-		Workers:        n,
-		QueueCap:       *queueCap,
-		Logf:           logf,
-		Fault:          plan,
-		PoisonAttempts: *poisonK,
+		Store:    store,
+		Workers:  n,
+		QueueCap: *queueCap,
+		Logf:     logf,
+		Fault:    plan,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.mux}
 

@@ -31,15 +31,10 @@ const maxManifestBytes = 16 << 20
 const pendingFile = "pending.json"
 
 // poisonedFile is where quarantined jobs persist, next to pending.json: a
-// job that failed deterministically on every allowed attempt must stay
-// quarantined across restarts, or every new server would burn its attempt
-// budget rediscovering the same poison.
+// job that failed deterministically must stay quarantined across restarts,
+// or every new server would simulate it again to rediscover the same
+// poison.
 const poisonedFile = "poisoned.json"
-
-// defaultPoisonAttempts is how many deterministic failures a job gets
-// before quarantine. Transient failures (cancellation, wall deadline)
-// never count.
-const defaultPoisonAttempts = 3
 
 // watchKeepalive is how often a watch stream resends the latest snapshot
 // even without a state change, so a client's idle watchdog can tell a
@@ -77,9 +72,9 @@ type svcJob struct {
 	state  string
 	source string
 	errMsg string
-	// errKind classifies a failure (runner.ErrClass); attempts counts how
-	// many times a worker ran the job; poisoned marks a job quarantined
-	// after exhausting its attempt budget on deterministic failures.
+	// errKind classifies a failure (runner.ErrClass); attempts counts the
+	// job's deterministic failures, and poisoned marks the job quarantined
+	// by the first one.
 	errKind  string
 	attempts int
 	poisoned bool
@@ -114,7 +109,6 @@ type svcBatch struct {
 
 type server struct {
 	store    *runstore.Store // nil = degraded, memory-only service
-	cache    *runner.Cache
 	queueCap int
 	workers  int
 	// fault is the server's armed fault plan (engine or store family). It
@@ -122,9 +116,7 @@ type server struct {
 	// so job identity always reflects the faults the job actually runs
 	// under.
 	fault faultinject.Plan
-	// poisonK is the attempt budget before quarantine.
-	poisonK int
-	logf    func(format string, args ...interface{})
+	logf  func(format string, args ...interface{})
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals queue activity and stopping
@@ -151,9 +143,6 @@ type serverOptions struct {
 	// Fault is the fault plan armed into every worker's runner and into
 	// store-key derivation (engine faults shape job identity).
 	Fault faultinject.Plan
-	// PoisonAttempts is the deterministic-failure budget before a job is
-	// quarantined (default 3).
-	PoisonAttempts int
 }
 
 func newServerOpts(o serverOptions) *server {
@@ -163,16 +152,11 @@ func newServerOpts(o serverOptions) *server {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
-	if o.PoisonAttempts <= 0 {
-		o.PoisonAttempts = defaultPoisonAttempts
-	}
 	s := &server{
 		store:    o.Store,
-		cache:    runner.NewCache(),
 		queueCap: o.QueueCap,
 		workers:  o.Workers,
 		fault:    o.Fault,
-		poisonK:  o.PoisonAttempts,
 		logf:     o.Logf,
 		jobs:     map[string]*svcJob{},
 		batches:  map[string]*svcBatch{},
@@ -313,7 +297,7 @@ func (s *server) submit(m client.Manifest) (*client.BatchStatus, int, error) {
 			// client's batch).
 		case s.poisonedLocked(it.id) != nil:
 			// Quarantined: resubmission returns the recorded structured
-			// failure instantly instead of burning another attempt budget.
+			// failure instantly instead of simulating the cell again.
 			rec := s.poisonedLocked(it.id)
 			j = &svcJob{
 				id: it.id, key: it.key, req: it.req, job: it.job, limits: limits,
@@ -339,22 +323,18 @@ func (s *server) submit(m client.Manifest) (*client.BatchStatus, int, error) {
 		}
 		if !seen[it.id] {
 			seen[it.id] = true
-			if !jobDone(j.state) {
+			if !client.Terminal(j.state) {
 				j.refs++
 			}
 		}
 		b.jobIDs = append(b.jobIDs, it.id)
 		bs.Jobs = append(bs.Jobs, j.statusLocked())
-		if !jobDone(j.state) {
+		if !client.Terminal(j.state) {
 			bs.Done = false
 		}
 	}
 	s.batches[b.id] = b
 	return bs, http.StatusOK, nil
-}
-
-func jobDone(state string) bool {
-	return state == client.StateDone || state == client.StateFailed || state == client.StateCanceled
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -422,9 +402,11 @@ func (s *server) worker() {
 }
 
 // runOne executes one job through the store-backed runner: a cell another
-// client (or a past process) already computed is a store or cache hit, a
-// fresh cell is simulated and persisted, and store failures degrade to
-// compute inside the runner tier — a job never fails because the disk did.
+// client (or a past process) already computed is a store hit, a fresh cell
+// is simulated and persisted, and store failures degrade to compute inside
+// the runner tier — a job never fails because the disk did. The runner
+// needs no memo cache: s.jobs already holds one record per job ID, so no
+// two workers ever run the same cell.
 func (s *server) runOne(j *svcJob) {
 	source := client.SourceCompute
 	if s.store != nil {
@@ -438,7 +420,6 @@ func (s *server) runOne(j *svcJob) {
 	limits.Ctx = j.ctx
 	rr := &runner.Runner{
 		Workers: 1,
-		Cache:   s.cache,
 		Store:   s.store,
 		Limits:  limits,
 		Fault:   s.fault,
@@ -453,10 +434,9 @@ func (s *server) runOne(j *svcJob) {
 
 // finish records a job's outcome. Failures are partitioned by error
 // class: cancellation and wall-time failures are environmental and
-// terminal as-is; deterministic failures (panic, budget, invariant) burn
-// one attempt and re-enqueue until the budget is exhausted, at which
-// point the job is poisoned — quarantined in memory and on disk so no
-// server ever runs it again.
+// terminal as-is; a deterministic failure (panic, budget, invariant)
+// would recur on every retry, so it poisons the job on its first attempt —
+// quarantined in memory and on disk so no server ever runs it again.
 func (s *server) finish(j *svcJob, res *core.Result, err error, source string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,32 +453,17 @@ func (s *server) finish(j *svcJob, res *core.Result, err error, source string) {
 		j.errKind = string(runner.ClassCanceled)
 	default:
 		class := runner.Classify(err)
+		j.state = client.StateFailed
 		j.errKind = string(class)
 		j.errMsg = err.Error()
-		if !class.Deterministic() {
-			// Transient: a retry under different wall-time conditions could
-			// succeed, but the job's budget was the client's choice — fail
-			// the job, never poison it.
-			j.state = client.StateFailed
-			break
+		// Only a deterministic failure poisons: a transient one could
+		// succeed under different wall-time conditions, but the job's
+		// budget was the client's choice, so it just fails.
+		if class.Deterministic() {
+			j.attempts++
+			j.poisoned = true
+			s.quarantineLocked(j)
 		}
-		j.attempts++
-		if j.attempts < s.poisonK && !s.stopping {
-			// The in-process cache memoizes deterministic errors, so these
-			// retries are near-instant; the budget exists to catch
-			// environment-dependent "deterministic" failures (a bug in the
-			// classifier, a fault plan keyed on attempt count) without
-			// retrying a genuinely poisoned cell forever.
-			j.state = client.StateQueued
-			s.queue = append(s.queue, j)
-			s.cond.Signal()
-			s.logf("mcmserve: job %s (%s on %s) attempt %d/%d failed (%s), requeued: %v",
-				j.id, j.job.Spec.Name, j.job.Config.Name, j.attempts, s.poisonK, j.errKind, err)
-			return
-		}
-		j.state = client.StateFailed
-		j.poisoned = true
-		s.quarantineLocked(j)
 	}
 	s.logf("mcmserve: job %s (%s on %s) %s", j.id, j.job.Spec.Name, j.job.Config.Name, j.state)
 }
@@ -523,7 +488,7 @@ func (s *server) quarantineLocked(j *svcJob) {
 		Attempts: j.attempts,
 	}
 	s.poisoned[j.id] = rec
-	s.logf("mcmserve: job %s (%s on %s) poisoned after %d attempts: %s",
+	s.logf("mcmserve: job %s (%s on %s) poisoned after %d attempt: %s",
 		j.id, rec.Workload, rec.Config, rec.Attempts, rec.Error)
 	if s.store == nil {
 		return
@@ -566,7 +531,7 @@ func (s *server) batchStatusLocked(b *svcBatch) *client.BatchStatus {
 	for _, id := range b.jobIDs {
 		j := s.jobs[id]
 		bs.Jobs = append(bs.Jobs, j.statusLocked())
-		if !jobDone(j.state) {
+		if !client.Terminal(j.state) {
 			bs.Done = false
 		}
 	}
@@ -732,7 +697,7 @@ func (s *server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			seen[id] = true
 			j := s.jobs[id]
-			if jobDone(j.state) {
+			if client.Terminal(j.state) {
 				continue
 			}
 			if j.refs > 0 {
@@ -785,7 +750,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	batches := len(s.batches)
 	s.mu.Unlock()
 	out := map[string]interface{}{
-		"cache":       s.cache.Stats(),
 		"queue_depth": depth,
 		"jobs":        jobs,
 		"batches":     batches,

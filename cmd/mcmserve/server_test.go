@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,6 +84,21 @@ func mustOpenStore(t *testing.T, dir string) *runstore.Store {
 	return st
 }
 
+// computed counts the jobs a server simulated itself: those done with
+// source compute. s.jobs holds one record per job ID, so this is the
+// server's number of simulations.
+func computed(s *server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, j := range s.jobs {
+		if j.state == client.StateDone && j.source == client.SourceCompute {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSubmitComputeThenWarm is the service's dedupe contract end to end:
 // a cold submit computes, an identical resubmit to the same process is
 // instantly done, and a fresh server over the same store serves the whole
@@ -107,6 +125,9 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 	puts := s.store.Stats().Puts
 	if puts != 2 {
 		t.Fatalf("cold run persisted %d results, want 2", puts)
+	}
+	if sims := computed(s); sims != 2 {
+		t.Fatalf("cold run simulated %d cells, want 2", sims)
 	}
 
 	// Same process, identical manifest: already-done records, no queue
@@ -142,7 +163,7 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 	if st := s2.store.Stats(); st.Puts != 0 || st.Hits == 0 {
 		t.Fatalf("restarted server did not serve from the store: %+v", st)
 	}
-	if sims := s2.cache.Stats().Simulations(); sims != 0 {
+	if sims := computed(s2); sims != 0 {
 		t.Fatalf("restarted server ran %d simulations on a warm store", sims)
 	}
 }
@@ -458,18 +479,30 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 }
 
 // TestPoisonQuarantineLifecycle is the poisoned-job contract end to end:
-// a deterministically failing cell burns its attempt budget, is
-// quarantined with a structured error, persists across a restart, and a
-// resubmission to the successor fails instantly instead of rerunning.
+// a deterministically failing cell is poisoned on its first attempt —
+// simulated once and never requeued — quarantined with a structured
+// error, persisted across a restart, and a resubmission to the successor
+// fails instantly instead of rerunning.
 func TestPoisonQuarantineLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	plan, err := faultinject.Parse("panic@0:Stream")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	logf := func(format string, args ...interface{}) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		logMu.Lock()
+		logs = append(logs, line)
+		logMu.Unlock()
+	}
 	s := newServerOpts(serverOptions{
 		Store: mustOpenStore(t, dir), Workers: 1, QueueCap: 16,
-		Logf: t.Logf, Fault: plan, PoisonAttempts: 2,
+		Logf: logf, Fault: plan,
 	})
 	c, stop := testClient(t, s)
 	defer stop()
@@ -483,8 +516,8 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 	if poisonedJob.State != client.StateFailed || !poisonedJob.Poisoned {
 		t.Fatalf("faulted job: %+v, want failed+poisoned", poisonedJob)
 	}
-	if poisonedJob.Attempts != 2 {
-		t.Fatalf("poisoned after %d attempts, want exactly the budget (2)", poisonedJob.Attempts)
+	if poisonedJob.Attempts != 1 {
+		t.Fatalf("poisoned after %d attempts, want 1", poisonedJob.Attempts)
 	}
 	if poisonedJob.ErrKind != "panic" {
 		t.Fatalf("poisoned ErrKind = %q, want panic", poisonedJob.ErrKind)
@@ -495,13 +528,30 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, poisonedFile)); err != nil {
 		t.Fatalf("no %s after quarantine: %v", poisonedFile, err)
 	}
+	// One run: every run of a job ends in one outcome line, so the job's
+	// log is its quarantine plus a single failure, with no requeue.
+	logMu.Lock()
+	var outcomes []string
+	for _, line := range logs {
+		if strings.Contains(line, "requeued") {
+			t.Errorf("a job was requeued: %q", line)
+		}
+		if strings.HasPrefix(line, "mcmserve: job "+poisonedJob.ID+" ") {
+			outcomes = append(outcomes, line)
+		}
+	}
+	logMu.Unlock()
+	if len(outcomes) != 2 || !strings.Contains(outcomes[0], "poisoned after 1 attempt:") ||
+		!strings.HasSuffix(outcomes[1], " failed") {
+		t.Fatalf("poisoned job's log %q, want one quarantine after 1 attempt and one failure", outcomes)
+	}
 
 	// A restarted server inherits the quarantine: the resubmission is
 	// instantly terminal with the recorded structured failure — no queue
 	// traffic, no fresh attempts.
 	s2 := newServerOpts(serverOptions{
 		Store: mustOpenStore(t, dir), Workers: 1, QueueCap: 16,
-		Logf: t.Logf, Fault: plan, PoisonAttempts: 2,
+		Logf: t.Logf, Fault: plan,
 	})
 	c2, stop2 := testClient(t, s2)
 	defer stop2()
@@ -513,7 +563,7 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 		t.Fatalf("poisoned resubmit not instantly done: %+v", bs)
 	}
 	js := bs.Jobs[0]
-	if js.State != client.StateFailed || !js.Poisoned || js.Attempts != 2 || js.Error == "" {
+	if js.State != client.StateFailed || !js.Poisoned || js.Attempts != 1 || js.Error == "" {
 		t.Fatalf("poisoned resubmit: %+v, want instant structured failure", js)
 	}
 }

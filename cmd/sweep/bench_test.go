@@ -60,7 +60,7 @@ func BenchmarkSweepTwoPhase(b *testing.B) {
 	cfgs, costs, specs := benchGrid()
 	base := config.BaselineMCM()
 	for i := 0; i < b.N; i++ {
-		r := &runner.Runner{Cache: runner.NewCache(), EstCache: runner.NewEstCache()}
+		r := &runner.Runner{Cache: runner.NewCache()}
 		scores, _, err := scoreGrid(r, base, cfgs, specs, 0.05)
 		if err != nil {
 			b.Fatal(err)

@@ -83,7 +83,7 @@ func run() (code int) {
 		opts      = flag.Bool("optimized", true, "apply distributed scheduling + first touch at every grid point")
 		tiled     = flag.Bool("tiled", false, "apply tiled 2-D scheduling + region-aware placement at every grid point instead of -optimized (the dense-workload pairing; see -workloads dense)")
 		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
-		nocache   = flag.Bool("nocache", false, "disable the memoized run and estimate caches")
+		nocache   = flag.Bool("nocache", false, "disable the memoized run cache")
 		csvOut    = flag.String("csv", "", "write CSV to this file instead of stdout")
 		anOnly    = flag.Bool("analytic-only", false, "phase 1 only: score the whole grid analytically, run no simulations")
 		refine    = flag.Int("refine", 0, "number of cells to re-simulate in phase 2 (0 = use -phase2-frac); frontier cells are simulated first")
@@ -303,7 +303,7 @@ func run() (code int) {
 // from the service's durable store without a simulation. Failed or
 // canceled jobs map to nil result slots plus a runner.JobErrors — exactly
 // what the local r.Run contract gives -keep-going; a poisoned job's error
-// names the cell and its exhausted attempt budget so the operator knows
+// names the cell and its deterministic failure so the operator knows
 // retrying elsewhere is pointless.
 func runRemote(ctx context.Context, servers string, jobList []runner.Job, maxEvents uint64, audit bool, warnf func(string, ...interface{})) ([]*core.Result, error) {
 	m := client.Manifest{
@@ -349,7 +349,7 @@ func runRemote(ctx context.Context, servers string, jobList []runner.Job, maxEve
 			msg = st.State
 		}
 		if st.Poisoned {
-			msg = fmt.Sprintf("poisoned after %d deterministic failures: %s", st.Attempts, msg)
+			msg = "poisoned after a deterministic failure: " + msg
 		}
 		jerrs = append(jerrs, &runner.JobError{
 			Index:    i,

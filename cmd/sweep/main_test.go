@@ -164,7 +164,7 @@ func TestTwoPhaseReproducesFrontier(t *testing.T) {
 	for i := range cfgs {
 		costs[i] = linkVals[i%len(linkVals)]
 	}
-	r := &runner.Runner{Cache: runner.Shared(), EstCache: runner.SharedEstimates()}
+	r := &runner.Runner{Cache: runner.Shared()}
 
 	// Reference: full simulation of every grid cell.
 	var jobs []runner.Job

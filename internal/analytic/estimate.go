@@ -544,7 +544,7 @@ func (e *Estimator) localProb(spec *workload.Spec, p *workload.AccessProfile, re
 		// the boundary pages' share of the chunked region, which grows
 		// with the chunk count: the residual NUMA traffic that makes more,
 		// smaller GPMs slightly worse even in the optimized design.
-		chunks := float64(cfg.Modules * maxInt(1, cfg.CTAChunksPerModule))
+		chunks := float64(cfg.Modules * max(1, cfg.CTAChunksPerModule))
 		totalOwn := region * float64(spec.CTAs)
 		leak := clamp01(0.5 * (chunks - 1) * pageLines / math.Max(totalOwn, 1))
 		if ceil := 1 - uniform; leak > ceil {
@@ -640,7 +640,7 @@ func (e *Estimator) placementHomes(spec *workload.Spec, pm core.PageMap,
 			}
 		}
 	}
-	dOwn := minU64(maxU64(1, uint64(math.Ceil(dOwnCTA))), perCTA)
+	dOwn := min(max(1, uint64(math.Ceil(dOwnCTA))), perCTA)
 	for i := 0; i < spec.CTAs; i++ {
 		var ctaCons []float64
 		if layout != nil {
@@ -658,7 +658,7 @@ func (e *Estimator) placementHomes(spec *workload.Spec, pm core.PageMap,
 	addRange(clShared, 0, spec.SharedLines, nil)
 	addRange(clScatter, spec.SharedLines, spec.SharedLines+spec.ScatterLines, nil)
 	for pg := uint64(0); pg < pages; pg++ {
-		wt := float64(minU64(lpp, spec.FootprintLines-pg*lpp))
+		wt := float64(min(lpp, spec.FootprintLines-pg*lpp))
 		if home := homes[pg]; home < 0 {
 			for m := 0; m < G; m++ {
 				q[clUniform][m] += wt * uni
@@ -744,20 +744,6 @@ func hotspotFactor(q *[nClasses][]float64, arr *[nClasses]float64, modules int) 
 		}
 	}
 	return math.Max(1, float64(modules)*maxShare/total)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // l1OwnConflict returns the set-conflict factor (<= 1) on own-region L1
@@ -891,10 +877,10 @@ func (e *Estimator) scheduleImbalance(spec *workload.Spec) float64 {
 	}
 	switch cfg.Scheduler {
 	case config.SchedDistributed:
-		chunks := cfg.Modules * maxInt(1, cfg.CTAChunksPerModule)
+		chunks := cfg.Modules * max(1, cfg.CTAChunksPerModule)
 		return spec.ChunkImbalance(chunks)
 	case config.SchedDynamic:
-		chunks := cfg.Modules * maxInt(1, cfg.CTAChunksPerModule)
+		chunks := cfg.Modules * max(1, cfg.CTAChunksPerModule)
 		imb := spec.ChunkImbalance(chunks)
 		return 1 + (imb-1)*(1-dynStealRecovery)
 	case config.SchedTiled2D:
@@ -934,7 +920,7 @@ func (e *Estimator) latencyTerm(spec *workload.Spec, p *workload.AccessProfile,
 			}
 			// A probed access either short-circuits at the L1.5 hit
 			// latency or pays the miss penalty on top of the full path.
-			lat = lat*(1-probed*h15[c]) + probed*h15[c]*(float64(cfg.L1.HitLatency)+float64(cfg.XbarLatency)+float64(cfg.L15.HitLatency)) - lat*0
+			lat = lat*(1-probed*h15[c]) + probed*h15[c]*(float64(cfg.L1.HitLatency)+float64(cfg.XbarLatency)+float64(cfg.L15.HitLatency))
 			lat += probed * (1 - h15[c]) * core.L15MissPenalty
 		}
 		lat += remote * 2 * e.meanHops * float64(cfg.Link.HopLatency)
@@ -1002,11 +988,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

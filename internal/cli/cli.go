@@ -1,7 +1,7 @@
 // Package cli is the flag wiring the three simulation commands share.
 // experiments, sweep and mcmsim each register the eight flags below, keep
 // only their own flags, and get the runner those flags describe from
-// Build: the budgets and deadline, the MCMGPU_FAULT plan, the memo caches,
+// Build: the budgets and deadline, the MCMGPU_FAULT plan, the run cache,
 // the -metrics output and the -store tier.
 package cli
 
@@ -64,8 +64,8 @@ func (f *Flags) warnf(format string, args ...interface{}) {
 
 // Build returns the runner the flags describe: the MCMGPU_FAULT plan, the
 // -max-events budget and -audit, the -timeout deadline counted from now,
-// collect-errors mode under -keep-going, the process-wide memo caches
-// unless noCache, a -metrics output and a -store tier. A store that cannot
+// collect-errors mode under -keep-going, the process-wide run cache unless
+// noCache, a -metrics output and a -store tier. A store that cannot
 // open is a warning, and the runner computes without it. check, when
 // non-nil, sees the runner before any file is created and can refuse it.
 //
@@ -87,7 +87,6 @@ func (f *Flags) Build(noCache bool, check func(*runner.Runner) error) (*runner.R
 	}
 	if !noCache {
 		r.Cache = runner.Shared()
-		r.EstCache = runner.SharedEstimates()
 	}
 	if check != nil {
 		if err := check(r); err != nil {

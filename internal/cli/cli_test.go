@@ -80,8 +80,8 @@ func TestFlagsReachRunner(t *testing.T) {
 	if r.Fault.String() != "panic@5000:Stream" {
 		t.Errorf("fault plan %q, want MCMGPU_FAULT's", r.Fault.String())
 	}
-	if r.Cache != runner.Shared() || r.EstCache != runner.SharedEstimates() {
-		t.Error("the shared memo caches are not attached")
+	if r.Cache != runner.Shared() {
+		t.Error("the shared run cache is not attached")
 	}
 	if m := r.Metrics; m == nil || m.W == nil || !m.CSV || m.Interval != 64 {
 		t.Errorf("metrics %+v, want a CSV output sampled every 64 cycles", m)
@@ -96,14 +96,14 @@ func TestFlagsReachRunner(t *testing.T) {
 		t.Errorf("close printed no store line:\n%s", stderr())
 	}
 
-	// The defaults ask for none of it; noCache leaves the caches off.
+	// The defaults ask for none of it; noCache leaves the cache off.
 	t.Setenv("MCMGPU_FAULT", "")
 	r, closeRun, err = parse(t).Build(true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Limits.WallDeadline.IsZero() || r.Limits.MaxEvents != 0 || r.Limits.Audit || !r.FailFast ||
-		r.Fault.Enabled() || r.Cache != nil || r.EstCache != nil || r.Metrics != nil || r.Store != nil {
+		r.Fault.Enabled() || r.Cache != nil || r.Metrics != nil || r.Store != nil {
 		t.Errorf("default runner %+v is not bare", r)
 	}
 	if err := closeRun(); err != nil {

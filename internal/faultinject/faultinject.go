@@ -168,43 +168,63 @@ func ValidTarget(t string) bool {
 	return false
 }
 
+// kindNames is every kind's plan-syntax name, indexed by Kind: the one
+// table String renders from and Parse reads.
+var kindNames = [...]string{
+	None:             "none",
+	Panic:            "panic",
+	Stall:            "stall",
+	Spin:             "spin",
+	CorruptBudget:    "corrupt",
+	CorruptCounter:   "corrupt-counter",
+	StoreTornWrite:   "store-torn-write",
+	StoreCorruptBlob: "store-corrupt-blob",
+	StoreEIO:         "store-eio",
+	StoreSlowIO:      "store-slow-io",
+	NetDrop:          "net-drop",
+	NetTruncate:      "net-truncate",
+	Net5xx:           "net-5xx",
+	Net429:           "net-429",
+	NetLatency:       "net-latency",
+	NetBlackhole:     "net-blackhole",
+}
+
 // String returns the kind's plan-syntax name.
 func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Panic:
-		return "panic"
-	case Stall:
-		return "stall"
-	case Spin:
-		return "spin"
-	case CorruptBudget:
-		return "corrupt"
-	case CorruptCounter:
-		return "corrupt-counter"
-	case StoreTornWrite:
-		return "store-torn-write"
-	case StoreCorruptBlob:
-		return "store-corrupt-blob"
-	case StoreEIO:
-		return "store-eio"
-	case StoreSlowIO:
-		return "store-slow-io"
-	case NetDrop:
-		return "net-drop"
-	case NetTruncate:
-		return "net-truncate"
-	case Net5xx:
-		return "net-5xx"
-	case Net429:
-		return "net-429"
-	case NetLatency:
-		return "net-latency"
-	case NetBlackhole:
-		return "net-blackhole"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// parseKind maps a plan-syntax name to its kind, None when it names none.
+// None itself is not a plan, so "none" does not parse, and the
+// corrupt-counter kind matches by prefix because its name carries the
+// target.
+func parseKind(name string) Kind {
+	if strings.HasPrefix(name, kindNames[CorruptCounter]) {
+		return CorruptCounter
+	}
+	for k := None + 1; int(k) < len(kindNames); k++ {
+		if kindNames[k] == name {
+			return k
+		}
+	}
+	return None
+}
+
+// kindList renders the parseable kind names for an error message.
+func kindList() string {
+	names := make([]string, 0, len(kindNames)-1)
+	for k := None + 1; int(k) < len(kindNames); k++ {
+		name := kindNames[k]
+		if k == CorruptCounter {
+			name += ".<target>"
+		}
+		names = append(names, name)
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
 // Plan is one armed fault. The zero value is disabled.
@@ -335,44 +355,15 @@ func Parse(s string) (Plan, error) {
 	if !ok {
 		return Plan{}, fmt.Errorf("faultinject: %q: want kind@event[:workload]", s)
 	}
-	switch {
-	case kindStr == "panic":
-		p.Kind = Panic
-	case kindStr == "stall":
-		p.Kind = Stall
-	case kindStr == "spin":
-		p.Kind = Spin
-	case kindStr == "corrupt":
-		p.Kind = CorruptBudget
-	case kindStr == "store-torn-write":
-		p.Kind = StoreTornWrite
-	case kindStr == "store-corrupt-blob":
-		p.Kind = StoreCorruptBlob
-	case kindStr == "store-eio":
-		p.Kind = StoreEIO
-	case kindStr == "store-slow-io":
-		p.Kind = StoreSlowIO
-	case kindStr == "net-drop":
-		p.Kind = NetDrop
-	case kindStr == "net-truncate":
-		p.Kind = NetTruncate
-	case kindStr == "net-5xx":
-		p.Kind = Net5xx
-	case kindStr == "net-429":
-		p.Kind = Net429
-	case kindStr == "net-latency":
-		p.Kind = NetLatency
-	case kindStr == "net-blackhole":
-		p.Kind = NetBlackhole
-	case strings.HasPrefix(kindStr, "corrupt-counter"):
-		p.Kind = CorruptCounter
-		p.Target = strings.TrimPrefix(strings.TrimPrefix(kindStr, "corrupt-counter"), ".")
+	switch p.Kind = parseKind(kindStr); p.Kind {
+	case None:
+		return Plan{}, fmt.Errorf("faultinject: %q: unknown kind %q (want %s)", s, kindStr, kindList())
+	case CorruptCounter:
+		p.Target = strings.TrimPrefix(strings.TrimPrefix(kindStr, kindNames[CorruptCounter]), ".")
 		if !ValidTarget(p.Target) {
 			return Plan{}, fmt.Errorf("faultinject: %q: corrupt-counter target %q, want one of %s",
 				s, p.Target, strings.Join(Targets(), ", "))
 		}
-	default:
-		return Plan{}, fmt.Errorf("faultinject: %q: unknown kind %q (want panic, stall, spin, corrupt, corrupt-counter.<target>, store-torn-write, store-corrupt-blob, store-eio, store-slow-io, net-drop, net-truncate, net-5xx, net-429, net-latency or net-blackhole)", s, kindStr)
 	}
 	if atStr, rest, ok = strings.Cut(atStr, "#"); ok {
 		if !p.IsNet() {

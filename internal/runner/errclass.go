@@ -15,8 +15,8 @@ import (
 //     key: a retry can succeed, so nothing may memoize or quarantine them.
 //   - Every other class is a deterministic property of the key: the same
 //     job fails the same way on every attempt, so retrying buys nothing and
-//     a service should quarantine the cell after a bounded attempt budget
-//     instead of looping on it.
+//     a service should quarantine the cell on its first failure instead of
+//     looping on it.
 type ErrClass string
 
 const (

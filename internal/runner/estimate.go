@@ -1,24 +1,14 @@
 package runner
 
 import (
-	"sync"
-
 	"mcmgpu/internal/analytic"
 	"mcmgpu/internal/config"
 )
 
 // This file is the runner's analytic fast path: the same Job values that
 // Run simulates can be evaluated through the closed-form estimator
-// (internal/analytic) in microseconds instead of seconds. Estimates share
-// the simulation cache's fingerprint-derived keys under an "est|" prefix —
-// one key derivation for both execution paths — but live in their own typed
-// cache, so a two-phase sweep that estimates the whole grid and then
-// simulates the survivors never confuses a prediction with a measurement.
-
-// estKey is the estimate-cache key: the simulation key under an "est|"
-// prefix. Run bounds, fault plans and metrics sampling do not apply to the
-// closed form, so they are deliberately absent.
-func (j Job) estKey() string { return "est|" + j.key() }
+// (internal/analytic) in microseconds instead of seconds. Estimates are not
+// memoized: one costs about as much as deriving a cache key for it would.
 
 // Estimates evaluates every job through the closed-form estimator and
 // returns predictions in job order, mirroring Run's contract: a failing job
@@ -31,7 +21,7 @@ func (r *Runner) Estimates(jobs []Job) ([]*analytic.Estimate, error) {
 	ests := map[*config.Config]*analytic.Estimator{}
 	var jerrs JobErrors
 	for i, j := range jobs {
-		est, err := r.estimateJob(j, ests)
+		est, err := estimateJob(j, ests)
 		if err != nil {
 			jerrs = append(jerrs, &JobError{
 				Index:    i,
@@ -52,67 +42,16 @@ func (r *Runner) Estimates(jobs []Job) ([]*analytic.Estimate, error) {
 	return out, nil
 }
 
-func (r *Runner) estimateJob(j Job, ests map[*config.Config]*analytic.Estimator) (*analytic.Estimate, error) {
-	eval := func() (*analytic.Estimate, error) {
-		e, ok := ests[j.Config]
-		if !ok {
-			var err error
-			if e, err = analytic.NewEstimator(j.Config); err != nil {
-				return nil, err
-			}
-			ests[j.Config] = e
-		}
-		scale := j.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		return e.Estimate(j.Spec, scale)
-	}
-	if r.EstCache == nil {
-		return eval()
-	}
-	return r.EstCache.do(j.estKey(), eval)
-}
-
-// EstCache memoizes closed-form estimates. Like the simulation Cache it
-// returns copies and memoizes deterministic errors; unlike it there is no
-// single-flight machinery, because an estimate costs microseconds.
-type EstCache struct {
-	mu      sync.Mutex
-	entries map[string]estEntry
-}
-
-type estEntry struct {
-	est *analytic.Estimate
-	err error
-}
-
-// NewEstCache returns an empty estimate cache.
-func NewEstCache() *EstCache {
-	return &EstCache{entries: map[string]estEntry{}}
-}
-
-// do returns the memoized estimate for key, evaluating fn on first request.
-func (c *EstCache) do(key string, fn func() (*analytic.Estimate, error)) (*analytic.Estimate, error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
+// estimateJob evaluates one job on its config's estimator, building the
+// estimator on the config's first job.
+func estimateJob(j Job, ests map[*config.Config]*analytic.Estimator) (*analytic.Estimate, error) {
+	e, ok := ests[j.Config]
 	if !ok {
-		e.est, e.err = fn()
-		c.mu.Lock()
-		c.entries[key] = e
-		c.mu.Unlock()
+		var err error
+		if e, err = analytic.NewEstimator(j.Config); err != nil {
+			return nil, err
+		}
+		ests[j.Config] = e
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	out := *e.est
-	return &out, nil
+	return e.Estimate(j.Spec, j.Scale)
 }
-
-// estSharedCache is the process-wide estimate cache, the analytic twin of
-// the shared simulation cache.
-var estSharedCache = NewEstCache()
-
-// SharedEstimates returns the process-wide estimate cache.
-func SharedEstimates() *EstCache { return estSharedCache }

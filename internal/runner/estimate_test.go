@@ -2,7 +2,6 @@ package runner
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"mcmgpu/internal/analytic"
@@ -11,76 +10,29 @@ import (
 )
 
 // TestEstimatesMatchDirect: Runner.Estimates is the batched form of one
-// estimator per job — same predictions, job order preserved, cache
-// irrelevant to the values.
+// estimator per job — same predictions, job order preserved.
 func TestEstimatesMatchDirect(t *testing.T) {
 	jobs := testJobs(t)
-	for _, cache := range []*EstCache{nil, NewEstCache()} {
-		r := &Runner{EstCache: cache}
-		got, err := r.Estimates(jobs)
+	got, err := (&Runner{}).Estimates(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(jobs) {
+		t.Fatalf("got %d estimates for %d jobs", len(got), len(jobs))
+	}
+	for i, j := range jobs {
+		e, err := analytic.NewEstimator(j.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(jobs) {
-			t.Fatalf("got %d estimates for %d jobs", len(got), len(jobs))
+		want, err := e.Estimate(j.Spec, j.Scale)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, j := range jobs {
-			e, err := analytic.NewEstimator(j.Config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := e.Estimate(j.Spec, j.Scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] == nil || !reflect.DeepEqual(*got[i], *want) {
-				t.Errorf("job %d (%s on %s): batched estimate diverges from direct",
-					i, j.Spec.Name, j.Config.Name)
-			}
+		if got[i] == nil || !reflect.DeepEqual(*got[i], *want) {
+			t.Errorf("job %d (%s on %s): batched estimate diverges from direct",
+				i, j.Spec.Name, j.Config.Name)
 		}
-	}
-}
-
-// TestEstCacheMemoizes: the cold pass stores one entry per job, a second
-// pass evaluates nothing, and the returned estimates are copies — mutating
-// one never contaminates the cache.
-func TestEstCacheMemoizes(t *testing.T) {
-	jobs := testJobs(t)
-	cache := NewEstCache()
-	r := &Runner{EstCache: cache}
-	first, err := r.Estimates(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cache.entries) != len(jobs) {
-		t.Fatalf("cold pass cached %d entries, want %d", len(cache.entries), len(jobs))
-	}
-	first[0].IPC = -1 // must not reach the cache
-	second, err := r.Estimates(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cache.entries) != len(jobs) {
-		t.Fatalf("warm pass grew the cache to %d entries, want %d", len(cache.entries), len(jobs))
-	}
-	for _, j := range jobs {
-		cache.do(j.estKey(), func() (*analytic.Estimate, error) {
-			t.Fatalf("%s on %s re-evaluated after the cold pass", j.Spec.Name, j.Config.Name)
-			return nil, nil
-		})
-	}
-	if second[0].IPC <= 0 {
-		t.Fatal("cached estimate was contaminated by caller mutation")
-	}
-}
-
-// TestEstKeyDisjointFromSimKey: the estimate key is the simulation key under
-// an "est|" prefix, so the two cache namespaces can never collide.
-func TestEstKeyDisjointFromSimKey(t *testing.T) {
-	j := Job{Config: config.BaselineMCM(), Spec: mustSpec(t, "GEMM"), Scale: 0.05}
-	ek, sk := j.estKey(), j.key()
-	if !strings.HasPrefix(ek, "est|") || strings.TrimPrefix(ek, "est|") != sk {
-		t.Fatalf("estKey %q does not wrap key %q", ek, sk)
 	}
 }
 
@@ -95,7 +47,7 @@ func TestEstimatesBadJob(t *testing.T) {
 		{Config: bad, Spec: mustSpec(t, "GEMM"), Scale: 0.05},
 		{Config: config.OptimizedMCM(), Spec: mustSpec(t, "CFD"), Scale: 0.05},
 	}
-	r := &Runner{EstCache: NewEstCache()}
+	r := &Runner{}
 	got, err := r.Estimates(jobs)
 	var jerrs JobErrors
 	if !asJobErrors(err, &jerrs) || len(jerrs) != 1 || jerrs[0].Index != 1 {
@@ -104,9 +56,9 @@ func TestEstimatesBadJob(t *testing.T) {
 	if got[0] == nil || got[1] != nil || got[2] == nil {
 		t.Fatalf("slots = [%v %v %v], want [est nil est]", got[0], got[1], got[2])
 	}
-	// The error is deterministic, so it memoizes like a result does.
+	// The error is deterministic: a second pass fails the same way.
 	if _, err := r.Estimates(jobs[1:2]); err == nil {
-		t.Fatal("memoized error pass: want error, got nil")
+		t.Fatal("second pass: want error, got nil")
 	}
 }
 

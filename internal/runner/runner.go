@@ -144,11 +144,6 @@ type Runner struct {
 	// most one store read or write. Store failures degrade to compute: an
 	// unreadable entry is a miss (logged by the store), never a job error.
 	Store *runstore.Store
-	// EstCache, when non-nil, memoizes closed-form estimates across
-	// Estimates calls (see estimate.go). Predictions and simulation results
-	// never share a cache: the estimate cache is typed to *analytic.Estimate
-	// and keys under an "est|" prefix.
-	EstCache *EstCache
 	// FailFast stops claiming new jobs after the first failure. When false
 	// (the default), every job runs and Run returns partial results plus a
 	// JobErrors aggregate — one pathological cell degrades to an error

@@ -55,8 +55,8 @@ const (
 	StateCanceled = "canceled"
 )
 
-// terminal reports whether a job state is final.
-func terminal(state string) bool {
+// Terminal reports whether a job state is final.
+func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
@@ -79,18 +79,17 @@ type JobStatus struct {
 	// ErrKind classifies a failed job (runner.ErrClass values: "panic",
 	// "budget", "invariant", "transient", "error").
 	ErrKind string `json:"err_kind,omitempty"`
-	// Attempts is how many times the server ran the job.
+	// Attempts counts the job's deterministic failures. The first one
+	// poisons the job, so a poisoned job reports 1.
 	Attempts int `json:"attempts,omitempty"`
-	// Poisoned marks a job quarantined after exhausting the server's
-	// attempt budget on deterministic failures; resubmitting it returns the
-	// same structured failure instantly instead of retrying forever.
+	// Poisoned marks a job quarantined after a deterministic failure;
+	// resubmitting it returns the same structured failure instantly instead
+	// of simulating it again.
 	Poisoned bool `json:"poisoned,omitempty"`
 }
 
 // Done reports whether the job reached a terminal state.
-func (s JobStatus) Done() bool {
-	return s.State == StateDone || s.State == StateFailed || s.State == StateCanceled
-}
+func (s JobStatus) Done() bool { return Terminal(s.State) }
 
 // BatchStatus is the service's view of one submitted manifest. Jobs appear
 // in manifest order.

@@ -57,10 +57,10 @@ func (c *Client) WatchBatch(ctx context.Context, id string, onUpdate func(*Batch
 		done := true
 		for i := range bs.Jobs {
 			js := &bs.Jobs[i]
-			if prev, ok := seen[js.ID]; ok && !terminal(js.State) {
+			if prev, ok := seen[js.ID]; ok && !Terminal(js.State) {
 				*js = prev
 			}
-			if terminal(js.State) {
+			if Terminal(js.State) {
 				seen[js.ID] = *js
 			} else {
 				done = false
@@ -200,11 +200,4 @@ func (c *Client) pollBatch(ctx context.Context, id string, reconcile func(*Batch
 			d *= 2
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -97,16 +97,16 @@ func (s *Spec) Profile() AccessProfile {
 
 // haloWindow returns how many lines at the edge of a neighbor's region of
 // regionLen lines the halo accesses touch.
-func haloWindow(regionLen uint64) uint64 { return maxU64(1, regionLen/8) }
+func haloWindow(regionLen uint64) uint64 { return max(1, regionLen/8) }
 
 // computeTile returns the tile a PatComputeTile warp re-walks within its
 // CTA's region of regionLen lines: an eighth of it (strong reuse).
-func computeTile(regionLen uint64) uint64 { return maxU64(1, regionLen/8) }
+func computeTile(regionLen uint64) uint64 { return max(1, regionLen/8) }
 
 // skewStep returns how far apart the k-loop skew starts the walks of
 // neighboring CTAs along a PatGEMM2D panel of panelLines lines that n CTAs
 // share.
-func skewStep(panelLines uint64, n int) uint64 { return maxU64(1, panelLines/uint64(n)) }
+func skewStep(panelLines uint64, n int) uint64 { return max(1, panelLines/uint64(n)) }
 
 // stride returns the line stride of a PatStrided own-region walk.
 func (s *Spec) stride() uint64 {

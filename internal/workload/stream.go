@@ -223,10 +223,3 @@ func (s *Stream) remember(a uint32) {
 		s.nRecent++
 	}
 }
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -273,25 +273,18 @@ func (s *Spec) PanelWindows() (row, col uint64) {
 		return 0, 0
 	}
 	cand := s.PanelReach()
-	row, col = minU64(cand, s.RowPanelLines), minU64(cand, s.ColPanelLines)
+	row, col = min(cand, s.RowPanelLines), min(cand, s.ColPanelLines)
 	if s.Pattern == PatGEMM2D {
 		if s.GridW > 1 && s.RowPanelLines > 0 {
 			skew := uint64(s.GridW-1) * skewStep(s.RowPanelLines, s.GridW)
-			row = minU64(skew+cand, s.RowPanelLines)
+			row = min(skew+cand, s.RowPanelLines)
 		}
 		if s.GridH > 1 && s.ColPanelLines > 0 {
 			skew := uint64(s.GridH-1) * skewStep(s.ColPanelLines, s.GridH)
-			col = minU64(skew+cand, s.ColPanelLines)
+			col = min(skew+cand, s.ColPanelLines)
 		}
 	}
 	return row, col
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RegionHome returns the module that region-aware placement homes the
@@ -411,7 +404,7 @@ func (s *Spec) Scaled(f float64) *Spec {
 		panic(fmt.Sprintf("workload %s: non-positive scale %v", s.Name, f))
 	}
 	out := *s
-	out.MemOpsPerWarp = maxInt(1, int(float64(s.MemOpsPerWarp)*f+0.5))
+	out.MemOpsPerWarp = max(1, int(float64(s.MemOpsPerWarp)*f+0.5))
 	if s.SharedLines > 0 {
 		sh := uint64(float64(s.SharedLines)*f + 0.5)
 		if sh < 64 {
@@ -441,17 +434,7 @@ func (s *Spec) Scaled(f float64) *Spec {
 		out.ColPanelLines = cp
 	}
 	fp := uint64(float64(s.FootprintLines)*f + 0.5)
-	min := uint64(s.CTAs)*2 + out.SharedLines + out.ScatterLines + out.PanelLines()
-	if fp < min {
-		fp = min
-	}
-	out.FootprintLines = fp
+	floor := uint64(s.CTAs)*2 + out.SharedLines + out.ScatterLines + out.PanelLines()
+	out.FootprintLines = max(fp, floor)
 	return &out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
