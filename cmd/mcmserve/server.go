@@ -401,16 +401,16 @@ func (s *server) worker() {
 	}
 }
 
-// runOne executes one job through the store-backed runner: a cell another
-// client (or a past process) already computed is a store hit, a fresh cell
-// is simulated and persisted, and store failures degrade to compute inside
-// the runner tier — a job never fails because the disk did. The runner
-// needs no memo cache: s.jobs already holds one record per job ID, so no
-// two workers ever run the same cell.
+// runOne executes one job: a cell another client (or a past process)
+// computed since the submit probe is a store hit, and a fresh cell is
+// simulated through the runner and persisted. The runner gets no store, so
+// the worker reads the store once per attempt, and no memo cache: s.jobs
+// already holds one record per job ID, so no two workers ever run the same
+// cell. Store failures degrade to compute, and a failed Put is counted and
+// logged by the store but never fails the job: a job never fails because
+// the disk did.
 func (s *server) runOne(j *svcJob) {
-	source := client.SourceCompute
 	if s.store != nil {
-		// Re-probe: the cell may have been filled between submit and now.
 		if res, _, ok, err := s.store.Get(j.key); err == nil && ok {
 			s.finish(j, res, nil, client.SourceStore)
 			return
@@ -420,7 +420,6 @@ func (s *server) runOne(j *svcJob) {
 	limits.Ctx = j.ctx
 	rr := &runner.Runner{
 		Workers: 1,
-		Store:   s.store,
 		Limits:  limits,
 		Fault:   s.fault,
 	}
@@ -429,7 +428,10 @@ func (s *server) runOne(j *svcJob) {
 		s.finish(j, nil, err, "")
 		return
 	}
-	s.finish(j, results[0], nil, source)
+	if s.store != nil {
+		_ = s.store.Put(j.key, results[0], nil)
+	}
+	s.finish(j, results[0], nil, client.SourceCompute)
 }
 
 // finish records a job's outcome. Failures are partitioned by error

@@ -168,6 +168,70 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 	}
 }
 
+// TestColdJobReadsStoreOnce pins a cold job's store traffic: the submit
+// probe misses, the worker reads the store once more and misses, and the
+// computed result is put once. A cell the store gains after the submit
+// probe is served by the worker's read, with source store and no
+// simulation.
+func TestColdJobReadsStoreOnce(t *testing.T) {
+	s := newServerOpts(serverOptions{Store: mustOpenStore(t, t.TempDir()), Workers: 1, QueueCap: 16, Logf: t.Logf})
+	c, stop := testClient(t, s)
+	defer stop()
+	defer s.drain()
+	m := testManifest(t, "Stream")
+	results, statuses, err := client.NewPool([]string{c.BaseURL}, c).Run(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := statuses[0]; js.State != client.StateDone || js.Source != client.SourceCompute {
+		t.Fatalf("cold job: %+v, want done/compute", js)
+	}
+	if st := s.store.Stats(); st.Hits != 0 || st.Misses != 2 || st.Puts != 1 {
+		t.Fatalf("one cold job: %d hits, %d misses, %d puts; want 0, 2, 1", st.Hits, st.Misses, st.Puts)
+	}
+
+	// No worker runs until the store holds the cell the submit probe missed.
+	s2 := newServerOpts(serverOptions{Store: mustOpenStore(t, t.TempDir()), QueueCap: 16, Logf: t.Logf})
+	defer s2.drain()
+	bs, _, err := s2.submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.Done {
+		t.Fatalf("a job submitted to an empty store is already done: %+v", bs)
+	}
+	id := bs.Jobs[0].ID
+	s2.mu.Lock()
+	key := s2.jobs[id].key
+	s2.mu.Unlock()
+	if err := s2.store.Put(key, results[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	s2.startWorkers(1)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s2.mu.Lock()
+		js := s2.jobs[id].statusLocked()
+		s2.mu.Unlock()
+		if client.Terminal(js.State) {
+			if js.State != client.StateDone || js.Source != client.SourceStore {
+				t.Fatalf("job filled in the store after submit: %+v, want done/store", js)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 30 s", js.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if sims := computed(s2); sims != 0 {
+		t.Fatalf("the worker simulated %d cells the store held", sims)
+	}
+	if st := s2.store.Stats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+		t.Fatalf("submit probe then worker hit: %d hits, %d misses, %d puts; want 1, 1, 1", st.Hits, st.Misses, st.Puts)
+	}
+}
+
 // TestResultAcrossRestart serves a result by content-derived job ID from a
 // server that never saw the submission — the GetByID path.
 func TestResultAcrossRestart(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 // Way entry layout: each way is one uint32 holding tag<<2 | dirty | valid,
 // so an all-zero entry is an invalid way and a cleared array is an empty
 // cache. A 16-way set then fits one 64-byte host line. Tags therefore must
-// be below tagLimit (see New).
+// be below tagLimit (see Init).
 const (
 	flagValid = 1
 	flagDirty = 2
@@ -32,7 +32,6 @@ const (
 // Ways within a set are kept in recency order (index 0 = MRU), which is
 // cheap for the small associativities used here (4–16 ways).
 type Cache struct {
-	name      string
 	lines     []uint32 // way entries, set-major: set s occupies [s*ways, (s+1)*ways)
 	filled    []uint32 // indices of the sets filled since the last flush
 	setMask   uint64
@@ -43,40 +42,46 @@ type Cache struct {
 	reads      stats.Ratio
 	writes     stats.Ratio
 	writebacks stats.Counter
+
+	format string // the name, with idx for its one verb (see Name)
+	idx    int
 }
 
-// New creates a cache over lines, the caller's way array: one entry per
-// line of capacity, all zero (an empty cache). sets is the caller's
+// Init readies c in place as an empty cache over lines, the caller's way
+// array: one entry per line of capacity, all zero. sets is the caller's
 // storage for the list of filled sets, one entry per set; its contents do
-// not matter. The cache owns both arrays from then on. With the given
-// associativity the line count must yield a power-of-two set count.
-// Addresses passed to the cache are line addresses (byte address divided by
-// the line size) below 2^30, so every tag fits a way entry whatever the set
-// count; the cache itself is agnostic to the line size. Taking the arrays
-// lets a machine cut every cache from slabs it can recycle, so New
-// allocates only the Cache.
-func New(name string, lines, sets []uint32, ways int, writeBack bool) *Cache {
+// not matter. The cache owns both arrays from then on, and Init clears
+// every counter. With the given associativity the line count must yield a
+// power-of-two set count. Addresses passed to the cache are line addresses
+// (byte address divided by the line size) below 2^30, so every tag fits a
+// way entry whatever the set count; the cache itself is agnostic to the
+// line size. Taking the arrays, and a name format and index it formats only
+// when the name is read, lets a machine keep its caches in storage it
+// recycles, so Init allocates nothing.
+func (c *Cache) Init(format string, idx int, lines, sets []uint32, ways int, writeBack bool) {
+	*c = Cache{format: format, idx: idx}
 	n := len(lines)
 	if n == 0 || ways <= 0 || n%ways != 0 {
-		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", name, n, ways))
+		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", c.Name(), n, ways))
 	}
 	nSets := n / ways
 	if nSets&(nSets-1) != 0 {
-		panic(fmt.Sprintf("cache %q: set count %d not a power of two", name, nSets))
+		panic(fmt.Sprintf("cache %q: set count %d not a power of two", c.Name(), nSets))
 	}
 	if len(sets) != nSets {
-		panic(fmt.Sprintf("cache %q: %d set-list entries for %d sets", name, len(sets), nSets))
+		panic(fmt.Sprintf("cache %q: %d set-list entries for %d sets", c.Name(), len(sets), nSets))
 	}
-	return &Cache{
-		name:      name,
-		lines:     lines,
-		filled:    sets[:0],
-		setMask:   uint64(nSets - 1),
-		setShift:  uint(bits.TrailingZeros(uint(nSets))),
-		ways:      ways,
-		writeBack: writeBack,
-	}
+	c.lines = lines
+	c.filled = sets[:0]
+	c.setMask = uint64(nSets - 1)
+	c.setShift = uint(bits.TrailingZeros(uint(nSets)))
+	c.ways = ways
+	c.writeBack = writeBack
 }
+
+// Name returns the cache's name: Init's format with its index, such as
+// "sm17-l1".
+func (c *Cache) Name() string { return fmt.Sprintf(c.format, c.idx) }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return int(c.setMask) + 1 }
@@ -100,7 +105,7 @@ func (c *Cache) set(addr uint64) []uint32 {
 
 // key returns the valid, clean way entry for addr's tag; a way holds addr
 // exactly when its entry with the dirty bit masked off equals the key. A tag
-// the entry cannot hold means a caller broke New's address bound.
+// the entry cannot hold means a caller broke Init's address bound.
 func (c *Cache) key(addr uint64) uint32 {
 	tag := addr >> c.setShift
 	if tag >= tagLimit {
@@ -114,7 +119,7 @@ func (c *Cache) key(addr uint64) uint32 {
 //
 //go:noinline
 func (c *Cache) badAddr(addr uint64) {
-	panic(fmt.Sprintf("cache %q: line address %#x is beyond the way format", c.name, addr))
+	panic(fmt.Sprintf("cache %q: line address %#x is beyond the way format", c.Name(), addr))
 }
 
 // find returns the way of s holding key, or -1.
@@ -253,6 +258,7 @@ func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 // coherence), a filled set missing from the list Flush clears (it would
 // survive the flush), and hit counters exceeding access counters.
 func (c *Cache) Audit(r *audit.Reporter) {
+	name := c.Name()
 	recorded := make([]bool, c.Sets())
 	for _, si := range c.filled {
 		recorded[si] = true
@@ -261,7 +267,7 @@ func (c *Cache) Audit(r *audit.Reporter) {
 	for si := 0; si < c.Sets(); si++ {
 		s := c.set(uint64(si))
 		if s[0] != 0 && !recorded[si] {
-			r.Reportf("cache-filled-sets", c.name, "set %d holds lines but is not on the list Flush clears", si)
+			r.Reportf("cache-filled-sets", name, "set %d holds lines but is not on the list Flush clears", si)
 		}
 		invalidAt := -1
 		for i, e := range s {
@@ -273,16 +279,16 @@ func (c *Cache) Audit(r *audit.Reporter) {
 			}
 			occ++
 			if invalidAt >= 0 {
-				r.Reportf("cache-lru", c.name,
+				r.Reportf("cache-lru", name,
 					"set %d: valid line in way %d behind invalid way %d; the LRU stack must keep valid ways as a prefix", si, i, invalidAt)
 			}
 			if e&flagDirty != 0 && !c.writeBack {
-				r.Reportf("cache-write-through", c.name,
+				r.Reportf("cache-write-through", name,
 					"set %d way %d holds a dirty line in a write-through cache", si, i)
 			}
 			for j := 0; j < i; j++ {
 				if (s[j]^e)&^flagDirty == 0 {
-					r.Reportf("cache-dup-tag", c.name,
+					r.Reportf("cache-dup-tag", name,
 						"set %d: tag %#x present in ways %d and %d", si, e>>tagShift, j, i)
 				}
 			}
@@ -290,12 +296,12 @@ func (c *Cache) Audit(r *audit.Reporter) {
 	}
 	capacity := len(c.lines)
 	if occ > capacity {
-		r.Reportf("cache-occupancy", c.name, "%d valid lines exceed capacity %d", occ, capacity)
+		r.Reportf("cache-occupancy", name, "%d valid lines exceed capacity %d", occ, capacity)
 	}
 	if c.reads.Hits > c.reads.Total {
-		r.Reportf("cache-counters", c.name, "read hits %d exceed read accesses %d", c.reads.Hits, c.reads.Total)
+		r.Reportf("cache-counters", name, "read hits %d exceed read accesses %d", c.reads.Hits, c.reads.Total)
 	}
 	if c.writes.Hits > c.writes.Total {
-		r.Reportf("cache-counters", c.name, "write hits %d exceed write accesses %d", c.writes.Hits, c.writes.Total)
+		r.Reportf("cache-counters", name, "write hits %d exceed write accesses %d", c.writes.Hits, c.writes.Total)
 	}
 }

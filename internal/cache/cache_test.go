@@ -8,9 +8,12 @@ import (
 	"mcmgpu/internal/audit"
 )
 
-// newCache builds a cache of the given geometry over fresh arrays.
+// newCache builds a cache of the given geometry over fresh arrays, named
+// name-0.
 func newCache(name string, lines, ways int, writeBack bool) *Cache {
-	return New(name, make([]uint32, lines), make([]uint32, lines/ways), ways, writeBack)
+	c := new(Cache)
+	c.Init(name+"-%d", 0, make([]uint32, lines), make([]uint32, lines/ways), ways, writeBack)
+	return c
 }
 
 // resident reports whether addr is cached, without touching replacement
@@ -199,10 +202,10 @@ func TestBadGeometryPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(lines=%d, sets=%d, ways=%d) did not panic", tc.lines, tc.sets, tc.ways)
+					t.Errorf("Init(lines=%d, sets=%d, ways=%d) did not panic", tc.lines, tc.sets, tc.ways)
 				}
 			}()
-			New("bad", make([]uint32, tc.lines), make([]uint32, tc.sets), tc.ways, false)
+			new(Cache).Init("bad-%d", 0, make([]uint32, tc.lines), make([]uint32, tc.sets), tc.ways, false)
 		}()
 	}
 }
@@ -314,14 +317,19 @@ func TestLRUMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestNewAndFlushAllocs pins the flat layout's allocation profile: New
-// makes only the Cache, since the caller supplies its way array, and
-// flushing a write-through cache (the L1 and L1.5 at every kernel boundary)
-// allocates nothing.
-func TestNewAndFlushAllocs(t *testing.T) {
+// TestInitAndFlushAllocs pins the flat layout's allocation profile: Init
+// allocates nothing, since the caller supplies the Cache and its arrays and
+// the name is formatted only when read, and flushing a write-through cache
+// (the L1 and L1.5 at every kernel boundary) allocates nothing either.
+// Re-initializing a used cache also clears its counters and flush list.
+func TestInitAndFlushAllocs(t *testing.T) {
 	lines, sets := make([]uint32, 1024), make([]uint32, 256)
-	if a := testing.AllocsPerRun(20, func() { New("l1", lines, sets, 4, false) }); a > 1 {
-		t.Errorf("New allocated %v objects, want <= 1", a)
+	var fresh Cache
+	if a := testing.AllocsPerRun(20, func() { fresh.Init("sm%d-l1", 17, lines, sets, 4, false) }); a != 0 {
+		t.Errorf("Init allocated %v objects, want 0", a)
+	}
+	if got := fresh.Name(); got != "sm17-l1" {
+		t.Errorf("Name() = %q, want sm17-l1", got)
 	}
 	c := newCache("l1", 1024, 4, false)
 	for i := uint64(0); i < 4096; i++ {
@@ -332,6 +340,12 @@ func TestNewAndFlushAllocs(t *testing.T) {
 		c.Flush()
 	}); a != 0 {
 		t.Errorf("write-through Flush allocated %v objects, want 0", a)
+	}
+	c.Flush()
+	c.Init("l1-%d", 1, c.lines, c.filled[:cap(c.filled)], 4, false)
+	if c.Accesses() != 0 || c.ReadHits() != 0 || c.Writebacks() != 0 || !allZero(c) {
+		t.Errorf("re-initialized cache kept state: %d accesses, %d read hits, %d writebacks, empty %v",
+			c.Accesses(), c.ReadHits(), c.Writebacks(), allZero(c))
 	}
 }
 

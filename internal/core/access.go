@@ -51,7 +51,7 @@ func (m *Machine) startLoad(w uint32, line uint64) {
 	cfg := m.cfg
 	now := m.sim.Now()
 	m.lineReads++
-	s := m.sms[m.warps.slots[w].sm]
+	s := &m.sms[m.warps.slots[w].sm]
 
 	// SM-private L1.
 	if s.L1.Access(line, false).Hit {
@@ -62,13 +62,13 @@ func (m *Machine) startLoad(w uint32, line uint64) {
 
 	// Module fabric toward the memory system or the module edge.
 	g := s.Module()
-	mod := m.mods[g]
+	mod := &m.mods[g]
 	t = mod.xbar.Reserve(t, lineBytes) + engine.Cycle(cfg.XbarLatency)
 	m.mtr.AddBytes(energy.DomainChip, lineBytes)
 
 	// Home lookup; first touch binds the page here.
 	p := m.amap.Partition(line, g)
-	pt := m.prts[p]
+	pt := &m.prts[p]
 	remote := pt.module != g
 	if remote {
 		m.remoteAcc++
@@ -80,7 +80,7 @@ func (m *Machine) startLoad(w uint32, line uint64) {
 	// under the allocate-all ablation policy). Allocation happens at miss
 	// time, which models MSHR merging: concurrent accesses to an in-flight
 	// line hit without issuing duplicate traffic.
-	if mod.l15 != nil && (remote || cfg.L15Alloc == config.AllocAll) {
+	if mod.hasL15 && (remote || cfg.L15Alloc == config.AllocAll) {
 		if mod.l15.Access(line, false).Hit {
 			m.loadComplete(w, t+engine.Cycle(cfg.L15.HitLatency))
 			return
@@ -104,7 +104,7 @@ func (m *Machine) startLoad(w uint32, line uint64) {
 func (m *Machine) partitionLoad(l uint32) {
 	cfg := m.cfg
 	lc := m.loads.slots[l]
-	pt := m.prts[lc.pt]
+	pt := &m.prts[lc.pt]
 	now := m.sim.Now()
 	t := pt.bank.Reserve(now, lineBytes) + engine.Cycle(cfg.L2.HitLatency)
 	l2 := pt.l2.Access(m.amap.CacheAddr(uint64(lc.line)), false)
@@ -150,18 +150,18 @@ func (m *Machine) startStore(si uint32, line uint64) {
 	cfg := m.cfg
 	now := m.sim.Now()
 	m.lineWrites++
-	s := m.sms[si]
+	s := &m.sms[si]
 
 	s.L1.Probe(line, true)
 	t := now + engine.Cycle(cfg.L1.HitLatency)
 
 	g := s.Module()
-	mod := m.mods[g]
+	mod := &m.mods[g]
 	t = mod.xbar.Reserve(t, lineBytes) + engine.Cycle(cfg.XbarLatency)
 	m.mtr.AddBytes(energy.DomainChip, lineBytes)
 
 	p := m.amap.Partition(line, g)
-	pt := m.prts[p]
+	pt := &m.prts[p]
 	remote := pt.module != g
 	if remote {
 		m.remoteAcc++
@@ -169,7 +169,7 @@ func (m *Machine) startStore(si uint32, line uint64) {
 		m.localAcc++
 	}
 
-	if mod.l15 != nil && (remote || cfg.L15Alloc == config.AllocAll) {
+	if mod.hasL15 && (remote || cfg.L15Alloc == config.AllocAll) {
 		mod.l15.Probe(line, true)
 	}
 
@@ -190,7 +190,7 @@ func (m *Machine) startStore(si uint32, line uint64) {
 func (m *Machine) partitionStore(st uint32) {
 	cfg := m.cfg
 	sc := &m.stores.slots[st]
-	pt := m.prts[sc.pt]
+	pt := &m.prts[sc.pt]
 	now := m.sim.Now()
 	end := pt.bank.Reserve(now, lineBytes) + engine.Cycle(cfg.L2.HitLatency)
 	l2 := pt.l2.Access(m.amap.CacheAddr(uint64(sc.line)), true)
@@ -208,7 +208,7 @@ func (m *Machine) partitionStore(st uint32) {
 // release frees the store-buffer slot store st occupied and resumes a warp
 // parked on the full buffer, if any.
 func (m *Machine) release(st uint32) {
-	s := m.sms[m.stores.slots[st].sm]
+	s := &m.sms[m.stores.slots[st].sm]
 	m.stores.put(st)
 	if w, ok := s.ReleaseStore(); ok {
 		m.memWrite(w)

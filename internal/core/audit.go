@@ -42,7 +42,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// store buffers back to zero, no warp parked on a full store buffer, and
 	// every launched CTA retired.
 	a.Register("sm-drain", audit.Boundary, func(r *audit.Reporter) {
-		for _, s := range m.sms {
+		for i := range m.sms {
+			s := &m.sms[i]
 			name := fmt.Sprintf("sm%d", s.ID())
 			audit.Equal(r, "sm-drain", name, "resident CTAs", s.ResidentCTAs(), 0)
 			audit.Equal(r, "sm-drain", name, "resident warps", s.ResidentWarps(), 0)
@@ -61,8 +62,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 			return
 		}
 		var launched uint64
-		for _, s := range m.sms {
-			launched += s.LaunchedCTAs()
+		for i := range m.sms {
+			launched += m.sms[i].LaunchedCTAs()
 		}
 		audit.Equal(r, "cta-flow", "machine", "CTAs launched across SMs",
 			launched, uint64(m.spec.CTAs)*uint64(m.kernelsDone))
@@ -74,7 +75,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// this holds at any instant.
 	a.Register("l1-flow", audit.Periodic|audit.Boundary, func(r *audit.Reporter) {
 		var reads, writes uint64
-		for _, s := range m.sms {
+		for i := range m.sms {
+			s := &m.sms[i]
 			reads += s.L1.ReadAccesses()
 			writes += s.L1.WriteAccesses()
 		}
@@ -89,18 +91,20 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// operations are in flight, so boundary-only.
 	a.Register("l2-flow", audit.Boundary, func(r *audit.Reporter) {
 		var l1Hits uint64
-		for _, s := range m.sms {
-			l1Hits += s.L1.ReadHits()
+		for i := range m.sms {
+			l1Hits += m.sms[i].L1.ReadHits()
 		}
 		var l15Hits, l15Writes uint64
-		for _, mod := range m.mods {
-			if mod.l15 != nil {
+		for i := range m.mods {
+			mod := &m.mods[i]
+			if mod.hasL15 {
 				l15Hits += mod.l15.ReadHits()
 				l15Writes += mod.l15.WriteAccesses()
 			}
 		}
 		var l2Reads, l2Writes uint64
-		for _, p := range m.prts {
+		for i := range m.prts {
+			p := &m.prts[i]
 			l2Reads += p.l2.ReadAccesses()
 			l2Writes += p.l2.WriteAccesses()
 		}
@@ -115,8 +119,9 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// and every dirty eviction exactly one DRAM write. This is the law that
 	// keeps the DRAM utilization curves honest against the cache model.
 	a.Register("dram-flow", audit.Boundary, func(r *audit.Reporter) {
-		for _, p := range m.prts {
-			name := fmt.Sprintf("dram-%d", p.id)
+		for i := range m.prts {
+			p := &m.prts[i]
+			name := p.dram.Name()
 			audit.Equal(r, "dram-flow", name, "DRAM reads vs. L2 misses",
 				p.dram.Reads(), p.l2.Accesses()-p.l2.Hits())
 			audit.Equal(r, "dram-flow", name, "DRAM writes vs. L2 writebacks",
@@ -137,8 +142,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// comparison is only as honest as this agreement.
 	a.Register("energy-bytes", audit.Periodic|audit.Boundary, func(r *audit.Reporter) {
 		var xbar uint64
-		for _, mod := range m.mods {
-			xbar += mod.xbar.Units()
+		for i := range m.mods {
+			xbar += m.mods[i].xbar.Units()
 		}
 		audit.Equal(r, "energy-bytes", "meter", "chip-domain bytes vs. Xbar reservations",
 			m.mtr.Bytes(energy.DomainChip), xbar)
@@ -155,8 +160,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 		audit.Equal(r, "energy-bytes", "meter", "bytes in unused system domain",
 			m.mtr.Bytes(energy.DomainSystem), uint64(0))
 		var dram uint64
-		for _, p := range m.prts {
-			dram += p.dram.Bytes()
+		for i := range m.prts {
+			dram += m.prts[i].dram.Bytes()
 		}
 		audit.Equal(r, "energy-bytes", "meter", "DRAM bytes vs. partition counters",
 			m.mtr.DRAMBytes(), dram)
@@ -166,8 +171,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// the partition's own read+write byte counters (delegated to the
 	// partition).
 	a.Register("dram-bytes", audit.Periodic|audit.Boundary, func(r *audit.Reporter) {
-		for _, p := range m.prts {
-			p.dram.Audit(r)
+		for i := range m.prts {
+			m.prts[i].dram.Audit(r)
 		}
 	})
 
@@ -176,16 +181,17 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// write-through levels, no duplicate tags) plus the VM page table's
 	// consistency. O(capacity) per cache, so boundary-only.
 	a.Register("cache-structure", audit.Boundary, func(r *audit.Reporter) {
-		for _, s := range m.sms {
-			s.L1.Audit(r)
+		for i := range m.sms {
+			m.sms[i].L1.Audit(r)
 		}
-		for _, mod := range m.mods {
-			if mod.l15 != nil {
+		for i := range m.mods {
+			mod := &m.mods[i]
+			if mod.hasL15 {
 				mod.l15.Audit(r)
 			}
 		}
-		for _, p := range m.prts {
-			p.l2.Audit(r)
+		for i := range m.prts {
+			m.prts[i].l2.Audit(r)
 		}
 		m.amap.Audit(r)
 	})
@@ -193,8 +199,8 @@ func (m *Machine) newAuditor() *audit.Auditor {
 	// sm-structure: per-SM residency and store-buffer bounds (delegated to
 	// the SM). Cheap and instant-valid, so it also runs periodically.
 	a.Register("sm-structure", audit.Periodic|audit.Boundary, func(r *audit.Reporter) {
-		for _, s := range m.sms {
-			s.Audit(r)
+		for i := range m.sms {
+			m.sms[i].Audit(r)
 		}
 	})
 

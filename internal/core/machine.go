@@ -17,8 +17,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mcmgpu/internal/audit"
 	"mcmgpu/internal/cache"
 	"mcmgpu/internal/config"
@@ -27,7 +25,6 @@ import (
 	"mcmgpu/internal/energy"
 	"mcmgpu/internal/engine"
 	"mcmgpu/internal/noc"
-	"mcmgpu/internal/sm"
 	"mcmgpu/internal/vm"
 	"mcmgpu/internal/workload"
 )
@@ -50,18 +47,18 @@ const (
 
 // module holds per-GPM shared state.
 type module struct {
-	id   int
-	xbar *engine.Resource
-	l15  *cache.Cache // nil when the config has no L1.5
+	id     int
+	xbar   engine.Resource
+	l15    cache.Cache // in use only when hasL15
+	hasL15 bool        // the config has an L1.5
 }
 
 // partition is one memory partition: an L2 slice in front of a DRAM device.
 type partition struct {
-	id     int
 	module int
-	l2     *cache.Cache
-	bank   *engine.Resource
-	dram   *dram.Partition
+	l2     cache.Cache
+	bank   engine.Resource
+	dram   dram.Partition
 }
 
 // Machine is one simulated GPU system. Create with New, run one workload
@@ -70,9 +67,6 @@ type Machine struct {
 	cfg  *config.Config
 	net  *noc.Network
 	amap *vm.AddressMap
-	sms  []*sm.SM
-	mods []*module
-	prts []*partition
 	mtr  *energy.Meter
 
 	sched   cta.Scheduler
@@ -92,9 +86,9 @@ type Machine struct {
 	faultFired    bool
 	budgetCorrupt bool
 
-	// The event engine, the caches' way arrays and set lists and the
-	// context arenas, taken from the spare by New and handed back by a
-	// drained run (see pool.go).
+	// The event engine, the caches' way arrays and set lists, the SM,
+	// module and partition records and the context arenas, taken from the
+	// spare stack by New and handed back by a drained run (see pool.go).
 	storage
 
 	// counters
@@ -108,8 +102,10 @@ type Machine struct {
 }
 
 // New builds a machine for cfg. The configuration is validated; geometry
-// errors surface here rather than mid-run. The machine's storage comes from
-// the spare a previous drained run handed back, when one fits (see pool.go).
+// errors surface here rather than mid-run. The machine's storage, its
+// component records included, comes from the spare stack when a previous
+// drained run handed back one that fits (see pool.go), and New initializes
+// every record in place.
 func New(cfg *config.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,12 +120,12 @@ func New(cfg *config.Config) (*Machine, error) {
 		net:  noc.New(cfg),
 		amap: vm.NewAddressMap(cfg),
 		mtr:  energy.NewMeter(),
-		storage: takeStorage(
+		storage: takeStorage(cfg,
 			cfg.Modules*l15Lines+cfg.TotalPartitions()*cfg.L2.Lines()+cfg.TotalSMs()*cfg.L1.Lines(),
 			cfg.Modules*l15Sets+cfg.TotalPartitions()*l2Sets+cfg.TotalSMs()*l1Sets),
 	}
 	// cut takes the next n entries off a slab, in the order the caches are
-	// built below.
+	// initialized below.
 	slab, sets := m.slab, m.sets
 	cut := func(s *[]uint32, n int) []uint32 {
 		w := (*s)[:n:n]
@@ -142,30 +138,23 @@ func New(cfg *config.Config) (*Machine, error) {
 		m.linkDomain = energy.DomainBoard
 	}
 
-	for g := 0; g < cfg.Modules; g++ {
-		mod := &module{
-			id:   g,
-			xbar: engine.NewResource(fmt.Sprintf("xbar-%d", g), cfg.XbarGBps),
+	for g := range m.mods {
+		mod := &m.mods[g]
+		*mod = module{id: g, hasL15: cfg.L15.Enabled()}
+		mod.xbar.Init("xbar-%d", g, cfg.XbarGBps)
+		if mod.hasL15 {
+			mod.l15.Init("l15-%d", g, cut(&slab, l15Lines), cut(&sets, l15Sets), cfg.L15.Ways, cfg.L15.WriteBack)
 		}
-		if cfg.L15.Enabled() {
-			mod.l15 = cache.New(fmt.Sprintf("l15-%d", g), cut(&slab, l15Lines), cut(&sets, l15Sets), cfg.L15.Ways, cfg.L15.WriteBack)
-		}
-		m.mods = append(m.mods, mod)
 	}
-
-	for p := 0; p < cfg.TotalPartitions(); p++ {
-		m.prts = append(m.prts, &partition{
-			id:     p,
-			module: p / cfg.PartitionsPerModule,
-			l2:     cache.New(fmt.Sprintf("l2-%d", p), cut(&slab, cfg.L2.Lines()), cut(&sets, l2Sets), cfg.L2.Ways, cfg.L2.WriteBack),
-			bank:   engine.NewResource(fmt.Sprintf("l2bank-%d", p), cfg.DRAMGBps*cfg.L2BWMult),
-			dram:   dram.NewPartition(p, cfg.DRAMGBps, cfg.DRAMLatency),
-		})
+	for p := range m.prts {
+		pt := &m.prts[p]
+		pt.module = p / cfg.PartitionsPerModule
+		pt.l2.Init("l2-%d", p, cut(&slab, cfg.L2.Lines()), cut(&sets, l2Sets), cfg.L2.Ways, cfg.L2.WriteBack)
+		pt.bank.Init("l2bank-%d", p, cfg.DRAMGBps*cfg.L2BWMult)
+		pt.dram.Init(p, cfg.DRAMGBps, cfg.DRAMLatency)
 	}
-
-	total := cfg.TotalSMs()
-	for i := 0; i < total; i++ {
-		m.sms = append(m.sms, sm.New(i, smModule(cfg, i), cfg, cut(&slab, cfg.L1.Lines()), cut(&sets, l1Sets)))
+	for i := range m.sms {
+		m.sms[i].Init(i, smModule(cfg, i), cfg, cut(&slab, cfg.L1.Lines()), cut(&sets, l1Sets))
 	}
 	return m, nil
 }
@@ -178,11 +167,11 @@ func smModule(cfg *config.Config, i int) int { return i % cfg.Modules }
 // flushKernelBoundary invalidates the software-coherent levels (L1 per SM,
 // L1.5 per module) exactly once per synchronization event.
 func (m *Machine) flushKernelBoundary() {
-	for _, s := range m.sms {
-		s.FlushL1()
+	for i := range m.sms {
+		m.sms[i].FlushL1()
 	}
-	for _, mod := range m.mods {
-		if mod.l15 != nil {
+	for g := range m.mods {
+		if mod := &m.mods[g]; mod.hasL15 {
 			mod.l15.Flush()
 		}
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"mcmgpu/internal/metrics"
-)
+import "mcmgpu/internal/metrics"
 
 // DefaultSampleEvery is how many event dispatches pass between polls of the
 // metrics sampler hook. The poll itself is one subtraction and compare
@@ -23,28 +19,31 @@ func (m *Machine) attachMetrics(rec *metrics.Recorder) {
 	for _, lk := range m.net.Links() {
 		rec.AddResource("link", lk.GPM, lk.Res.Name(), lk.Res)
 	}
-	for _, mod := range m.mods {
-		rec.AddResource("xbar", mod.id, mod.xbar.Name(), mod.xbar)
+	for g := range m.mods {
+		mod := &m.mods[g]
+		rec.AddResource("xbar", mod.id, mod.xbar.Name(), &mod.xbar)
 	}
-	for _, p := range m.prts {
-		rec.AddResource("l2bank", p.module, p.bank.Name(), p.bank)
-		rec.AddResource("dram", p.module, fmt.Sprintf("dram-%d", p.id), p.dram)
+	for i := range m.prts {
+		p := &m.prts[i]
+		rec.AddResource("l2bank", p.module, p.bank.Name(), &p.bank)
+		rec.AddResource("dram", p.module, p.dram.Name(), &p.dram)
 	}
-	for _, mod := range m.mods {
+	for g := range m.mods {
+		mod := &m.mods[g]
 		var l1s []metrics.CacheCounters
-		for _, s := range m.sms {
-			if s.Module() == mod.id {
-				l1s = append(l1s, s.L1)
+		for i := range m.sms {
+			if s := &m.sms[i]; s.Module() == mod.id {
+				l1s = append(l1s, &s.L1)
 			}
 		}
 		rec.AddCaches("l1", mod.id, l1s)
-		if mod.l15 != nil {
-			rec.AddCaches("l15", mod.id, []metrics.CacheCounters{mod.l15})
+		if mod.hasL15 {
+			rec.AddCaches("l15", mod.id, []metrics.CacheCounters{&mod.l15})
 		}
 		var l2s []metrics.CacheCounters
-		for _, p := range m.prts {
-			if p.module == mod.id {
-				l2s = append(l2s, p.l2)
+		for i := range m.prts {
+			if p := &m.prts[i]; p.module == mod.id {
+				l2s = append(l2s, &p.l2)
 			}
 		}
 		rec.AddCaches("l2", mod.id, l2s)

@@ -2,22 +2,32 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"runtime"
+	"sync"
 
+	"mcmgpu/internal/config"
 	"mcmgpu/internal/engine"
+	"mcmgpu/internal/sm"
 )
 
 // storage is the part of a machine whose size grows with its geometry: one
 // slab every cache's way array is cut from, a second every cache's
 // filled-set list is cut from, the event engine (its node slab, far heap and
-// calendar), and the four context arenas below. Only raw storage is
-// recycled. The component structs (SMs, resources, cache headers, NoC, page
-// map, counters) are built fresh by every New, so no counter can leak from
-// one cell into the next.
+// calendar), the records of the machine's SMs, modules and partitions, and
+// the four context arenas below. The records hold every component that
+// comes one per SM, module or partition (issue resources, caches, xbars, L2
+// banks, DRAM devices and their counters), and New re-initializes each one
+// in place, clearing its counters, so nothing can leak from one cell into
+// the next. What New still builds fresh is small and does not scale with
+// the SMs: the NoC, the page map, the energy meter and the machine itself.
 type storage struct {
 	slab []uint32 // way entries; all zero whenever no machine holds it
 	sets []uint32 // set lists; their contents never matter
 	sim  *engine.Sim
+
+	sms  []sm.SM
+	mods []module
+	prts []partition
 
 	warps  arena[warpCtx]
 	ctas   arena[ctaCtx]
@@ -25,27 +35,33 @@ type storage struct {
 	stores arena[storeCtx]
 }
 
-// spare is the storage of the last machine whose run drained, waiting for
-// the next New. Every multi-cell process (the runner's workers, mcmserve,
-// sweep, the benchmark) builds cells through New and RunWith, so all of
-// them reuse it without a caller changing. Like a pool, it only ever holds
-// storage a machine clears before use, so it never changes a result.
-//
-// It is one atomic pointer, not a sync.Pool: a Pool's per-P slots and
-// victim generation let a long-lived mcmserve keep several storages at
-// once, and a worker goroutine that changed P missed its own spare.
-var spare atomic.Pointer[storage]
+// spares is a stack of the storages of machines whose runs drained: a
+// drained run pushes its storage and New pops one, so each goroutine
+// running cells at once finds a storage of its own. Every multi-cell
+// process builds cells through New and RunWith, so all of them reuse it
+// without a caller changing, and it only holds storage a machine clears
+// before use, so it never changes a result. It holds at most
+// runtime.GOMAXPROCS(0) storages, the most machines that run at once; a
+// hand-back beyond that drops its storage. New allocates a storage only
+// when the stack is empty, so a long-lived mcmserve keeps the storages of
+// its busiest moment and no more. A sync.Pool would hold any number per P
+// and drop them all within two collections (see DESIGN.md).
+var spares struct {
+	sync.Mutex
+	stack []storage
+}
 
-// takeStorage returns storage for a machine whose caches need lines way
-// entries and sets set-list entries. It takes the spare as it is, since
-// handBack left its slab all zero, growing a new slab or set list when the
-// spare's is too small. It drops a spare whose slab is more than twice that
-// size: a config with huge caches must not pin its slab in a long-lived
-// process. With no usable spare it allocates fresh storage.
-func takeStorage(lines, sets int) storage {
-	st := spare.Swap(nil)
-	if st == nil || cap(st.slab) > 2*lines {
-		return storage{slab: make([]uint32, lines), sets: make([]uint32, sets), sim: engine.New()}
+// takeStorage returns storage for a machine built from cfg whose caches
+// need lines way entries and sets set-list entries. It pops the top spare
+// and takes it as it is, since handBack left its slab all zero, growing a
+// new slab, set list or record slice when the spare's is too small. It
+// drops a spare whose slab is more than twice that size: a config with huge
+// caches must not pin its slab in a long-lived process. With no usable
+// spare it allocates fresh storage.
+func takeStorage(cfg *config.Config, lines, sets int) storage {
+	st, ok := popSpare()
+	if !ok || cap(st.slab) > 2*lines {
+		st = storage{slab: make([]uint32, lines), sets: make([]uint32, sets), sim: engine.New()}
 	}
 	if cap(st.slab) < lines {
 		st.slab = make([]uint32, lines)
@@ -54,26 +70,58 @@ func takeStorage(lines, sets int) storage {
 		st.sets = make([]uint32, sets)
 	}
 	st.slab, st.sets = st.slab[:lines], st.sets[:sets]
-	return *st
+	st.sms = records(st.sms, cfg.TotalSMs())
+	st.mods = records(st.mods, cfg.Modules)
+	st.prts = records(st.prts, cfg.TotalPartitions())
+	return st
 }
 
-// handBack gives a drained machine's storage to the spare. Every context is
-// back in its arena by then, and the engine is reset, which drops its
-// handler, so the spare references nothing of this machine. The last kernel
-// boundary flushed the L1s and L1.5s; flushing the L2s too clears exactly
-// the sets the run filled, so the slab goes back all zero without a pass
-// over the untouched rest. The machine drops its references to the storage
-// and to the components built on it: a stale use panics instead of reading
-// another machine's state.
-func (m *Machine) handBack() {
-	for _, pt := range m.prts {
-		pt.l2.Flush()
+// records returns n records on rs's array when it has room for them, else
+// on a new one. It clears the records past n, whose caches could still
+// point into a slab the storage has since replaced.
+func records[T any](rs []T, n int) []T {
+	if cap(rs) < n {
+		return make([]T, n)
 	}
-	st := m.storage
-	st.sim.Reset()
-	spare.Store(&st)
+	clear(rs[n:cap(rs)])
+	return rs[:n]
+}
+
+// popSpare takes the top storage off the spare stack. It clears the slot it
+// emptied: otherwise the stack's array would keep the storage alive after
+// its machine dropped it, as a machine that never runs does.
+func popSpare() (storage, bool) {
+	spares.Lock()
+	defer spares.Unlock()
+	n := len(spares.stack) - 1
+	if n < 0 {
+		return storage{}, false
+	}
+	st := spares.stack[n]
+	spares.stack[n] = storage{}
+	spares.stack = spares.stack[:n]
+	return st, true
+}
+
+// handBack gives a drained machine's storage to the spare stack. Every
+// context is back in its arena by then, and the engine is reset, which
+// drops its handler, so the storage references nothing of this machine.
+// The last kernel boundary flushed the L1s and L1.5s; flushing the L2s too
+// clears exactly the sets the run filled, so the slab goes back all zero
+// without a pass over the untouched rest. The machine drops its references
+// to the storage, and with it to every component record: a stale use
+// panics instead of reading another machine's state.
+func (m *Machine) handBack() {
+	for i := range m.prts {
+		m.prts[i].l2.Flush()
+	}
+	m.sim.Reset()
+	spares.Lock()
+	if len(spares.stack) < runtime.GOMAXPROCS(0) {
+		spares.stack = append(spares.stack, m.storage)
+	}
+	spares.Unlock()
 	m.storage = storage{}
-	m.sms, m.mods, m.prts = nil, nil, nil
 }
 
 // arena holds one kind of event context in a slab addressed by uint32

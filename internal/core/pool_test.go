@@ -44,7 +44,7 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 		s.WriteFraction = 0.5
 		s.KernelIters = 2
 	})
-	spare.Store(nil) // the arenas below then hold this machine's contexts only
+	emptySpares() // the arenas below then hold this machine's contexts only
 	m, err := New(config.BaselineMCM())
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	if res.MemOps != spec.TotalMemOps() {
 		t.Fatalf("MemOps = %d, want %d", res.MemOps, spec.TotalMemOps())
 	}
-	st := spare.Load()
-	if st == nil {
+	st, ok := topSpare()
+	if !ok {
 		t.Fatal("drained run handed back no storage")
 	}
 	checkArenaDrained(t, "warp", &st.warps)

@@ -124,7 +124,8 @@ func (m *Machine) collect() *Result {
 	}
 
 	var l1Hits, l1Total uint64
-	for _, s := range m.sms {
+	for i := range m.sms {
+		s := &m.sms[i]
 		l1Hits += s.L1.Hits()
 		l1Total += s.L1.Accesses()
 	}
@@ -132,8 +133,9 @@ func (m *Machine) collect() *Result {
 	r.L1Accesses = l1Total
 
 	var l15Hits, l15Total uint64
-	for _, mod := range m.mods {
-		if mod.l15 != nil {
+	for i := range m.mods {
+		mod := &m.mods[i]
+		if mod.hasL15 {
 			l15Hits += mod.l15.Hits()
 			l15Total += mod.l15.Accesses()
 		}
@@ -143,7 +145,8 @@ func (m *Machine) collect() *Result {
 
 	var l2Hits, l2Total, dramBytes uint64
 	var peak, sum float64
-	for _, p := range m.prts {
+	for i := range m.prts {
+		p := &m.prts[i]
 		l2Hits += p.l2.Hits()
 		l2Total += p.l2.Accesses()
 		dramBytes += p.dram.Bytes()

@@ -380,7 +380,7 @@ func (m *Machine) loadComplete(w uint32, t engine.Cycle) {
 // write-heavy code.
 func (m *Machine) memWrite(w uint32) {
 	wc := &m.warps.slots[w]
-	s := m.sms[wc.sm]
+	s := &m.sms[wc.sm]
 	for wc.lineIdx < wc.op.NumLines {
 		if s.StoreFull() {
 			s.AwaitStore(w)

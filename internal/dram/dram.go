@@ -6,16 +6,13 @@
 package dram
 
 import (
-	"fmt"
-
 	"mcmgpu/internal/audit"
 	"mcmgpu/internal/engine"
 )
 
 // Partition is one DRAM partition (768 GB/s in the baseline MCM-GPU).
 type Partition struct {
-	id      int
-	res     *engine.Resource
+	res     engine.Resource
 	latency engine.Cycle
 
 	bytes  uint64
@@ -23,15 +20,18 @@ type Partition struct {
 	writes uint64
 }
 
-// NewPartition creates partition id with the given bandwidth (GB/s, which
-// equals bytes/cycle at 1 GHz) and access latency in cycles.
-func NewPartition(id int, gbps float64, latency uint64) *Partition {
-	return &Partition{
-		id:      id,
-		res:     engine.NewResource(fmt.Sprintf("dram-%d", id), gbps),
-		latency: engine.Cycle(latency),
-	}
+// Init readies p in place as idle partition id with the given bandwidth
+// (GB/s, which equals bytes/cycle at 1 GHz) and access latency in cycles,
+// clearing every counter. It allocates nothing: the device resource is part
+// of p, and its name is formatted only when read.
+func (p *Partition) Init(id int, gbps float64, latency uint64) {
+	*p = Partition{latency: engine.Cycle(latency)}
+	p.res.Init("dram-%d", id, gbps)
 }
+
+// Name returns the partition's name, such as "dram-5"; it is its device
+// resource's name.
+func (p *Partition) Name() string { return p.res.Name() }
 
 // Read books a read of the given size and returns the time data is
 // available: queuing + serialization on the device plus the access latency.
@@ -65,7 +65,7 @@ func (p *Partition) Writes() uint64 { return p.writes }
 // Write was reserved on the device resource and vice versa, so the device's
 // reserved units must equal the byte counter exactly.
 func (p *Partition) Audit(r *audit.Reporter) {
-	audit.Equal(r, "dram-bytes", fmt.Sprintf("dram-%d", p.id),
+	audit.Equal(r, "dram-bytes", p.Name(),
 		"device reserved bytes", p.res.Units(), p.bytes)
 }
 

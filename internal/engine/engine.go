@@ -416,7 +416,6 @@ func (s *Sim) RunUntil(limit Cycle) uint64 {
 // Resources are not safe for concurrent use; the simulation is single
 // threaded by design.
 type Resource struct {
-	name      string
 	cyclesPer float64 // cycles consumed per unit transferred
 	nextFree  float64
 	busy      float64 // total occupied cycles
@@ -433,6 +432,11 @@ type Resource struct {
 	done   float64 // busy cycles settled at or before mark
 	mark   float64 // settlement watermark (monotone)
 	tailLo float64 // start of the unsettled occupancy span
+
+	// The name: name itself when idx is negative, otherwise a format whose
+	// one verb takes idx (see Init).
+	name string
+	idx  int
 }
 
 // NewResource creates a resource named name with the given throughput in
@@ -440,14 +444,30 @@ type Resource struct {
 // NewResource("dram0", 768) with bytes as the unit. unitsPerCycle must be
 // positive.
 func NewResource(name string, unitsPerCycle float64) *Resource {
+	r := new(Resource)
+	r.Init(name, -1, unitsPerCycle)
+	return r
+}
+
+// Init readies r in place as an idle resource with the given throughput,
+// as NewResource builds one, clearing every counter. Its name is format
+// with idx for the format's one verb, such as ("dram-%d", 5) for "dram-5";
+// a negative idx makes format the name itself. The name is formatted only
+// when read, so initializing a machine's resources allocates nothing.
+func (r *Resource) Init(format string, idx int, unitsPerCycle float64) {
+	*r = Resource{cyclesPer: 1 / unitsPerCycle, name: format, idx: idx}
 	if unitsPerCycle <= 0 {
-		panic(fmt.Sprintf("engine: resource %q: non-positive throughput %v", name, unitsPerCycle))
+		panic(fmt.Sprintf("engine: resource %q: non-positive throughput %v", r.Name(), unitsPerCycle))
 	}
-	return &Resource{name: name, cyclesPer: 1 / unitsPerCycle}
 }
 
 // Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
+func (r *Resource) Name() string {
+	if r.idx < 0 {
+		return r.name
+	}
+	return fmt.Sprintf(r.name, r.idx)
+}
 
 // toCycle discretizes a fractional completion time onto the cycle grid.
 // Resource timelines accumulate in float64 so fractional occupancies from

@@ -40,9 +40,9 @@ type SM struct {
 
 	// Issue is the SM's instruction issue bandwidth in warp instructions
 	// per cycle; every resident warp reserves slots on it.
-	Issue *engine.Resource
+	Issue engine.Resource
 	// L1 is the SM-private data cache.
-	L1 *cache.Cache
+	L1 cache.Cache
 
 	maxWarps     int
 	maxCTAs      int
@@ -54,22 +54,26 @@ type SM struct {
 	peakResidency int
 }
 
-// New builds SM id belonging to the given module. l1 is the L1's way
-// array, cfg.L1.Lines() zeroed entries, and l1Sets its set-list storage,
-// one entry per set (see cache.New).
-func New(id, module int, cfg *config.Config, l1, l1Sets []uint32) *SM {
+// Init readies s in place as idle SM id belonging to the given module,
+// clearing its counters; its issue resource and L1 are part of it and are
+// initialized with it. l1 is the L1's way array, cfg.L1.Lines() zeroed
+// entries, and l1Sets its set-list storage, one entry per set (see
+// cache.Cache.Init). The store-waiter FIFO keeps its capacity, so an SM
+// record a machine reuses allocates nothing.
+func (s *SM) Init(id, module int, cfg *config.Config, l1, l1Sets []uint32) {
 	maxCTAs := cfg.MaxCTAsPerSM
 	if maxCTAs <= 0 {
 		maxCTAs = cfg.WarpsPerSM // effectively warp-limited
 	}
-	return &SM{
-		id:       id,
-		module:   module,
-		Issue:    engine.NewResource(fmt.Sprintf("sm%d-issue", id), cfg.IssuePerSM),
-		L1:       cache.New(fmt.Sprintf("sm%d-l1", id), l1, l1Sets, cfg.L1.Ways, cfg.L1.WriteBack),
-		maxWarps: cfg.WarpsPerSM,
-		maxCTAs:  maxCTAs,
+	*s = SM{
+		id:           id,
+		module:       module,
+		storeWaiters: s.storeWaiters[:0],
+		maxWarps:     cfg.WarpsPerSM,
+		maxCTAs:      maxCTAs,
 	}
+	s.Issue.Init("sm%d-issue", id, cfg.IssuePerSM)
+	s.L1.Init("sm%d-l1", id, l1, l1Sets, cfg.L1.Ways, cfg.L1.WriteBack)
 }
 
 // ID returns the SM index.

@@ -8,8 +8,14 @@ import (
 
 func newSM(t *testing.T) *SM {
 	t.Helper()
-	cfg := config.BaselineMCM()
-	return New(3, 1, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
+	return initSM(config.BaselineMCM())
+}
+
+// initSM initializes SM 3 of module 1 for cfg over fresh L1 arrays.
+func initSM(cfg *config.Config) *SM {
+	s := new(SM)
+	s.Init(3, 1, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
+	return s
 }
 
 func TestOccupancyLimits(t *testing.T) {
@@ -38,7 +44,7 @@ func TestOccupancyLimits(t *testing.T) {
 func TestMaxCTAsCap(t *testing.T) {
 	cfg := config.BaselineMCM()
 	cfg.MaxCTAsPerSM = 2
-	s := New(0, 0, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
+	s := initSM(cfg)
 	s.HostCTA(1)
 	s.HostCTA(1)
 	if s.CanHost(1) {
@@ -99,5 +105,44 @@ func TestCounters(t *testing.T) {
 	}
 	if s.ID() != 3 || s.Module() != 1 {
 		t.Fatalf("identity wrong: id=%d module=%d", s.ID(), s.Module())
+	}
+}
+
+// TestInitResetsInPlace re-initializes a used SM as another: every counter,
+// its issue resource and its L1 start over, the names follow the new
+// index, the store-waiter FIFO keeps its array, and Init allocates nothing.
+func TestInitResetsInPlace(t *testing.T) {
+	cfg := config.BaselineMCM()
+	l1, sets := make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways)
+	s := new(SM)
+	s.Init(3, 1, cfg, l1, sets)
+	s.HostCTA(4)
+	s.Issue.Reserve(0, 10)
+	s.L1.Access(42, false)
+	for s.StoresInFlight() < StoreBufferSlots {
+		s.AcquireStore()
+	}
+	s.AwaitStore(7)
+	waiters := cap(s.storeWaiters)
+	s.FlushL1() // Init takes an all-zero way array
+	if a := testing.AllocsPerRun(10, func() { s.Init(17, 2, cfg, l1, sets) }); a != 0 {
+		t.Errorf("Init allocated %v objects, want 0", a)
+	}
+	if s.ID() != 17 || s.Module() != 2 || s.ResidentCTAs() != 0 || s.LaunchedCTAs() != 0 ||
+		s.StoresInFlight() != 0 || s.PendingStoreWaiters() != 0 || s.peakResidency != 0 {
+		t.Fatalf("re-initialized SM kept state: id %d module %d, %d CTAs resident, %d launched, %d stores, %d waiters",
+			s.ID(), s.Module(), s.ResidentCTAs(), s.LaunchedCTAs(), s.StoresInFlight(), s.PendingStoreWaiters())
+	}
+	if s.Issue.Units() != 0 || s.L1.Accesses() != 0 {
+		t.Fatalf("re-initialized SM kept %d issue units and %d L1 accesses", s.Issue.Units(), s.L1.Accesses())
+	}
+	if end := s.Issue.Reserve(0, 10); end != 10 {
+		t.Fatalf("issue on the re-initialized SM ends at %d, want 10", end)
+	}
+	if cap(s.storeWaiters) != waiters {
+		t.Fatalf("store-waiter FIFO capacity %d, was %d", cap(s.storeWaiters), waiters)
+	}
+	if s.Issue.Name() != "sm17-issue" || s.L1.Name() != "sm17-l1" {
+		t.Fatalf("names %q and %q, want sm17-issue and sm17-l1", s.Issue.Name(), s.L1.Name())
 	}
 }

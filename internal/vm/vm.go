@@ -18,6 +18,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mcmgpu/internal/audit"
 	"mcmgpu/internal/config"
@@ -84,9 +85,12 @@ func (m *AddressMap) owner(page uint64) (int, bool) {
 }
 
 // set binds an unmapped page to module, growing the table to reach it.
+// slices.Grow reallocates only when the capacity runs out, and the entries
+// the reslice exposes are zero, since the table never shrinks. (Appending
+// a make instead allocates the make on every call in a race build.)
 func (m *AddressMap) set(page uint64, module int) {
 	if page >= uint64(len(m.pages)) {
-		m.pages = append(m.pages, make([]int32, page+1-uint64(len(m.pages)))...)
+		m.pages = slices.Grow(m.pages, int(page+1)-len(m.pages))[:page+1]
 	}
 	m.pages[page] = int32(module) + 1
 	m.mapped++
