@@ -36,7 +36,7 @@ func genStream(t testing.TB, path string, csv bool, runs, ticks int) {
 		var caches []*genCache
 		for g := 0; g < 2; g++ {
 			for _, kind := range []string{"link", "xbar", "dram"} {
-				res := engine.NewResource(fmt.Sprintf("%s-%d", kind, g), float64(1+rng.Intn(4)))
+				res := newResource(fmt.Sprintf("%s-%d", kind, g), float64(1+rng.Intn(4)))
 				rec.AddResource(kind, g, res.Name(), res)
 				probes = append(probes, res)
 			}
@@ -401,4 +401,11 @@ func TestBadInputs(t *testing.T) {
 			t.Errorf("run(%v) unexpectedly succeeded", args)
 		}
 	}
+}
+
+// newResource returns a resource initialized under a fixed name.
+func newResource(name string, unitsPerCycle float64) *engine.Resource {
+	r := new(engine.Resource)
+	r.Init(name, -1, unitsPerCycle)
+	return r
 }

@@ -169,15 +169,23 @@ func TestAuditReportsUndrainedMidKernel(t *testing.T) {
 	}
 }
 
-// TestAuditCleanMachine asserts boundaryAudit on a freshly built machine
-// (nothing launched, nothing counted) reports nothing.
+// TestAuditCleanMachine asserts boundaryAudit reports nothing on a machine
+// whose records RunWith has just built, before the first kernel (nothing
+// launched, nothing counted): on fresh storage, and on the storage a
+// drained run of another geometry, with dirty L2 lines, handed back.
 func TestAuditCleanMachine(t *testing.T) {
-	m, err := New(config.BaselineMCM())
-	if err != nil {
-		t.Fatal(err)
+	emptySpares()
+	fresh := assembled(t, config.BaselineMCM())
+	mustRun(t, config.OptimizedMCM(), probeSpec(func(s *workload.Spec) { s.WriteFraction = 0.4 }))
+	prev, _ := topSpare()
+	recycled := assembled(t, config.BaselineMCM())
+	if recycled.sim != prev.sim {
+		t.Fatal("the second machine did not take the storage the drained run handed back")
 	}
-	if vs := m.boundaryAudit(); len(vs) != 0 {
-		t.Fatalf("pristine machine audits dirty: %v", vs)
+	for name, m := range map[string]*Machine{"fresh": fresh, "recycled": recycled} {
+		if vs := m.boundaryAudit(); len(vs) != 0 {
+			t.Fatalf("pristine machine on %s storage audits dirty: %v", name, vs)
+		}
 	}
 }
 

@@ -6,18 +6,34 @@ import (
 	"mcmgpu/internal/config"
 )
 
-// BenchmarkMachineNew measures building a machine cold, as the first cell
-// of a process does: the per-SM L1s, the L2 slices and the event queue
-// dominate it. Its machines never run, so they never hand storage back to
-// the spare stack, and after the first iteration every New allocates
-// afresh.
+// BenchmarkMachineNew measures New alone: validating the config and
+// building what it alone sizes, the NoC, the page map and the energy
+// meter. What a run needs, New leaves to RunWith (see BenchmarkColdCell).
 func BenchmarkMachineNew(b *testing.B) {
 	for _, cfg := range []*config.Config{config.BaselineMCM(), config.OptimizedMCM()} {
 		b.Run(cfg.Name, func(b *testing.B) {
-			emptySpares()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkColdCell measures one cold cell, New plus RunWith of NN-Conv at
+// scale 0.05 with the spare stack empty, as the first cell of a process
+// runs: it builds the per-SM L1s, the L2 slices, the component records and
+// the event queue that BenchmarkWarmCell reuses.
+func BenchmarkColdCell(b *testing.B) {
+	spec := suiteCell(b, "NN-Conv", 0.05)
+	for _, cfg := range []*config.Config{config.BaselineMCM(), config.OptimizedMCM()} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emptySpares()
+				if err := runCell(cfg, spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,11 +50,7 @@ func BenchmarkWarmCell(b *testing.B) {
 	for _, cfg := range []*config.Config{config.BaselineMCM(), config.OptimizedMCM()} {
 		b.Run(cfg.Name, func(b *testing.B) {
 			cell := func() {
-				m, err := New(cfg.Clone())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.RunWith(spec, RunOptions{}); err != nil {
+				if err := runCell(cfg, spec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,10 +16,11 @@ import (
 // calendar), the records of the machine's SMs, modules and partitions, and
 // the four context arenas below. The records hold every component that
 // comes one per SM, module or partition (issue resources, caches, xbars, L2
-// banks, DRAM devices and their counters), and New re-initializes each one
-// in place, clearing its counters, so nothing can leak from one cell into
-// the next. What New still builds fresh is small and does not scale with
-// the SMs: the NoC, the page map, the energy meter and the machine itself.
+// banks, DRAM devices and their counters), and a run re-initializes each
+// one in place before its first kernel (see assemble), clearing its
+// counters, so nothing can leak from one cell into the next. What New
+// builds fresh is small and does not scale with the SMs: the NoC, the page
+// map, the energy meter and the machine itself.
 type storage struct {
 	slab []uint32 // way entries; all zero whenever no machine holds it
 	sets []uint32 // set lists; their contents never matter
@@ -36,16 +37,18 @@ type storage struct {
 }
 
 // spares is a stack of the storages of machines whose runs drained: a
-// drained run pushes its storage and New pops one, so each goroutine
-// running cells at once finds a storage of its own. Every multi-cell
-// process builds cells through New and RunWith, so all of them reuse it
-// without a caller changing, and it only holds storage a machine clears
-// before use, so it never changes a result. It holds at most
-// runtime.GOMAXPROCS(0) storages, the most machines that run at once; a
-// hand-back beyond that drops its storage. New allocates a storage only
-// when the stack is empty, so a long-lived mcmserve keeps the storages of
-// its busiest moment and no more. A sync.Pool would hold any number per P
-// and drop them all within two collections (see DESIGN.md).
+// drained run pushes its storage and the next run pops one once its spec
+// is valid, so each goroutine running cells at once finds a storage of its
+// own, and a machine that never runs, or whose spec is refused, leaves the
+// stack as it was. Every multi-cell process builds cells through New and
+// RunWith, so all of them reuse it without a caller changing, and it only
+// holds storage a machine clears before use, so it never changes a
+// result. It holds at most runtime.GOMAXPROCS(0) storages, the most
+// machines that run at once; a hand-back beyond that drops its storage. A
+// run allocates a storage only when the stack is empty, so a long-lived
+// mcmserve keeps the storages of its busiest moment and no more. A
+// sync.Pool would hold any number per P and drop them all within two
+// collections (see DESIGN.md).
 var spares struct {
 	sync.Mutex
 	stack []storage
@@ -89,7 +92,8 @@ func records[T any](rs []T, n int) []T {
 
 // popSpare takes the top storage off the spare stack. It clears the slot it
 // emptied: otherwise the stack's array would keep the storage alive after
-// its machine dropped it, as a machine that never runs does.
+// its machine dropped it, as a machine whose run a budget or a panic
+// stopped does.
 func popSpare() (storage, bool) {
 	spares.Lock()
 	defer spares.Unlock()

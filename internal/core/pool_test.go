@@ -111,10 +111,7 @@ func TestResidentWarpsWithinLaunchBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(tc.cfg.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := assembled(t, tc.cfg.Clone())
 			bound := launchBound(tc.cfg, tc.spec) * tc.spec.WarpsPerCTA
 			peak := 0
 			m.sim.AddHook(1, func() error {
@@ -127,7 +124,7 @@ func TestResidentWarpsWithinLaunchBound(t *testing.T) {
 				peak = max(peak, resident)
 				return nil
 			})
-			if _, err := m.RunWith(tc.spec, RunOptions{}); err != nil {
+			if _, err := m.run(tc.spec, RunOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if peak != bound {
@@ -175,10 +172,7 @@ func pointerField(t reflect.Type) string {
 // remote path (L1 miss, xbar, ring, memory-side L2, DRAM, response) incurs
 // zero heap allocations per event.
 func TestLoadPathSteadyStateAllocs(t *testing.T) {
-	m, err := New(config.BaselineMCM())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := assembled(t, config.BaselineMCM())
 	m.warps.size(1)
 	w := m.warps.take() // a warp on SM 0
 

@@ -94,9 +94,11 @@ type warpCtx struct {
 // tripped, the result is byte-identical to an unbounded run (the budget
 // check only observes the simulation).
 //
-// A run that drains and succeeds hands the machine's storage to the spare
-// for the next New (see pool.go). A run stopped by a budget, cancellation,
-// an invariant violation or a panic keeps it, and the GC takes it.
+// RunWith takes the machine's storage from the spare stack only once spec
+// is valid, so a refused run leaves the stack as it was. A run that drains
+// and succeeds hands the storage back for the next run (see pool.go). A run
+// stopped by a budget, cancellation, an invariant violation or a panic
+// keeps it, and the GC takes it.
 func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("core: machine %q already ran; build a new one", m.cfg.Name)
@@ -105,6 +107,13 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	m.assemble()
+	return m.run(spec, opts)
+}
+
+// run simulates spec on a machine that holds its storage (see assemble):
+// everything RunWith does once it has accepted spec.
+func (m *Machine) run(spec *workload.Spec, opts RunOptions) (*Result, error) {
 	m.spec = spec
 	m.opts = opts
 	m.setupPlacement()

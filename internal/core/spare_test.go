@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +27,7 @@ func suiteCell(t testing.TB, name string, scale float64) *workload.Spec {
 	return spec.Scaled(scale)
 }
 
-// emptySpares empties the spare stack, so the next New starts cold.
+// emptySpares empties the spare stack, so the next run starts cold.
 func emptySpares() {
 	spares.Lock()
 	clear(spares.stack)
@@ -34,7 +36,7 @@ func emptySpares() {
 }
 
 // topSpare returns the storage on top of the spare stack, which the next
-// New takes, and whether there is one.
+// run takes, and whether there is one.
 func topSpare() (storage, bool) {
 	spares.Lock()
 	defer spares.Unlock()
@@ -49,6 +51,18 @@ func spareCount() int {
 	spares.Lock()
 	defer spares.Unlock()
 	return len(spares.stack)
+}
+
+// assembled returns a new machine for cfg holding its storage and records
+// as RunWith builds them before the first kernel. run runs it.
+func assembled(t testing.TB, cfg *config.Config) *Machine {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.assemble()
+	return m
 }
 
 // coldJSON runs spec on a machine built with the spare stack emptied first,
@@ -80,10 +94,11 @@ func resultJSON(t *testing.T, res *Result) string {
 // and a footprint that fills every set of its L2 (Stream on the 32-SM
 // monolithic GPU). A budget-stopped run and a recovered panic sit in the
 // middle: neither may hand back its storage, so the cell after each starts
-// cold. The sequence also pins which New reuses the spare: one whose slab
+// cold. The sequence also pins which run reuses the spare: one whose slab
 // is more than twice the size it needs is dropped, and one whose slab is
 // too small keeps its engine, records and contexts and grows a new slab.
-// Whatever New does with it, the spare leaves the stack.
+// Whatever the run does with it, the spare leaves the stack, and New alone
+// leaves the stack as it was.
 func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 	a := config.BaselineMCM()
 	b, c, d, e := config.OptimizedMCM(), config.MustMonolithic(32), config.MultiGPUBaseline(), config.TiledRegionMCM()
@@ -98,7 +113,7 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 		cfg    *config.Config
 		spec   *workload.Spec
 		end    int
-		reuses bool // New takes the storage the step before left
+		reuses bool // the run takes the storage the step before left
 	}{
 		{a, write, drain, false}, // the spare starts empty
 		{b, conv, drain, true},
@@ -130,11 +145,8 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reused := had && m.sim == prev.sim; reused != s.reuses {
-			t.Errorf("step %d (%s on %s): reused the spare = %v, want %v", i, s.spec.Name, s.cfg.Name, reused, s.reuses)
-		}
-		if n := spareCount(); n != 0 {
-			t.Errorf("step %d: %d storages left on the stack after New", i, n)
+		if top, ok := topSpare(); ok != had || top.sim != prev.sim || spareCount() > 1 {
+			t.Errorf("step %d: New changed the spare stack", i)
 		}
 		switch s.end {
 		case drain:
@@ -147,8 +159,8 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 					i, s.spec.Name, s.cfg.Name, got, want[i])
 			}
 			st, ok := topSpare()
-			if !ok {
-				t.Fatalf("step %d: drained run handed back no storage", i)
+			if !ok || spareCount() != 1 {
+				t.Fatalf("step %d: drained run left %d storages on the stack, want its own", i, spareCount())
 			}
 			for j, e := range st.slab[:cap(st.slab)] {
 				if e != 0 {
@@ -171,21 +183,26 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 				})
 			}()
 		}
-		if s.end != drain && spareCount() != 0 {
+		// The run took the storage its machine keeps, or, once it drained,
+		// the one it handed back.
+		used := m.storage
+		if s.end == drain {
+			used, _ = topSpare()
+		} else if spareCount() != 0 {
 			t.Errorf("step %d: a run that did not drain handed back its storage", i)
+		}
+		if reused := had && used.sim == prev.sim; reused != s.reuses {
+			t.Errorf("step %d (%s on %s): reused the spare = %v, want %v", i, s.spec.Name, s.cfg.Name, reused, s.reuses)
 		}
 	}
 }
 
 // l2SetsFilled runs spec's first kernel on a machine for cfg, which keeps
 // its storage, and counts the L2 sets holding a line against the total.
-// The L2 ways follow the L1.5 ways in the slab (see New).
+// The L2 ways follow the L1.5 ways in the slab (see assemble).
 func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled, sets int) {
 	t.Helper()
-	m, err := New(cfg.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := assembled(t, cfg.Clone())
 	m.spec = spec
 	m.setupPlacement()
 	if err := m.runKernel(); err != nil {
@@ -211,12 +228,9 @@ func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled
 // machine's records, and its engine no longer references the machine.
 func TestHandBackDropsMachineReferences(t *testing.T) {
 	emptySpares()
-	m, err := New(config.BaselineMCM())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := assembled(t, config.BaselineMCM())
 	sms, mods, prts := m.sms, m.mods, m.prts
-	if _, err := m.RunWith(probeSpec(nil), RunOptions{}); err != nil {
+	if _, err := m.run(probeSpec(nil), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.sim != nil || m.slab != nil || m.sets != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
@@ -295,6 +309,16 @@ func TestConcurrentCellsMatchSequential(t *testing.T) {
 	}
 }
 
+// The most a warm cell, New plus RunWith of NN-Conv at scale 0.05 on the
+// storage the previous cell handed back, may allocate: the objects measured
+// on each preset (11 on mcm-baseline; 37 on mcm-optimized, 41 under -race)
+// plus at most half again, and 16 KB.
+const (
+	baselineWarmObjects  = 16
+	optimizedWarmObjects = 55
+	warmCellBytes        = 16 << 10
+)
+
 // TestWarmCellAllocBudget pins the point of the spare stack: once a
 // process has run one cell, the next cell of that geometry allocates only
 // what does not scale with the SMs (the machine, NoC, page map, energy
@@ -312,9 +336,12 @@ func TestWarmCellAllocBudget(t *testing.T) {
 	if audit.Forced() {
 		t.Skip("the forced auditor allocates its own state in every run")
 	}
-	const maxObjects, maxBytes = 100, 16 << 10
 	spec := suiteCell(t, "NN-Conv", 0.05)
-	for _, cfg := range []*config.Config{config.BaselineMCM(), config.OptimizedMCM()} {
+	for _, c := range []struct {
+		cfg        *config.Config
+		maxObjects uint64
+	}{{config.BaselineMCM(), baselineWarmObjects}, {config.OptimizedMCM(), optimizedWarmObjects}} {
+		cfg := c.cfg
 		emptySpares()
 		coldObjects, _ := cellAllocs(t, cfg, spec)
 		cold, _ := topSpare()
@@ -324,9 +351,9 @@ func TestWarmCellAllocBudget(t *testing.T) {
 		contexts := len(st.warps.slots) + len(st.ctas.slots) + len(st.loads.slots) + len(st.stores.slots)
 		t.Logf("%s: warm New+RunWith allocated %d objects, %d bytes; the cold cell %d more objects for %d contexts",
 			cfg.Name, objects, bytes, coldObjects-objects, contexts)
-		if objects > maxObjects || bytes > maxBytes {
+		if objects > c.maxObjects || bytes > warmCellBytes {
 			t.Errorf("%s: warm New+RunWith allocated %d objects and %d bytes, budget %d and %d",
-				cfg.Name, objects, bytes, maxObjects, maxBytes)
+				cfg.Name, objects, bytes, c.maxObjects, warmCellBytes)
 		}
 		if got := storageShape(&st); !reflect.DeepEqual(got, shape) {
 			t.Errorf("%s: the warm cell grew its storage: capacities and arrays %v, were %v", cfg.Name, got, shape)
@@ -337,66 +364,176 @@ func TestWarmCellAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentWarmCellsAllocate runs cells from two goroutines at once,
-// as a two-worker sweep does, and requires the warm ones to reuse storage:
-// after a warm-up that leaves two storages on the stack, 20 cells per
-// goroutine allocate less in total than one storage holds. A spare that
-// kept one storage would make the two goroutines drop each other's and
-// rebuild them; the 100 KB of garbage per cell that SM, module and
-// partition records built fresh leave would exceed the bound on its own.
-// CI runs it under the race detector.
+// TestUnrunMachinesLeaveTheSpare builds three machines after a warm cell
+// and never runs them, as the benchmark's set-up does before a timed cell.
+// They must leave the spare stack alone: the next cell takes the storage
+// the warm cell handed back, the same slab array, and stays within the
+// warm cell's budget.
+func TestUnrunMachinesLeaveTheSpare(t *testing.T) {
+	if audit.Forced() {
+		t.Skip("the forced auditor allocates its own state in every run")
+	}
+	cfg, spec := config.BaselineMCM(), suiteCell(t, "NN-Conv", 0.05)
+	emptySpares()
+	cellAllocs(t, cfg, spec)
+	cellAllocs(t, cfg, spec)
+	prev, _ := topSpare()
+	for i := 0; i < 3; i++ {
+		if _, err := New(cfg.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects, bytes := cellAllocs(t, cfg, spec)
+	if st, _ := topSpare(); unsafe.SliceData(st.slab) != unsafe.SliceData(prev.slab) {
+		t.Fatal("the cell after three unrun machines did not run on the storage the warm cell handed back")
+	}
+	if objects > baselineWarmObjects || bytes > warmCellBytes {
+		t.Errorf("the cell after three unrun machines allocated %d objects and %d bytes, budget %d and %d",
+			objects, bytes, baselineWarmObjects, warmCellBytes)
+	}
+}
+
+// TestRefusedRunLeavesTheSpare requires a RunWith whose spec Validate
+// refuses to return that error and leave the spare stack as it was, the
+// same storage on top: a machine takes storage only for a run.
+func TestRefusedRunLeavesTheSpare(t *testing.T) {
+	cfg := config.BaselineMCM()
+	emptySpares()
+	mustRun(t, cfg.Clone(), probeSpec(nil))
+	prev, _ := topSpare()
+	bad := probeSpec(nil)
+	bad.CTAs = 0
+	m, err := New(cfg.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bad.Validate()
+	if _, err := m.RunWith(bad, RunOptions{}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunWith of a spec with no CTAs returned %v, want %v", err, want)
+	}
+	if top, ok := topSpare(); !ok || spareCount() != 1 || top.sim != prev.sim ||
+		unsafe.SliceData(top.slab) != unsafe.SliceData(prev.slab) {
+		t.Fatal("a refused run changed the spare stack")
+	}
+	if m.sim != nil {
+		t.Fatal("a refused run left its machine holding storage")
+	}
+}
+
+// runCell runs spec on a new machine built from cfg.
+func runCell(cfg *config.Config, spec *workload.Spec) error {
+	m, err := New(cfg.Clone())
+	if err == nil {
+		_, err = m.RunWith(spec, RunOptions{})
+	}
+	return err
+}
+
+// warmCells runs n cells of spec on cfg on each of two goroutines at once,
+// as a two-worker sweep does, after a warm-up that leaves two storages on
+// the stack, and returns the bytes they allocated and a storage's size.
+// each, when not nil, is called after every cell.
+func warmCells(t *testing.T, cfg *config.Config, spec *workload.Spec, n int, each func()) (total uint64, st storage) {
+	// Two machines that both hold their storage before either hands one
+	// back leave two storages on the stack.
+	emptySpares()
+	a, b := assembled(t, cfg.Clone()), assembled(t, cfg.Clone())
+	for _, m := range []*Machine{a, b} {
+		if _, err := m.run(spec, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := spareCount(); n != 2 {
+		t.Fatalf("warm-up left %d storages on the stack, want 2", n)
+	}
+	st, _ = topSpare()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := runCell(cfg, spec); err != nil {
+					t.Error(err)
+					return
+				}
+				if each != nil {
+					each()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, st
+}
+
+// TestConcurrentWarmCellsAllocate runs cells from two goroutines at once
+// and requires the warm ones to reuse storage: 20 cells per goroutine
+// allocate less in total than one storage holds. A spare that kept one
+// storage would make the two goroutines drop each other's and rebuild
+// them; the 100 KB of garbage per cell that SM, module and partition
+// records built fresh leave would exceed the bound on its own. CI runs it
+// under the race detector.
 func TestConcurrentWarmCellsAllocate(t *testing.T) {
+	if audit.Forced() {
+		t.Skip("the forced auditor allocates its own state in every run")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec := probeSpec(func(s *workload.Spec) { s.CTAs, s.KernelIters = 128, 1 })
+	total, st := warmCells(t, config.BaselineMCM(), spec, 20, nil)
+	limit := storageBytes(&st)
+	t.Logf("40 warm cells on two goroutines allocated %d bytes; one storage holds %d bytes", total, limit)
+	if total >= limit {
+		t.Errorf("40 warm cells on two goroutines allocated %d bytes, not less than the %d bytes of one storage", total, limit)
+	}
+}
+
+// TestRefusedRunsBesideWarmCellsAllocate runs 20 warm cells on each of two
+// goroutines while a third calls RunWith with a spec Validate refuses, on
+// a new machine after every cell either finishes, so a refused run keeps
+// landing while a storage sits on the stack. All of them together must
+// allocate less than one storage's slabs: a refused run that took a spare
+// would make the next warm cell build a storage of its own. CI runs it
+// under the race detector.
+func TestRefusedRunsBesideWarmCellsAllocate(t *testing.T) {
 	if audit.Forced() {
 		t.Skip("the forced auditor allocates its own state in every run")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := config.BaselineMCM()
 	spec := probeSpec(func(s *workload.Spec) { s.CTAs, s.KernelIters = 128, 1 })
-	cells := func(n int, built *sync.WaitGroup) {
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					m, err := New(cfg.Clone())
-					if built != nil {
-						built.Done()
-						built.Wait()
-					}
-					if err == nil {
-						_, err = m.RunWith(spec, RunOptions{})
-					}
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
+	bad := *spec
+	bad.CTAs = 0
+	// One slot per warm cell, so a finished cell never waits; refused is
+	// buffered so the refusing goroutine exits even when a failed warm-up
+	// ends the test before the count is read.
+	finished, refused := make(chan struct{}, 40), make(chan int, 1)
+	go func() {
+		n := 0
+		for range finished {
+			if err := runCell(cfg, &bad); err == nil {
+				t.Error("RunWith accepted a spec with no CTAs")
+			}
+			n++
 		}
-		wg.Wait()
-	}
-	// Warm up with both machines built before either runs, so each builds
-	// its own storage and both go onto the stack.
-	emptySpares()
-	var built sync.WaitGroup
-	built.Add(2)
-	cells(1, &built)
-	if n := spareCount(); n != 2 {
-		t.Fatalf("warm-up left %d storages on the stack, want 2", n)
-	}
-	st, _ := topSpare()
-	limit := storageBytes(&st)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	cells(20, nil)
-	runtime.ReadMemStats(&after)
-	total := after.TotalAlloc - before.TotalAlloc
-	t.Logf("40 warm cells on two goroutines allocated %d bytes in %d objects; one storage holds %d bytes",
-		total, after.Mallocs-before.Mallocs, limit)
+		refused <- n
+	}()
+	var total uint64
+	var st storage
+	func() {
+		defer close(finished)
+		total, st = warmCells(t, cfg, spec, 20, func() { finished <- struct{}{} })
+	}()
+	n := <-refused
+	limit := 4 * uint64(cap(st.slab)+cap(st.sets))
+	t.Logf("40 warm cells beside %d refused runs allocated %d bytes; one storage's slabs hold %d bytes", n, total, limit)
 	if total >= limit {
-		t.Errorf("40 warm cells on two goroutines allocated %d bytes, not less than the %d bytes of one storage", total, limit)
+		t.Errorf("40 warm cells beside %d refused runs allocated %d bytes, not less than the %d bytes of one storage's slabs",
+			n, total, limit)
 	}
 }
 
@@ -416,40 +553,37 @@ func storageBytes(st *storage) uint64 {
 }
 
 // TestSpareStackBound runs eight machines at once under GOMAXPROCS 2, each
-// built before any runs, and requires the stack to keep two of the eight
-// storages their runs hand back: it holds at most GOMAXPROCS storages.
+// holding its storage before any runs, and requires the stack to keep two
+// of the eight storages their runs hand back: it holds at most GOMAXPROCS
+// storages.
 func TestSpareStackBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	emptySpares()
 	cfg, spec := config.BaselineMCM(), probeSpec(nil)
-	const workers = 8
-	var built, done sync.WaitGroup
-	built.Add(workers)
-	for w := 0; w < workers; w++ {
+	ms := make([]*Machine, 8)
+	for i := range ms {
+		ms[i] = assembled(t, cfg.Clone())
+	}
+	var done sync.WaitGroup
+	for _, m := range ms {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			m, err := New(cfg.Clone())
-			built.Done()
-			built.Wait()
-			if err == nil {
-				_, err = m.RunWith(spec, RunOptions{})
-			}
-			if err != nil {
+			if _, err := m.run(spec, RunOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	done.Wait()
 	if n := spareCount(); n != 2 {
-		t.Fatalf("%d machines handed back under GOMAXPROCS 2 left %d storages on the stack, want 2", workers, n)
+		t.Fatalf("%d machines handed back under GOMAXPROCS 2 left %d storages on the stack, want 2", len(ms), n)
 	}
 }
 
-// TestPoppedSlotCleared requires New to clear the stack slot it took its
+// TestPoppedSlotCleared requires a run to clear the stack slot it took its
 // storage from. The stack's array outlives the pop, so a slot left as it
-// was would keep that storage alive even when its machine never runs and
-// so never hands it back, as the benchmark's unrun warm-up machines do.
+// was would keep that storage alive even when the run stops on a budget
+// and so never hands it back.
 func TestPoppedSlotCleared(t *testing.T) {
 	emptySpares()
 	cfg, spec := config.BaselineMCM(), probeSpec(nil)
@@ -457,33 +591,31 @@ func TestPoppedSlotCleared(t *testing.T) {
 	if n := spareCount(); n != 1 {
 		t.Fatalf("a drained run left %d storages on the stack, want 1", n)
 	}
-	if _, err := New(cfg.Clone()); err != nil {
+	m, err := New(cfg.Clone())
+	if err != nil {
 		t.Fatal(err)
 	}
+	_, err = m.RunWith(spec, RunOptions{MaxEvents: 10_000, CheckEvery: 64})
+	wantSimError(t, err, KindMaxEvents)
 	spares.Lock()
 	slot := spares.stack[:1][0]
 	spares.Unlock()
 	if !reflect.ValueOf(slot).IsZero() {
-		t.Fatal("the stack slot New popped still references the storage it held")
+		t.Fatal("the stack slot the run popped still references the storage it held")
 	}
 }
 
 // TestComponentNames pins the name of every kind of component record, as
 // the metrics stream and audit reports print it, on a cold machine and on
-// one built on recycled records.
+// one built on recycled records, and the name and source module of every
+// link of each topology, in the order the metrics stream lists them.
 func TestComponentNames(t *testing.T) {
 	cfg := config.MustMCMGPMs(8) // 8 modules of 32 SMs, an L1.5 each, 8 partitions
 	emptySpares()
-	cold, err := New(cfg.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := assembled(t, cfg.Clone())
 	mustRun(t, config.OptimizedMCM(), probeSpec(nil))
 	prev, _ := topSpare()
-	warm, err := New(cfg.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := assembled(t, cfg.Clone())
 	if warm.sim != prev.sim || &warm.sms[0] != &prev.sms[0] {
 		t.Fatal("the second machine did not take the storage and records the drained run handed back")
 	}
@@ -500,6 +632,33 @@ func TestComponentNames(t *testing.T) {
 			if c.got != c.want {
 				t.Errorf("component name %q, want %q", c.got, c.want)
 			}
+		}
+	}
+
+	mesh, xbar := config.BaselineMCM(), config.BaselineMCM()
+	mesh.Topology, xbar.Topology = config.TopoMesh, config.TopoCrossbar
+	for _, c := range []struct {
+		cfg   *config.Config
+		links string // name@module of each link
+	}{
+		{config.BaselineMCM(), "ring-cw-0@0 ring-cw-1@1 ring-cw-2@2 ring-cw-3@3 " +
+			"ring-ccw-0@0 ring-ccw-1@1 ring-ccw-2@2 ring-ccw-3@3"},
+		{config.MultiGPUBaseline(), "ring-cw-0@0 ring-cw-1@1"},
+		{mesh, "mesh-e-0@0 mesh-e-2@2 mesh-w-1@1 mesh-w-3@3 mesh-n-2@2 mesh-n-3@3 mesh-s-0@0 mesh-s-1@1"},
+		{xbar, "xbar-0-1@0 xbar-0-2@0 xbar-0-3@0 xbar-1-0@1 xbar-1-2@1 xbar-1-3@1 " +
+			"xbar-2-0@2 xbar-2-1@2 xbar-2-3@2 xbar-3-0@3 xbar-3-1@3 xbar-3-2@3"},
+		{config.MustMonolithic(32), ""},
+	} {
+		m, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, l := range m.net.Links() {
+			names = append(names, fmt.Sprintf("%s@%d", l.Res.Name(), l.GPM))
+		}
+		if got := strings.Join(names, " "); got != c.links {
+			t.Errorf("%s links:\n got %s\nwant %s", c.cfg.Name, got, c.links)
 		}
 	}
 }

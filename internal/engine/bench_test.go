@@ -70,7 +70,7 @@ func TestQueueEntriesHoldNoPointers(t *testing.T) {
 
 // TestResourceReserveAllocFree pins Reserve as allocation-free.
 func TestResourceReserveAllocFree(t *testing.T) {
-	r := NewResource("x", 16)
+	r := newResource("x", 16)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Reserve(0, 64)
 	})
@@ -124,7 +124,7 @@ func BenchmarkTypedSchedule(b *testing.B) {
 
 // BenchmarkResourceReserve measures the next-free-time reservation rule.
 func BenchmarkResourceReserve(b *testing.B) {
-	r := NewResource("dram", 768)
+	r := newResource("dram", 768)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

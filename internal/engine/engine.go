@@ -439,21 +439,13 @@ type Resource struct {
 	idx  int
 }
 
-// NewResource creates a resource named name with the given throughput in
-// units per cycle. A DRAM partition delivering 768 GB/s at 1 GHz is
-// NewResource("dram0", 768) with bytes as the unit. unitsPerCycle must be
-// positive.
-func NewResource(name string, unitsPerCycle float64) *Resource {
-	r := new(Resource)
-	r.Init(name, -1, unitsPerCycle)
-	return r
-}
-
-// Init readies r in place as an idle resource with the given throughput,
-// as NewResource builds one, clearing every counter. Its name is format
-// with idx for the format's one verb, such as ("dram-%d", 5) for "dram-5";
-// a negative idx makes format the name itself. The name is formatted only
+// Init readies r in place as an idle resource with the given throughput in
+// units per cycle, clearing every counter. A DRAM partition delivering
+// 768 GB/s at 1 GHz is Init("dram-%d", 5, 768) with bytes as the unit. Its
+// name is format with idx for the format's one verb, "dram-5" here; a
+// negative idx makes format the name itself. The name is formatted only
 // when read, so initializing a machine's resources allocates nothing.
+// unitsPerCycle must be positive.
 func (r *Resource) Init(format string, idx int, unitsPerCycle float64) {
 	*r = Resource{cyclesPer: 1 / unitsPerCycle, name: format, idx: idx}
 	if unitsPerCycle <= 0 {

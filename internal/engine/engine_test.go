@@ -220,7 +220,7 @@ func TestSimOrderingProperty(t *testing.T) {
 }
 
 func TestResourceSerialization(t *testing.T) {
-	r := NewResource("link", 2) // 2 bytes/cycle
+	r := newResource("link", 2) // 2 bytes/cycle
 	end1 := r.Reserve(0, 100)   // occupies [0,50)
 	if end1 != 50 {
 		t.Fatalf("first reservation ends at %d, want 50", end1)
@@ -239,7 +239,7 @@ func TestResourceSerialization(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	r := NewResource("dram", 768)
+	r := newResource("dram", 768)
 	r.Reserve(0, 768*100) // busy 100 cycles
 	if got := r.Utilization(200); got < 0.49 || got > 0.51 {
 		t.Fatalf("Utilization = %v, want ~0.5", got)
@@ -252,10 +252,41 @@ func TestResourceUtilization(t *testing.T) {
 func TestResourceInvalidThroughputPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("NewResource with zero throughput did not panic")
+			t.Fatalf("Init with zero throughput did not panic")
 		}
 	}()
-	NewResource("bad", 0)
+	var r Resource
+	r.Init("bad", -1, 0)
+}
+
+// newResource returns a resource initialized under a fixed name.
+func newResource(name string, unitsPerCycle float64) *Resource {
+	r := new(Resource)
+	r.Init(name, -1, unitsPerCycle)
+	return r
+}
+
+// TestResourceInit pins Init's naming, a format with its index or, for a
+// negative index, the name as given, and that re-initializing a used
+// resource leaves it idle at the new throughput with every counter clear.
+func TestResourceInit(t *testing.T) {
+	var r Resource
+	r.Init("dram-%d", 5, 768)
+	if got := r.Name(); got != "dram-5" {
+		t.Fatalf("Name = %q, want dram-5", got)
+	}
+	r.Reserve(0, 768*100)
+	r.BusyThrough(50)
+	r.Init("xbar-1-2", -1, 2)
+	if got := r.Name(); got != "xbar-1-2" {
+		t.Fatalf("Name = %q, want xbar-1-2", got)
+	}
+	if r.Units() != 0 || r.BusyThrough(1000) != 0 {
+		t.Fatalf("re-initialized resource kept %d units and %v busy cycles", r.Units(), r.BusyThrough(1000))
+	}
+	if end := r.Reserve(0, 100); end != 50 {
+		t.Fatalf("re-initialized resource's first reservation ends at %d, want 50", end)
+	}
 }
 
 // Property: completion times for a single resource are nondecreasing when
@@ -264,7 +295,7 @@ func TestResourceInvalidThroughputPanics(t *testing.T) {
 func TestResourceMonotoneProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewResource("p", 16)
+		r := newResource("p", 16)
 		now := Cycle(0)
 		last := Cycle(0)
 		var total uint64

@@ -13,7 +13,7 @@ import (
 // cycles: 1000 busy cycles over a 100-cycle window read as 10.0. The
 // time-clipped BusyThrough must read ~1.0 and never more.
 func TestUtilizationSaturatedMidRun(t *testing.T) {
-	r := NewResource("link", 1)
+	r := newResource("link", 1)
 	r.Reserve(0, 1000) // occupies [0, 1000)
 	u := r.Utilization(100)
 	if u > 1.0 {
@@ -37,7 +37,7 @@ func TestUtilizationSaturatedMidRun(t *testing.T) {
 // by a new reservation must never make BusyThrough go backwards or credit
 // occupancy that has not happened yet.
 func TestBusyThroughMonotoneAcrossGaps(t *testing.T) {
-	r := NewResource("x", 1)
+	r := newResource("x", 1)
 	r.Reserve(0, 10) // [0, 10)
 	if got := r.BusyThrough(10); got != 10 {
 		t.Fatalf("BusyThrough(10) = %v, want 10", got)
@@ -73,7 +73,7 @@ func TestBusyThroughProperties(t *testing.T) {
 	throughputs := []float64{0.5, 1, 2, 3, 768}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewResource("p", throughputs[rng.Intn(len(throughputs))])
+		r := newResource("p", throughputs[rng.Intn(len(throughputs))])
 
 		var now Cycle
 		prev := 0.0

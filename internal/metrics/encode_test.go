@@ -153,7 +153,7 @@ func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 func emitLoop(rec *Recorder) func() {
 	links := make([]*engine.Resource, 8)
 	for i := range links {
-		links[i] = engine.NewResource("link", 3)
+		links[i] = newResource("link", 3)
 	}
 	c := &fakeCache{}
 	rec.Begin("cfg", "wl")

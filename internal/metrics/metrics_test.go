@@ -18,8 +18,8 @@ func (f *fakeCache) Accesses() uint64 { return f.acc }
 // saturated over [0, 4096), idle until the kernel boundary at 8192, then a
 // second kernel with a short burst.
 func drive(rec *Recorder) (link, dram *engine.Resource, cache *fakeCache) {
-	link = engine.NewResource("ring-cw-0", 1)
-	dram = engine.NewResource("dram-0", 2)
+	link = newResource("ring-cw-0", 1)
+	dram = newResource("dram-0", 2)
 	cache = &fakeCache{}
 	rec.Begin("cfg", "wl")
 	rec.AddResource("link", 0, link.Name(), link)
@@ -168,4 +168,11 @@ func TestRecorderNilWriter(t *testing.T) {
 	if err := rec.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// newResource returns a resource initialized under a fixed name.
+func newResource(name string, unitsPerCycle float64) *engine.Resource {
+	r := new(engine.Resource)
+	r.Init(name, -1, unitsPerCycle)
+	return r
 }

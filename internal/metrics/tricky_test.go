@@ -1,16 +1,12 @@
 package metrics
 
-import (
-	"mcmgpu/internal/engine"
-)
-
 // driveTricky exercises the encoder's hard cases: fractional busy/util
 // values (non-power-of-two bandwidths), CSV-quotable names (commas, quotes),
 // and JSON-escaped names (HTML specials, backslash, control bytes).
 func driveTricky(rec *Recorder) {
-	link := engine.NewResource("odd-link", 3)
-	dram := engine.NewResource("dram,0 \"x\"", 7)
-	xbar := engine.NewResource("xb<&>\\\t1", 11)
+	link := newResource("odd-link", 3)
+	dram := newResource("dram,0 \"x\"", 7)
+	xbar := newResource("xb<&>\\\t1", 11)
 	c := &fakeCache{}
 	rec.Begin("cfg,with \"quotes\" <&>", "wl\nnewline")
 	rec.AddResource("link", 0, link.Name(), link)

@@ -58,8 +58,8 @@ func (f *tickCache) Accesses() uint64 { return f.acc }
 // from names: CSV streams are line-oriented (DESIGN.md §9).
 func driveStream(w io.Writer, csv bool) error {
 	rec := metrics.NewRecorder(w, 4096, csv)
-	link := engine.NewResource("link", 3)
-	dram := engine.NewResource(`dram,0 "x"`, 7)
+	link := newResource("link", 3)
+	dram := newResource(`dram,0 "x"`, 7)
 	cache := &tickCache{}
 	rec.Begin(`cfg,with "quotes" <&>`, `wl tab\there`)
 	rec.AddResource("link", 0, link.Name(), link)
@@ -490,4 +490,11 @@ func BenchmarkParseNDJSON(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// newResource returns a resource initialized under a fixed name.
+func newResource(name string, unitsPerCycle float64) *engine.Resource {
+	r := new(engine.Resource)
+	r.Init(name, -1, unitsPerCycle)
+	return r
 }

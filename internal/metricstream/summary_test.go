@@ -9,7 +9,6 @@ import (
 
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
-	"mcmgpu/internal/engine"
 	"mcmgpu/internal/metrics"
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/workload"
@@ -24,10 +23,10 @@ func summaryStream(t *testing.T, csv bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := metrics.NewRecorder(&buf, 4096, csv)
-	link := engine.NewResource("ring-cw-0", 1)
-	other := engine.NewResource("ring-ccw-0", 1)
-	idle := engine.NewResource("ring-cw-1", 1)
-	dram := engine.NewResource("dram-0", 2)
+	link := newResource("ring-cw-0", 1)
+	other := newResource("ring-ccw-0", 1)
+	idle := newResource("ring-cw-1", 1)
+	dram := newResource("dram-0", 2)
 	rec.Begin("cfg", "wl")
 	rec.AddResource("link", 0, link.Name(), link)
 	rec.AddResource("link", 0, other.Name(), other)

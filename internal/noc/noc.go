@@ -28,16 +28,20 @@ type Network struct {
 	// Ring links: cw[i] goes from node i to node (i+1)%n, ccw[i] from node i
 	// to node (i-1+n)%n. A two-node ring keeps only cw links (one per
 	// direction between the pair) so aggregate bandwidth is 2 links, not 4.
-	cw, ccw []*engine.Resource
+	cw, ccw []engine.Resource
 
-	// Crossbar links indexed [src][dst].
-	xbar [][]*engine.Resource
+	// Crossbar links: xbar[src*nodes+dst]. The diagonal is unused.
+	xbar []engine.Resource
 
 	// Mesh geometry and links. Node i sits at (i%meshW, i/meshW); east[i]
 	// goes to i+1, west[i] to i-1, south[i] to i+meshW, north[i] to
-	// i-meshW. Routing is dimension ordered (X then Y).
+	// i-meshW. Routing is dimension ordered (X then Y). A node on the
+	// grid's edge leaves the entry for the link it lacks unused.
 	meshW, meshH             int
-	east, west, north, south []*engine.Resource
+	east, west, north, south []engine.Resource
+
+	// links lists every link with its source module, in Links' order.
+	links []Link
 
 	// aggGBps accumulates the bandwidth of every unidirectional link as it
 	// is built, so the analytic estimator's link roofline (wire bytes over
@@ -81,27 +85,22 @@ func New(cfg *config.Config) *Network {
 		// paper's Section 3.3.1 analysis, where a "4b" (3 TB/s) link is
 		// needed to deliver the full 4b of aggregate DRAM bandwidth.
 		perDir := cfg.Link.GBps / 2
-		n.cw = make([]*engine.Resource, cfg.Modules)
-		for i := range n.cw {
-			n.cw[i] = n.newLink(fmt.Sprintf("ring-cw-%d", i), perDir)
-		}
+		n.links = make([]Link, 0, 2*n.nodes)
+		n.cw = n.group("ring-cw-%d", perDir, nil)
 		if cfg.Modules > 2 {
-			n.ccw = make([]*engine.Resource, cfg.Modules)
-			for i := range n.ccw {
-				n.ccw[i] = n.newLink(fmt.Sprintf("ring-ccw-%d", i), perDir)
-			}
+			n.ccw = n.group("ring-ccw-%d", perDir, nil)
 		}
 	case config.TopoCrossbar:
 		// Iso-attachment-bandwidth ablation: each module's aggregate
 		// ingress matches the ring's (Link.GBps), spread over its
 		// (Modules-1) incoming pair links.
 		perPair := cfg.Link.GBps / float64(cfg.Modules-1)
-		n.xbar = make([][]*engine.Resource, cfg.Modules)
-		for i := range n.xbar {
-			n.xbar[i] = make([]*engine.Resource, cfg.Modules)
-			for j := range n.xbar[i] {
+		n.links = make([]Link, 0, n.nodes*(n.nodes-1))
+		n.xbar = make([]engine.Resource, n.nodes*n.nodes)
+		for i := 0; i < n.nodes; i++ {
+			for j := 0; j < n.nodes; j++ {
 				if i != j {
-					n.xbar[i][j] = n.newLink(fmt.Sprintf("xbar-%d-%d", i, j), perPair)
+					n.addLink(&n.xbar[i*n.nodes+j], fmt.Sprintf("xbar-%d-%d", i, j), -1, i, perPair)
 				}
 			}
 		}
@@ -111,32 +110,37 @@ func New(cfg *config.Config) *Network {
 		perDir := cfg.Link.GBps / 2
 		w, h := meshDims(cfg.Modules)
 		n.meshW, n.meshH = w, h
-		n.east = make([]*engine.Resource, cfg.Modules)
-		n.west = make([]*engine.Resource, cfg.Modules)
-		n.north = make([]*engine.Resource, cfg.Modules)
-		n.south = make([]*engine.Resource, cfg.Modules)
-		for i := 0; i < cfg.Modules; i++ {
-			x, y := i%w, i/w
-			if x+1 < w {
-				n.east[i] = n.newLink(fmt.Sprintf("mesh-e-%d", i), perDir)
-				n.west[i+1] = n.newLink(fmt.Sprintf("mesh-w-%d", i+1), perDir)
-			}
-			if y+1 < h {
-				n.south[i] = n.newLink(fmt.Sprintf("mesh-s-%d", i), perDir)
-				n.north[i+w] = n.newLink(fmt.Sprintf("mesh-n-%d", i+w), perDir)
-			}
-		}
+		n.links = make([]Link, 0, 4*n.nodes)
+		n.east = n.group("mesh-e-%d", perDir, func(i int) bool { return i%w+1 < w })
+		n.west = n.group("mesh-w-%d", perDir, func(i int) bool { return i%w > 0 })
+		n.north = n.group("mesh-n-%d", perDir, func(i int) bool { return i/w > 0 })
+		n.south = n.group("mesh-s-%d", perDir, func(i int) bool { return i/w+1 < h })
 	default:
 		panic(fmt.Sprintf("noc: unsupported topology %v", cfg.Topology))
 	}
 	return n
 }
 
-// newLink builds one unidirectional link resource and accounts its
-// bandwidth toward the network's aggregate capacity.
-func (n *Network) newLink(name string, gbps float64) *engine.Resource {
+// group builds one directional link group: link i egresses node i, is
+// named format with i, and exists where has(i) holds, or everywhere when
+// has is nil.
+func (n *Network) group(format string, gbps float64, has func(i int) bool) []engine.Resource {
+	g := make([]engine.Resource, n.nodes)
+	for i := range g {
+		if has == nil || has(i) {
+			n.addLink(&g[i], format, i, i, gbps)
+		}
+	}
+	return g
+}
+
+// addLink initializes l as a unidirectional link egressing node gpm, named
+// as engine.Resource.Init names it from format and idx, lists it and
+// accounts its bandwidth toward the network's aggregate capacity.
+func (n *Network) addLink(l *engine.Resource, format string, idx, gpm int, gbps float64) {
+	l.Init(format, idx, gbps)
+	n.links = append(n.links, Link{GPM: gpm, Res: l})
 	n.aggGBps += gbps
-	return engine.NewResource(name, gbps)
 }
 
 // AggregateGBps returns the summed bandwidth of every unidirectional link
@@ -230,17 +234,17 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 		for h := 0; h < d; h++ {
 			var link *engine.Resource
 			if useCW {
-				link = n.cw[node]
+				link = &n.cw[node]
 				node = (node + 1) % n.nodes
 			} else {
-				link = n.ccw[node]
+				link = &n.ccw[node]
 				node = (node - 1 + n.nodes) % n.nodes
 			}
 			t = link.Reserve(t, bytes) + n.hopLat
 			n.totalBytes += bytes
 		}
 	case config.TopoCrossbar:
-		t = n.xbar[src][dst].Reserve(t, bytes) + n.hopLat
+		t = n.xbar[src*n.nodes+dst].Reserve(t, bytes) + n.hopLat
 		n.totalBytes += bytes
 	case config.TopoMesh:
 		// Dimension-ordered routing: X first, then Y.
@@ -249,11 +253,11 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 		for dx != 0 {
 			var link *engine.Resource
 			if dx > 0 {
-				link = n.east[node]
+				link = &n.east[node]
 				node++
 				dx--
 			} else {
-				link = n.west[node]
+				link = &n.west[node]
 				node--
 				dx++
 			}
@@ -264,11 +268,11 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 		for dy != 0 {
 			var link *engine.Resource
 			if dy > 0 {
-				link = n.south[node]
+				link = &n.south[node]
 				node += n.meshW
 				dy--
 			} else {
-				link = n.north[node]
+				link = &n.north[node]
 				node -= n.meshW
 				dy++
 			}
@@ -284,26 +288,6 @@ func (n *Network) Send(now engine.Cycle, src, dst int, bytes uint64) engine.Cycl
 // behind the paper's inter-GPM bandwidth figures).
 func (n *Network) TotalBytes() uint64 { return n.totalBytes }
 
-// links returns all non-nil link resources.
-func (n *Network) links() []*engine.Resource {
-	var out []*engine.Resource
-	for _, group := range [][]*engine.Resource{n.cw, n.ccw, n.east, n.west, n.north, n.south} {
-		for _, l := range group {
-			if l != nil {
-				out = append(out, l)
-			}
-		}
-	}
-	for _, row := range n.xbar {
-		for _, l := range row {
-			if l != nil {
-				out = append(out, l)
-			}
-		}
-	}
-	return out
-}
-
 // Link is one unidirectional link resource together with the module it
 // egresses from, for per-GPM attribution in the metrics sampler.
 type Link struct {
@@ -314,24 +298,8 @@ type Link struct {
 // Links returns every link with its source module, in a deterministic order
 // (ring cw/ccw, mesh east/west/north/south, then crossbar rows). Link i of a
 // directional group egresses node i; crossbar link [i][j] egresses node i.
-func (n *Network) Links() []Link {
-	var out []Link
-	for _, group := range [][]*engine.Resource{n.cw, n.ccw, n.east, n.west, n.north, n.south} {
-		for i, l := range group {
-			if l != nil {
-				out = append(out, Link{GPM: i, Res: l})
-			}
-		}
-	}
-	for i, row := range n.xbar {
-		for _, l := range row {
-			if l != nil {
-				out = append(out, Link{GPM: i, Res: l})
-			}
-		}
-	}
-	return out
-}
+// The slice is the network's own, so callers must not modify it.
+func (n *Network) Links() []Link { return n.links }
 
 // Audit checks byte conservation into r: the network-wide totalBytes counter
 // (the quantity behind the paper's inter-GPM bandwidth figures) must equal
@@ -341,8 +309,8 @@ func (n *Network) Links() []Link {
 // corrupt Figures 7, 10 and 14.
 func (n *Network) Audit(r *audit.Reporter) {
 	var sum uint64
-	for _, l := range n.links() {
-		sum += l.Units()
+	for _, l := range n.links {
+		sum += l.Res.Units()
 	}
 	audit.Equal(r, "noc-bytes", "noc", "sum of per-link reserved bytes", sum, n.totalBytes)
 }
@@ -351,8 +319,8 @@ func (n *Network) Audit(r *audit.Reporter) {
 // elapsed interval.
 func (n *Network) MaxLinkUtilization(elapsed engine.Cycle) float64 {
 	var max float64
-	for _, l := range n.links() {
-		if u := l.Utilization(elapsed); u > max {
+	for _, l := range n.links {
+		if u := l.Res.Utilization(elapsed); u > max {
 			max = u
 		}
 	}

@@ -88,7 +88,7 @@ func TestTwoNodeRingSingleLinkPair(t *testing.T) {
 		t.Fatalf("same-direction messages did not queue: %d then %d", a, c)
 	}
 	// Exactly 2 links exist.
-	if got := len(n.links()); got != 2 {
+	if got := len(n.Links()); got != 2 {
 		t.Fatalf("2-node ring has %d links, want 2", got)
 	}
 }
