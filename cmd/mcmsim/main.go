@@ -266,17 +266,19 @@ func characterize(specs []*workload.Spec, scale float64) error {
 		}
 		var ops, writes, accesses int
 		lines := make(map[uint32]struct{})
-		var op workload.Op
+		var c workload.CTAStream
+		var st workload.WarpStream
 		for cta := 0; cta < run.CTAs; cta++ {
+			c.Init(run, cta)
 			for w := 0; w < run.WarpsPerCTA; w++ {
-				for st := workload.NewStream(run, cta, w); st.Next(run, &op); {
+				for st.Init(run, &c, w); st.Next(); {
 					ops++
-					if op.Write {
+					if st.Op(run, &c, w) {
 						writes++
 					}
-					accesses += int(op.NumLines)
-					for _, l := range op.Lines[:op.NumLines] {
-						lines[l] = struct{}{}
+					accesses += run.LinesPerOp
+					for l := range run.LinesPerOp {
+						lines[uint32(st.Line(run, l))] = struct{}{}
 					}
 				}
 			}

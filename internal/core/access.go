@@ -23,7 +23,7 @@ const lineBytes = config.LineBytes
 // index; the stages below are the kinds Machine.Dispatch routes to them. A
 // stage may read the context freely but must put it back exactly once, on
 // the path that completes the operation, and must not touch it afterwards.
-// Line addresses fit 32 bits (see workload.Op).
+// Line addresses fit 32 bits (see workload.WarpStream).
 
 // loadCtx carries one in-flight cache-line load from the point startLoad
 // schedules its arrival event until the data-ready time is delivered to the
@@ -43,15 +43,16 @@ type storeCtx struct {
 	line uint32
 }
 
-// startLoad begins one cache-line load for warp w. loadComplete is invoked
-// exactly once for it with the data-ready cycle; for cache hits and local
-// accesses it is invoked synchronously with a (possibly future) timestamp,
-// for remote accesses it is invoked from the response event.
-func (m *Machine) startLoad(w uint32, line uint64) {
+// startLoad begins one cache-line load for warp w, which runs on SM si.
+// loadComplete is invoked exactly once for it with the data-ready cycle;
+// for cache hits and local accesses it is invoked synchronously with a
+// (possibly future) timestamp, for remote accesses it is invoked from the
+// response event.
+func (m *Machine) startLoad(w, si uint32, line uint64) {
 	cfg := m.cfg
 	now := m.sim.Now()
 	m.lineReads++
-	s := &m.sms[m.warps.slots[w].sm]
+	s := &m.sms[si]
 
 	// SM-private L1.
 	if s.L1.Access(line, false).Hit {
@@ -208,9 +209,9 @@ func (m *Machine) partitionStore(st uint32) {
 // release frees the store-buffer slot store st occupied and resumes a warp
 // parked on the full buffer, if any.
 func (m *Machine) release(st uint32) {
-	s := &m.sms[m.stores.slots[st].sm]
+	si := m.stores.slots[st].sm
 	m.stores.put(st)
-	if w, ok := s.ReleaseStore(); ok {
-		m.memWrite(w)
+	if w, ok := m.sms[si].ReleaseStore(); ok {
+		m.memWrite(w, si)
 	}
 }

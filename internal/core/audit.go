@@ -114,6 +114,19 @@ func (m *Machine) newAuditor() *audit.Auditor {
 		audit.Equal(r, "l2-flow", "machine", "L1.5 write accesses", l15Writes, uint64(0))
 	})
 
+	// l2-bank-flow: per partition, the L2 bank resource moved one line for
+	// every L2 access, read or write: partitionLoad and partitionStore
+	// reserve the bank and access the L2 in the same dispatch, so this holds
+	// at any instant. A bank left with a previous run's timeline or units
+	// breaks it.
+	a.Register("l2-bank-flow", audit.Periodic|audit.Boundary, func(r *audit.Reporter) {
+		for i := range m.prts {
+			p := &m.prts[i]
+			audit.Equal(r, "l2-bank-flow", p.bank.Name(), "bank units vs. L2 accesses x line bytes",
+				p.bank.Units(), (p.l2.ReadAccesses()+p.l2.WriteAccesses())*lineBytes)
+		}
+	})
+
 	// dram-flow: per partition, every L2 miss — read misses and the
 	// write-allocate fills of write misses — performed exactly one DRAM read,
 	// and every dirty eviction exactly one DRAM write. This is the law that
@@ -252,5 +265,7 @@ func (m *Machine) corruptCounter(target string) {
 		m.loads.get() // a load context that is never put back
 	case faultinject.TargetClamp:
 		m.sim.After(0, 0, evClamp)
+	case faultinject.TargetL2Bank:
+		m.prts[0].bank.Reserve(m.sim.Now(), 1)
 	}
 }

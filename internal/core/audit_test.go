@@ -101,6 +101,7 @@ func TestCorruptCounterCaught(t *testing.T) {
 		{faultinject.TargetEnergyDRAM, "energy-bytes"},
 		{faultinject.TargetInFlight, "warp-drain"},
 		{faultinject.TargetClamp, "clamp-guard"},
+		{faultinject.TargetL2Bank, "l2-bank-flow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.target, func(t *testing.T) {

@@ -13,14 +13,14 @@ import (
 // storage is the part of a machine whose size grows with its geometry: one
 // slab every cache's way array is cut from, a second every cache's
 // filled-set list is cut from, the event engine (its node slab, far heap and
-// calendar), the records of the machine's SMs, modules and partitions, and
-// the four context arenas below. The records hold every component that
-// comes one per SM, module or partition (issue resources, caches, xbars, L2
-// banks, DRAM devices and their counters), and a run re-initializes each
-// one in place before its first kernel (see assemble), clearing its
-// counters, so nothing can leak from one cell into the next. What New
-// builds fresh is small and does not scale with the SMs: the NoC, the page
-// map, the energy meter and the machine itself.
+// calendar), the records of the machine's SMs, modules and partitions, the
+// warp slab and the three context arenas below. The records hold every
+// component that comes one per SM, module or partition (issue resources,
+// caches, xbars, L2 banks, DRAM devices and their counters), and a run
+// re-initializes each one in place before its first kernel (see assemble),
+// clearing its counters, so nothing can leak from one cell into the next.
+// What New builds fresh is small and does not scale with the SMs: the NoC,
+// the page map, the energy meter and the machine itself.
 type storage struct {
 	slab []uint32 // way entries; all zero whenever no machine holds it
 	sets []uint32 // set lists; their contents never matter
@@ -30,7 +30,7 @@ type storage struct {
 	mods []module
 	prts []partition
 
-	warps  arena[warpCtx]
+	warps  []warpCtx
 	ctas   arena[ctaCtx]
 	loads  arena[loadCtx]
 	stores arena[storeCtx]
@@ -108,8 +108,9 @@ func popSpare() (storage, bool) {
 }
 
 // handBack gives a drained machine's storage to the spare stack. Every
-// context is back in its arena by then, and the engine is reset, which
-// drops its handler, so the storage references nothing of this machine.
+// warp context is clear and every other context back in its arena by then,
+// and the engine is reset, which drops its handler, so the storage
+// references nothing of this machine.
 // The last kernel boundary flushed the L1s and L1.5s; flushing the L2s too
 // clears exactly the sets the run filled, so the slab goes back all zero
 // without a pass over the untouched rest. The machine drops its references
@@ -128,6 +129,16 @@ func (m *Machine) handBack() {
 	m.storage = storage{}
 }
 
+// slab returns n warp contexts on ws's array when it has room for them,
+// else on a new one. The contexts are all zero: a warp clears its context
+// when it retires, and a storage is handed back only once every warp has.
+func slab(ws []warpCtx, n int) []warpCtx {
+	if cap(ws) < n {
+		return make([]warpCtx, n)
+	}
+	return ws[:n]
+}
+
 // arena holds one kind of event context in a slab addressed by uint32
 // index, with a stack of the free indices. The simulator fires millions of
 // events per run, so an event carries its context's index (see
@@ -137,11 +148,12 @@ func (m *Machine) handBack() {
 // next that takes its slot. The simulation is single threaded, so arenas
 // need no locking.
 //
-// Warps and CTAs live in sized arenas: runKernel sizes them from the
-// kernel's launch bound before the first wave, so they never grow
-// mid-kernel and no context moves. Loads and stores live in growable
-// arenas, whose slots move when the slab grows; a caller holds no pointer
-// into one across a get.
+// CTAs live in a sized arena: runKernel sizes it from the kernel's launch
+// bound before the first wave, so it never grows mid-kernel and no context
+// moves. Warps need no arena: each CTA slot owns a fixed block of the warp
+// slab (see ctaCtx). Loads and stores live in growable arenas, whose
+// slots move when the slab grows; a caller holds no pointer into one
+// across a get.
 type arena[T any] struct {
 	slots []T
 	free  []uint32

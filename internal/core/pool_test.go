@@ -34,8 +34,8 @@ func checkArenaDrained[T comparable](t *testing.T, name string, a *arena[T]) {
 // TestPooledContextsResetAcrossRelaunch drives a multi-wave, store-heavy
 // workload (CTAs far exceed residency, so every warp and CTA slot is reused
 // many times, and store-buffer backpressure parks warps) and then checks
-// the arenas of the storage the run handed back: every slot zero and every
-// index on its free list exactly once. A stale field leaking across a CTA
+// the warp slab and arenas of the storage the run handed back: every slot
+// zero and every arena index on its free list exactly once. A stale field leaking across a CTA
 // relaunch, or into the next machine, would be invisible in aggregate
 // results until it corrupted a run.
 func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
@@ -60,16 +60,20 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 	if !ok {
 		t.Fatal("drained run handed back no storage")
 	}
-	checkArenaDrained(t, "warp", &st.warps)
+	for i, w := range st.warps { // each warp clears its context when it retires
+		if w != (warpCtx{}) {
+			t.Fatalf("warp slot %d retains state: %+v", i, w)
+		}
+	}
 	checkArenaDrained(t, "CTA", &st.ctas)
 	checkArenaDrained(t, "load", &st.loads)
 	checkArenaDrained(t, "store", &st.stores)
 	if len(st.loads.slots) == 0 || len(st.stores.slots) == 0 {
 		t.Fatalf("the run used %d load and %d store slots", len(st.loads.slots), len(st.stores.slots))
 	}
-	if want := launchBound(config.BaselineMCM(), spec); len(st.ctas.slots) != want || len(st.warps.slots) != want*spec.WarpsPerCTA {
-		t.Fatalf("arenas hold %d CTA and %d warp slots, want the launch bound: %d and %d",
-			len(st.ctas.slots), len(st.warps.slots), want, want*spec.WarpsPerCTA)
+	if want := launchBound(config.BaselineMCM(), spec); len(st.ctas.slots) != want || len(st.warps) != want*spec.WarpsPerCTA {
+		t.Fatalf("storage holds %d CTA and %d warp slots, want the launch bound: %d and %d",
+			len(st.ctas.slots), len(st.warps), want, want*spec.WarpsPerCTA)
 	}
 
 	// Reuse must not perturb results: a second machine on the same spec,
@@ -90,12 +94,15 @@ func TestPooledContextsResetAcrossRelaunch(t *testing.T) {
 }
 
 // TestResidentWarpsWithinLaunchBound checks after every event that the
-// resident warps, and the live warp contexts, never exceed the warp arena
-// runKernel sized from the launch bound, and that the bound is reached, so
-// it is tight. The cases cover a distributed scheduler whose modules run
-// dry in the middle of the first wave, several waves on the distributed
-// and tiled schedulers, and SMs that hold one warp each (the shape of the
-// fuzz corpus's one-warp-sm seed).
+// resident warps never exceed the warp slab runKernel sized from the launch
+// bound, that every resident warp's context lies in the block of a live CTA
+// slot, and that the bound is reached, so it is tight. A warp's slot is its
+// CTA slot's block plus its index within the CTA, so a CTA arena that never
+// hands out more slots than the launch bound keeps every warp inside the
+// slab. The cases cover a distributed scheduler whose modules run dry in
+// the middle of the first wave, several waves on the distributed and tiled
+// schedulers, and SMs that hold one warp each (the shape of the fuzz
+// corpus's one-warp-sm seed).
 func TestResidentWarpsWithinLaunchBound(t *testing.T) {
 	oneWarp := config.BaselineMCM()
 	oneWarp.Name, oneWarp.WarpsPerSM = "one-warp-sm", 1
@@ -112,16 +119,32 @@ func TestResidentWarpsWithinLaunchBound(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := assembled(t, tc.cfg.Clone())
-			bound := launchBound(tc.cfg, tc.spec) * tc.spec.WarpsPerCTA
+			wpc := tc.spec.WarpsPerCTA
+			bound := launchBound(tc.cfg, tc.spec) * wpc
 			peak := 0
 			m.sim.AddHook(1, func() error {
-				resident := m.liveCTA * tc.spec.WarpsPerCTA
-				live := len(m.warps.slots) - len(m.warps.free)
-				if len(m.warps.slots) != bound || resident > bound || live > resident {
-					t.Fatalf("at cycle %d: %d resident warps, %d live warp contexts, %d warp slots; launch bound %d",
-						m.sim.Now(), resident, live, len(m.warps.slots), bound)
+				resident := m.liveCTA * wpc
+				if len(m.warps) != bound || resident > bound || m.ctas.live() != m.liveCTA {
+					t.Fatalf("at cycle %d: %d resident warps, %d live CTA contexts for %d resident CTAs, %d warp slots; launch bound %d",
+						m.sim.Now(), resident, m.ctas.live(), m.liveCTA, len(m.warps), bound)
 				}
 				peak = max(peak, resident)
+				return nil
+			})
+			// Every warp context a live CTA does not own is clear.
+			m.sim.AddHook(4096, func() error {
+				owned := make([]bool, len(m.warps)/wpc)
+				for c := range owned {
+					owned[c] = true
+				}
+				for _, c := range m.ctas.free {
+					owned[c] = false
+				}
+				for w, wc := range m.warps {
+					if !owned[w/wpc] && wc != (warpCtx{}) {
+						t.Fatalf("at cycle %d: warp slot %d of free CTA slot %d holds state", m.sim.Now(), w, w/wpc)
+					}
+				}
 				return nil
 			})
 			if _, err := m.run(tc.spec, RunOptions{}); err != nil {
@@ -173,18 +196,17 @@ func pointerField(t reflect.Type) string {
 // zero heap allocations per event.
 func TestLoadPathSteadyStateAllocs(t *testing.T) {
 	m := assembled(t, config.BaselineMCM())
-	m.warps.size(1)
-	w := m.warps.take() // a warp on SM 0
+	m.warps = slab(m.warps, 1) // warp 0, on SM 0
 
-	// Issue one load and drain. pending starts at 2 so loadComplete never
+	// Issue one load and drain. lines starts at 2 so loadComplete never
 	// reaches zero and never schedules the warp's next step (the warp has
 	// no stream here). Large line stride defeats the L1 so every load
 	// walks the full event path.
 	n := uint64(0)
 	issue := func() {
 		n++
-		m.warps.slots[w].pending = 2
-		m.startLoad(w, (n*4099)%(1<<22))
+		m.warps[0].lines = 2
+		m.startLoad(0, 0, (n*4099)%(1<<22))
 		m.sim.Run()
 	}
 	for i := 0; i < 200; i++ {
@@ -244,20 +266,17 @@ func TestClampedEventsSurfaced(t *testing.T) {
 	}
 }
 
-// TestWarpContextSize holds the warp context to three host cache lines and
-// the op it embeds to 48 bytes, with the fields mem and loadComplete touch
-// in the first 64 bytes. A high-parallelism cell keeps 8,192 warps
-// resident, so a field that spills either struct into another host line
-// costs every cell; this makes that change fail loudly.
+// TestWarpContextSize holds the warp context to one 64-byte host cache
+// line and the CTA context to 40 bytes. A high-parallelism cell keeps 8,192
+// warps resident, so a field that spills the warp context into a second
+// host line costs every cell; this makes that change fail loudly. A CTA
+// context is shared by its warps and a cell holds a quarter as many or
+// fewer, so what the warps share lives there once.
 func TestWarpContextSize(t *testing.T) {
-	var wc warpCtx
-	if n := unsafe.Sizeof(wc); n > 192 {
-		t.Errorf("warpCtx is %d bytes, budget 192", n)
+	if n := unsafe.Sizeof(warpCtx{}); n != 64 {
+		t.Errorf("warpCtx is %d bytes, want 64", n)
 	}
-	if n := unsafe.Sizeof(wc.op); n > 48 {
-		t.Errorf("workload.Op is %d bytes, budget 48", n)
-	}
-	if end := unsafe.Offsetof(wc.op) + unsafe.Sizeof(wc.op); end > 64 {
-		t.Errorf("warpCtx's memory-op fields end at byte %d, past the first 64", end)
+	if n := unsafe.Sizeof(ctaCtx{}); n > 40 {
+		t.Errorf("ctaCtx is %d bytes, budget 40", n)
 	}
 }

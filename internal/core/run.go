@@ -57,31 +57,31 @@ func (m *Machine) Dispatch(ref uint32, kind uint8) {
 	}
 }
 
-// ctaCtx tracks one resident CTA until all of its warps drain.
+// ctaCtx tracks one resident CTA until all of its warps drain, and holds
+// the stream state its warps share. The CTA in slot c owns warp slots
+// c*WarpsPerCTA through c*WarpsPerCTA+WarpsPerCTA-1, so a warp finds its
+// CTA, and its index within it, from its own slot.
 type ctaCtx struct {
 	sm   uint32 // index of the CTA's SM
 	live int32  // warps not yet retired
+	st   workload.CTAStream
 }
 
 // warpCtx is one warp's event-driven execution state, addressed by its
-// index in the warp arena. It parks itself on a full store buffer by that
-// index too. The embedded Stream is re-seeded in place by launchCTA, so
+// index in the warp slab. It parks itself on a full store buffer by that
+// index too. The embedded WarpStream is re-seeded in place by launchCTA, so
 // relaunching a warp allocates nothing.
 //
 // A high-parallelism cell keeps thousands of warps resident, so their size
-// is host working set: the fields mem and loadComplete touch come first,
-// within the first host cache line, and the whole context fits three
-// (TestWarpContextSize).
+// is host working set: the context is one 64-byte host cache line
+// (TestWarpContextSize). It holds no op: mem draws each op, and produces
+// its lines, as it issues them (see workload.WarpStream).
 type warpCtx struct {
-	// In-flight memory operation state.
 	loadDone engine.Cycle // latest completion among the op's loads
-	pending  int32        // outstanding loads of the current op
-	op       workload.Op
-	lineIdx  int32 // next store line to issue
-
-	sm  uint32 // index of the warp's SM
-	cta uint32 // index of the warp's CTA context
-	st  workload.Stream
+	st       workload.WarpStream
+	// lines counts a load op's lines still in flight, or indexes a store
+	// op's next line to issue.
+	lines uint8
 }
 
 // RunWith executes the workload on the machine: KernelIters sequential
@@ -292,13 +292,13 @@ func launchBound(cfg *config.Config, spec *workload.Spec) int {
 
 // runKernel launches all CTAs of one kernel and drains the event queue. It
 // returns the error that refused the launch or stopped the drain, if any.
-// The CTA and warp arenas are sized from the launch bound first, so they
-// never grow while the kernel runs.
+// The CTA arena and the warp slab are sized from the launch bound first, so
+// they never grow while the kernel runs.
 func (m *Machine) runKernel() error {
 	now := m.sim.Now()
 	ctas := launchBound(m.cfg, m.spec)
 	m.ctas.size(ctas)
-	m.warps.size(ctas * m.spec.WarpsPerCTA)
+	m.warps = slab(m.warps, ctas*m.spec.WarpsPerCTA)
 	sched, err := FirstWave(m.cfg, m.spec, func(idx, s int) { m.launchCTA(idx, s, now) })
 	if err != nil {
 		return err
@@ -319,85 +319,95 @@ func (m *Machine) runKernel() error {
 
 // launchCTA places CTA idx on SM s and starts its warps at time at.
 func (m *Machine) launchCTA(idx, s int, at engine.Cycle) {
-	m.sms[s].HostCTA(m.spec.WarpsPerCTA)
+	wpc := m.spec.WarpsPerCTA
+	m.sms[s].HostCTA(wpc)
 	m.liveCTA++
 	c := m.ctas.take()
-	m.ctas.slots[c] = ctaCtx{sm: uint32(s), live: int32(m.spec.WarpsPerCTA)}
-	for w := 0; w < m.spec.WarpsPerCTA; w++ {
-		i := m.warps.take()
-		wc := &m.warps.slots[i]
-		wc.sm, wc.cta = uint32(s), c
-		wc.st.Init(m.spec, idx, w)
-		m.sim.At(at, i, evWarpStep)
+	cc := &m.ctas.slots[c]
+	cc.sm, cc.live = uint32(s), int32(wpc)
+	cc.st.Init(m.spec, idx)
+	first := c * uint32(wpc)
+	for w := range uint32(wpc) {
+		m.warps[first+w].st.Init(m.spec, &cc.st, int(w))
+		m.sim.At(at, first+w, evWarpStep)
 	}
+}
+
+// cta returns the slot of warp w's CTA and w's index within it.
+func (m *Machine) cta(w uint32) (c, warp uint32) {
+	wpc := uint32(m.spec.WarpsPerCTA)
+	c = w / wpc
+	return c, w - c*wpc
 }
 
 // step issues warp w's next compute block, or retires the warp when its
 // stream is exhausted.
 func (m *Machine) step(w uint32) {
-	wc := &m.warps.slots[w]
-	if !wc.st.Next(m.spec, &wc.op) {
-		c := wc.cta
-		m.warps.put(w) // no events reference the warp once its stream ends
-		cc := &m.ctas.slots[c]
+	c, _ := m.cta(w)
+	cc := &m.ctas.slots[c]
+	if !m.warps[w].st.Next() {
+		m.warps[w] = warpCtx{} // no events reference the warp once its stream ends
 		cc.live--
 		if cc.live == 0 {
 			m.ctaDone(c)
 		}
 		return
 	}
-	instrs := uint64(wc.op.Compute) + 1 // the memory instruction issues too
+	instrs := uint64(m.spec.ComputePerMem) + 1 // the memory instruction issues too
 	m.instrs += instrs
-	t := m.sms[wc.sm].Issue.Reserve(m.sim.Now(), instrs)
+	t := m.sms[cc.sm].Issue.Reserve(m.sim.Now(), instrs)
 	m.sim.At(t, w, evWarpMem)
 }
 
-// mem performs warp w's memory operation. Loads block the warp until the
-// slowest line returns; stores retire after a fixed acknowledge delay while
-// their traffic drains asynchronously, subject to store-buffer backpressure.
+// mem draws warp w's memory operation and performs it. Loads block the
+// warp until the slowest line returns; stores retire after a fixed
+// acknowledge delay while their traffic drains asynchronously, subject to
+// store-buffer backpressure.
 func (m *Machine) mem(w uint32) {
 	m.memOps++
-	wc := &m.warps.slots[w]
-	if wc.op.Write {
-		wc.lineIdx = 0
-		m.memWrite(w)
+	c, warp := m.cta(w)
+	cc := &m.ctas.slots[c]
+	wc := &m.warps[w]
+	if wc.st.Op(m.spec, &cc.st, int(warp)) {
+		wc.lines = 0
+		m.memWrite(w, cc.sm)
 		return
 	}
-	wc.pending = wc.op.NumLines
+	n := m.spec.LinesPerOp
+	wc.lines = uint8(n)
 	wc.loadDone = m.sim.Now()
-	for _, line := range wc.op.Lines[:wc.op.NumLines] {
-		m.startLoad(w, uint64(line))
+	for l := range n {
+		m.startLoad(w, cc.sm, wc.st.Line(m.spec, l))
 	}
 }
 
 // loadComplete joins one line of warp w's load op; when the last line lands
 // the warp resumes at the latest completion time.
 func (m *Machine) loadComplete(w uint32, t engine.Cycle) {
-	wc := &m.warps.slots[w]
+	wc := &m.warps[w]
 	if t > wc.loadDone {
 		wc.loadDone = t
 	}
-	wc.pending--
-	if wc.pending == 0 {
+	wc.lines--
+	if wc.lines == 0 {
 		m.sim.At(wc.loadDone, w, evWarpStep)
 	}
 }
 
-// memWrite issues warp w's store lines. Stores retire once they enter the
-// store buffer; a full buffer parks the warp until an in-flight store
-// completes, which is how memory-system congestion back-pressures
-// write-heavy code.
-func (m *Machine) memWrite(w uint32) {
-	wc := &m.warps.slots[w]
-	s := &m.sms[wc.sm]
-	for wc.lineIdx < wc.op.NumLines {
+// memWrite issues the store lines of warp w, which runs on SM si, from the
+// next one on. Stores retire once they enter the store buffer; a full
+// buffer parks the warp until an in-flight store completes, which is how
+// memory-system congestion back-pressures write-heavy code.
+func (m *Machine) memWrite(w, si uint32) {
+	wc := &m.warps[w]
+	s := &m.sms[si]
+	for n := uint8(m.spec.LinesPerOp); wc.lines < n; wc.lines++ {
 		if s.StoreFull() {
 			s.AwaitStore(w)
 			return
 		}
 		s.AcquireStore()
-		m.startStore(wc.sm, uint64(wc.op.Lines[wc.lineIdx]))
-		wc.lineIdx++
+		m.startStore(si, wc.st.Line(m.spec, int(wc.lines)))
 	}
 	m.sim.After(StoreAckCycles, w, evWarpStep)
 }

@@ -139,34 +139,45 @@ type Distributed struct {
 }
 
 // NewDistributed returns a distributed scheduler over numCTAs CTAs for the
-// given module count and chunk granularity.
+// given module count and chunk granularity. Only the first
+// min(numCTAs, modules*chunksPerModule) chunks are non-empty, chunk ci goes
+// to module ci%modules, and every list is made at its final size, the
+// module lists cut from one array, so a kernel launch costs five
+// allocations however many chunks it splits into.
 func NewDistributed(numCTAs, modules, chunksPerModule int) *Distributed {
 	if numCTAs <= 0 || modules <= 0 || chunksPerModule <= 0 {
 		panic(fmt.Sprintf("cta: bad distributed scheduler shape n=%d modules=%d chunks=%d",
 			numCTAs, modules, chunksPerModule))
 	}
-	d := &Distributed{
-		n:         numCTAs,
-		perModule: make([][]int, modules),
-		left:      numCTAs,
-	}
 	totalChunks := modules * chunksPerModule
 	base := numCTAs / totalChunks
 	rem := numCTAs % totalChunks
+	chunks := min(numCTAs, totalChunks)
+	d := &Distributed{
+		n:         numCTAs,
+		layout:    make([]chunk, chunks),
+		next:      make([]int, chunks),
+		perModule: make([][]int, modules),
+		left:      numCTAs,
+	}
+	owned := make([]int, chunks)
+	for m := range d.perModule {
+		k := 0
+		if m < chunks {
+			k = (chunks - m + modules - 1) / modules
+		}
+		d.perModule[m], owned = owned[:0:k], owned[k:]
+	}
 	start := 0
-	for ci := 0; ci < totalChunks; ci++ {
+	for ci := range d.layout {
 		size := base
 		if ci < rem {
 			size++
 		}
-		if size == 0 {
-			continue
-		}
 		m := ci % modules
-		idx := len(d.layout)
-		d.layout = append(d.layout, chunk{start: start, end: start + size, module: m})
-		d.next = append(d.next, start)
-		d.perModule[m] = append(d.perModule[m], idx)
+		d.layout[ci] = chunk{start: start, end: start + size, module: m}
+		d.next[ci] = start
+		d.perModule[m] = append(d.perModule[m], ci)
 		start += size
 	}
 	return d

@@ -118,6 +118,45 @@ func TestDistributedFinerChunks(t *testing.T) {
 	}
 }
 
+// TestDistributedListsBuiltOnce checks the chunk lists NewDistributed
+// makes at their final sizes, with fewer CTAs than chunks and with more:
+// chunk ci covers its contiguous share of the index space and belongs to
+// module ci%modules, each module's list holds exactly its chunks in order,
+// filled to capacity, and a launch allocates five objects however many
+// chunks it splits into.
+func TestDistributedListsBuiltOnce(t *testing.T) {
+	for _, shape := range [][3]int{{1021, 4, 1}, {3, 4, 2}, {100, 4, 8}, {64, 4, 16}, {2048, 8, 4}} {
+		n, modules, chunks := shape[0], shape[1], shape[2]
+		d := NewDistributed(n, modules, chunks)
+		if want := min(n, modules*chunks); len(d.layout) != want || len(d.next) != want {
+			t.Fatalf("%v: %d chunks and %d cursors, want %d", shape, len(d.layout), len(d.next), want)
+		}
+		end := 0
+		for ci, c := range d.layout {
+			if c.start != end || c.end <= c.start || c.module != ci%modules || d.next[ci] != c.start {
+				t.Fatalf("%v: chunk %d is %+v with cursor %d after a chunk ending at %d", shape, ci, c, d.next[ci], end)
+			}
+			end = c.end
+		}
+		if end != n {
+			t.Fatalf("%v: chunks cover [0,%d), want [0,%d)", shape, end, n)
+		}
+		for m, own := range d.perModule {
+			if len(own) != cap(own) {
+				t.Fatalf("%v: module %d holds %d chunks in a list of capacity %d", shape, m, len(own), cap(own))
+			}
+			for k, ci := range own {
+				if ci != m+k*modules {
+					t.Fatalf("%v: module %d's chunks are %v", shape, m, own)
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { NewDistributed(n, modules, chunks) }); got != 5 {
+			t.Fatalf("%v: NewDistributed allocated %v objects, want 5", shape, got)
+		}
+	}
+}
+
 func TestModuleLookup(t *testing.T) {
 	s := NewDistributed(16, 4, 1)
 	for i := 0; i < 16; i++ {

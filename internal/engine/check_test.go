@@ -213,3 +213,110 @@ func TestStopErrClearedByNextRun(t *testing.T) {
 		t.Fatalf("drained run kept a stale StopErr: %v", s.StopErr())
 	}
 }
+
+// firing is one hook run: the hook's name and Processed when it ran.
+type firing struct {
+	hook string
+	at   uint64
+}
+
+// recorder returns a hook that appends its firing to *log, and stops the
+// loop with an error when stop reports true for the firing.
+func recorder(s *Sim, log *[]firing, name string, stop func(at uint64) bool) func() error {
+	return func() error {
+		*log = append(*log, firing{name, s.Processed()})
+		if stop != nil && stop(s.Processed()) {
+			return errors.New(name + " stops")
+		}
+		return nil
+	}
+}
+
+// TestHookFiringSequence pins the exact (hook, Processed) sequence of hooks
+// at intervals 1, 3, 512 and 4096 over 10,000 events, drained by RunUntil
+// and then Run, with the 512 hook added by the handler of the 1,000th
+// event: each hook runs at every multiple of its interval past the
+// Processed count at its AddHook, and hooks due at the same event run in
+// install order.
+func TestHookFiringSequence(t *testing.T) {
+	const events = 10_000
+	s := New()
+	var got []firing
+	for i := Cycle(0); i < events; i++ {
+		schedAt(s, i/3, func() {
+			if s.Processed() == 1000 {
+				s.AddHook(512, recorder(s, &got, "512", nil))
+			}
+		})
+	}
+	s.AddHook(1, recorder(s, &got, "1", nil))
+	s.AddHook(3, recorder(s, &got, "3", nil))
+	s.AddHook(4096, recorder(s, &got, "4096", nil))
+	s.RunUntil(1500)
+	if s.Processed() == 0 || s.Pending() == 0 {
+		t.Fatalf("RunUntil dispatched %d events and left %d; the test needs both loops", s.Processed(), s.Pending())
+	}
+	s.Run()
+
+	var want []firing
+	for at := uint64(1); at <= events; at++ {
+		for _, h := range []struct {
+			name        string
+			every, from uint64
+		}{{"1", 1, 0}, {"3", 3, 0}, {"4096", 4096, 0}, {"512", 512, 1000}} {
+			if at > h.from && (at-h.from)%h.every == 0 {
+				want = append(want, firing{h.name, at})
+			}
+		}
+	}
+	if len(want) != 13352 {
+		t.Fatalf("reference sequence has %d firings, want 13352", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("hooks fired %d times, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d: %v, want %v (previous %v)", i, got[i], want[i], got[max(i-1, 0)])
+		}
+	}
+	var late []firing
+	for _, f := range got {
+		if f.hook == "512" || f.hook == "4096" {
+			late = append(late, f)
+		}
+	}
+	if late[0] != (firing{"512", 1512}) || late[1] != (firing{"512", 2024}) || late[6] != (firing{"4096", 4096}) {
+		t.Fatalf("the coarse hooks' first firings are %v", late[:7])
+	}
+}
+
+// TestHookStopSkipsLaterHooks pins what a stop does to the hooks after the
+// stopping one: hooks at intervals 3, 3 and 6, the first stopping at
+// Processed 6, so the two others, due at 6 too, are skipped. Resumed, they
+// run at the next event and count their intervals from there, while the
+// stopping hook keeps its own schedule.
+func TestHookStopSkipsLaterHooks(t *testing.T) {
+	s := New()
+	for i := Cycle(0); i < 14; i++ {
+		schedAt(s, i, func() {})
+	}
+	var got []firing
+	s.AddHook(3, recorder(s, &got, "a", func(at uint64) bool { return at == 6 }))
+	s.AddHook(3, recorder(s, &got, "b", nil))
+	s.AddHook(6, recorder(s, &got, "c", nil))
+	s.Run()
+	if s.StopErr() == nil || s.Processed() != 6 {
+		t.Fatalf("run stopped at %d with %v, want a stop at 6", s.Processed(), s.StopErr())
+	}
+	s.Run()
+	want := []firing{{"a", 3}, {"b", 3}, {"a", 6}, {"b", 7}, {"c", 7}, {"a", 9}, {"b", 10}, {"a", 12}, {"b", 13}, {"c", 13}}
+	if len(got) != len(want) {
+		t.Fatalf("firings %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firings %v, want %v", got, want)
+		}
+	}
+}

@@ -81,7 +81,7 @@ type event struct {
 type hook struct {
 	fn    func() error
 	every uint64
-	since uint64
+	due   uint64 // the Processed count at which fn next runs
 }
 
 // before reports whether e fires ahead of o: earlier cycle first, and within
@@ -122,8 +122,11 @@ type Sim struct {
 
 	// Periodic hooks in install order (see AddHook). Each keeps its own
 	// interval, so the invariant auditor can sweep at a coarser cadence than
-	// the budget check. With no hook installed Run takes its unhooked loop.
+	// the budget check, and due is the earliest count at which one runs, so
+	// the loop compares one counter per dispatch however many are installed.
+	// With no hook installed Run takes its unhooked loop.
 	hooks   []hook
+	due     uint64
 	stopErr error
 }
 
@@ -326,15 +329,23 @@ func (s *Sim) dispatch(t Cycle) {
 }
 
 // AddHook appends fn to the periodic hooks Run and RunUntil consult: fn runs
-// once every `every` dispatched events, after the hooks added before it. A
-// non-nil return stops the loop with the queue intact, skips the hooks after
-// fn for that event, and is retrievable through StopErr until the next
-// Run/RunUntil call. fn must only observe the simulation (Now, Processed,
-// Pending and the model's counters) and decide, which is what keeps a run
-// with installed-but-untripped hooks byte-identical to an unhooked run.
-// Hooks stay installed until Reset.
+// once every `every` dispatched events, counted from the Processed count at
+// the call, after the hooks added before it that are due at the same event.
+// A non-nil return stops the loop with the queue intact, skips the later
+// hooks due at that event, and is retrievable through StopErr until the
+// next Run/RunUntil call. A hook that falls due outside Run and RunUntil
+// (events Step dispatches count too), or that a stop skipped, runs at the
+// next event either dispatches, and counts its next interval from there.
+// fn must only observe the simulation (Now, Processed, Pending and the
+// model's counters) and decide, which is what keeps a run with
+// installed-but-untripped hooks byte-identical to an unhooked run. Hooks
+// stay installed until Reset.
 func (s *Sim) AddHook(every uint64, fn func() error) {
-	s.hooks = append(s.hooks, hook{fn: fn, every: every})
+	due := s.nRun + every
+	if len(s.hooks) == 0 || due < s.due {
+		s.due = due
+	}
+	s.hooks = append(s.hooks, hook{fn: fn, every: every, due: due})
 }
 
 // StopErr returns the error with which a hook stopped the most recent
@@ -342,22 +353,26 @@ func (s *Sim) AddHook(every uint64, fn func() error) {
 // normally.
 func (s *Sim) StopErr() error { return s.stopErr }
 
-// tick advances every hook by one dispatched event, in install order, and
-// reports whether one stopped the loop. Callers only invoke it when a hook
-// is installed.
-func (s *Sim) tick() bool {
-	for i := range s.hooks {
+// runHooks runs, in install order, every hook due at the event just
+// dispatched, and reports whether one stopped the loop. Callers invoke it
+// only when a hook is installed and the earliest is due.
+func (s *Sim) runHooks() bool {
+	for i := 0; i < len(s.hooks); i++ {
 		h := &s.hooks[i]
-		h.since++
-		if h.since >= h.every {
-			h.since = 0
-			if err := h.fn(); err != nil {
-				s.stopErr = err
-				return true
-			}
+		if h.due > s.nRun {
+			continue
+		}
+		h.due = s.nRun + h.every
+		if err := h.fn(); err != nil {
+			s.stopErr = err
+			break
 		}
 	}
-	return false
+	s.due = s.hooks[0].due
+	for _, h := range s.hooks[1:] {
+		s.due = min(s.due, h.due)
+	}
+	return s.stopErr != nil
 }
 
 // Run executes events until the queue drains and returns the number of
@@ -372,7 +387,7 @@ func (s *Sim) Run() uint64 {
 	}
 	s.stopErr = nil
 	for s.Step() {
-		if s.tick() {
+		if s.nRun >= s.due && s.runHooks() {
 			break
 		}
 	}
@@ -400,7 +415,7 @@ func (s *Sim) RunUntil(limit Cycle) uint64 {
 			break
 		}
 		s.dispatch(t)
-		if hooked && s.tick() {
+		if hooked && s.nRun >= s.due && s.runHooks() {
 			break
 		}
 	}

@@ -150,12 +150,16 @@ const (
 	// cycle in the past, so the clamped-event count grows with the event
 	// count (clamp-guard: the ClampedEvents ratio ceiling).
 	TargetClamp = "clamp"
+	// TargetL2Bank books one phantom unit on partition 0's L2 bank
+	// (l2-bank-flow: bank units no longer equal the L2's accesses times the
+	// line size).
+	TargetL2Bank = "l2-bank"
 )
 
 // Targets lists every valid corrupt-counter target.
 func Targets() []string {
 	return []string{TargetLineReads, TargetLineWrites, TargetEnergyLink,
-		TargetEnergyDRAM, TargetInFlight, TargetClamp}
+		TargetEnergyDRAM, TargetInFlight, TargetClamp, TargetL2Bank}
 }
 
 // ValidTarget reports whether t names a corrupt-counter target.

@@ -115,18 +115,28 @@ func TestLimitedParallelismCannotFill256SMs(t *testing.T) {
 	}
 }
 
+// walkStream calls op for every op warp warp of CTA cta draws in one kernel
+// launch, in order, and line for each of the op's lines in issue order.
+func walkStream(spec *Spec, cta, warp int, op func(write bool), line func(l uint64)) {
+	var c CTAStream
+	var w WarpStream
+	c.Init(spec, cta)
+	for w.Init(spec, &c, warp); w.Next(); {
+		op(w.Op(spec, &c, warp))
+		for l := range spec.LinesPerOp {
+			line(w.Line(spec, l))
+		}
+	}
+}
+
 func TestStreamDeterminism(t *testing.T) {
 	spec, err := ByName("BFS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b []uint32
-	for _, dst := range []*[]uint32{&a, &b} {
-		st := NewStream(spec, 7, 3)
-		var op Op
-		for st.Next(spec, &op) {
-			*dst = append(*dst, op.Lines[:op.NumLines]...)
-		}
+	var a, b []uint64
+	for _, dst := range []*[]uint64{&a, &b} {
+		walkStream(spec, 7, 3, func(bool) {}, func(l uint64) { *dst = append(*dst, l) })
 	}
 	if len(a) == 0 {
 		t.Fatalf("empty stream")
@@ -146,21 +156,23 @@ func TestStreamOpCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStream(spec, 0, 0)
-	var op Op
-	n := 0
-	for st.Next(spec, &op) {
-		n++
-		if int(op.NumLines) != spec.LinesPerOp {
-			t.Fatalf("op %d touches %d lines, want %d", n, op.NumLines, spec.LinesPerOp)
-		}
-		if int(op.Compute) != spec.ComputePerMem {
-			t.Fatalf("op %d compute = %d, want %d", n, op.Compute, spec.ComputePerMem)
-		}
+	ops, lines := 0, 0
+	walkStream(spec, 0, 0, func(bool) { ops++ }, func(uint64) { lines++ })
+	if ops != spec.MemOpsPerWarp {
+		t.Fatalf("stream yielded %d ops, want %d", ops, spec.MemOpsPerWarp)
 	}
-	if n != spec.MemOpsPerWarp {
-		t.Fatalf("stream yielded %d ops, want %d", n, spec.MemOpsPerWarp)
+	if lines != ops*spec.LinesPerOp {
+		t.Fatalf("%d ops touched %d lines, want %d per op", ops, lines, spec.LinesPerOp)
 	}
+}
+
+// ctaLines returns every line the warps of CTA cta touch in one launch.
+func ctaLines(spec *Spec, cta int) map[uint64]bool {
+	m := map[uint64]bool{}
+	for w := 0; w < spec.WarpsPerCTA; w++ {
+		walkStream(spec, cta, w, func(bool) {}, func(l uint64) { m[l] = true })
+	}
+	return m
 }
 
 func TestStreamingCTAsTouchDisjointRegions(t *testing.T) {
@@ -168,21 +180,8 @@ func TestStreamingCTAsTouchDisjointRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched := func(cta int) map[uint32]bool {
-		m := map[uint32]bool{}
-		for w := 0; w < spec.WarpsPerCTA; w++ {
-			st := NewStream(spec, cta, w)
-			var op Op
-			for st.Next(spec, &op) {
-				for _, l := range op.Lines[:op.NumLines] {
-					m[l] = true
-				}
-			}
-		}
-		return m
-	}
-	a := touched(10)
-	b := touched(500)
+	a := ctaLines(spec, 10)
+	b := ctaLines(spec, 500)
 	for l := range a {
 		if b[l] {
 			t.Fatalf("CTAs 10 and 500 share line %d under pure streaming", l)
@@ -195,21 +194,8 @@ func TestStencilNeighborsShareLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched := func(cta int) map[uint32]bool {
-		m := map[uint32]bool{}
-		for w := 0; w < spec.WarpsPerCTA; w++ {
-			st := NewStream(spec, cta, w)
-			var op Op
-			for st.Next(spec, &op) {
-				for _, l := range op.Lines[:op.NumLines] {
-					m[l] = true
-				}
-			}
-		}
-		return m
-	}
-	a := touched(100)
-	b := touched(101)
+	a := ctaLines(spec, 100)
+	b := ctaLines(spec, 101)
 	shared := 0
 	for l := range a {
 		if b[l] {
@@ -229,16 +215,9 @@ func TestAddressesInRangeProperty(t *testing.T) {
 		spec := all[int(appIdx)%len(all)]
 		c := int(cta) % spec.CTAs
 		w := int(warp) % spec.WarpsPerCTA
-		st := NewStream(spec, c, w)
-		var op Op
-		for st.Next(spec, &op) {
-			for _, l := range op.Lines[:op.NumLines] {
-				if uint64(l) >= spec.FootprintLines {
-					return false
-				}
-			}
-		}
-		return true
+		ok := true
+		walkStream(spec, c, w, func(bool) {}, func(l uint64) { ok = ok && l < spec.FootprintLines })
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -326,12 +305,15 @@ func TestValidateBounds(t *testing.T) {
 		if ops := at.OpsForCTA(at.CTAs - 1); ops > math.MaxInt32 {
 			t.Errorf("%s at the limit: the last CTA runs %d ops per warp, beyond int32", tc.name, ops)
 		}
-		st := NewStream(&at, at.CTAs-1, 0)
-		var op Op
-		for n := 0; n < 64 && st.Next(&at, &op); n++ {
-			for _, l := range op.Lines[:op.NumLines] {
-				if uint64(l) >= at.FootprintLines {
-					t.Fatalf("%s at the limit: line %d outside the %d-line footprint", tc.name, l, at.FootprintLines)
+		var c CTAStream
+		var w WarpStream
+		c.Init(&at, at.CTAs-1)
+		w.Init(&at, &c, 0)
+		for n := 0; n < 64 && w.Next(); n++ {
+			w.Op(&at, &c, 0)
+			for l := range at.LinesPerOp {
+				if line := w.Line(&at, l); line >= at.FootprintLines {
+					t.Fatalf("%s at the limit: line %d outside the %d-line footprint", tc.name, line, at.FootprintLines)
 				}
 			}
 		}
@@ -357,14 +339,12 @@ func TestWriteFractionApproximatelyHonored(t *testing.T) {
 	}
 	writes, total := 0, 0
 	for c := 0; c < 32; c++ {
-		st := NewStream(spec, c, 0)
-		var op Op
-		for st.Next(spec, &op) {
+		walkStream(spec, c, 0, func(write bool) {
 			total++
-			if op.Write {
+			if write {
 				writes++
 			}
-		}
+		}, func(uint64) {})
 	}
 	got := float64(writes) / float64(total)
 	if got < 0.35 || got > 0.55 {
@@ -414,12 +394,8 @@ func TestWorkImbalance(t *testing.T) {
 	}
 	// TotalMemOps matches what the streams actually produce.
 	var produced uint64
-	var op Op
 	for cta := 0; cta < spec.CTAs; cta++ {
-		st := NewStream(spec, cta, 0)
-		for st.Next(spec, &op) {
-			produced++
-		}
+		walkStream(spec, cta, 0, func(bool) { produced++ }, func(uint64) {})
 	}
 	produced *= uint64(spec.WarpsPerCTA) * uint64(spec.KernelIters)
 	if produced != spec.TotalMemOps() {
