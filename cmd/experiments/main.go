@@ -21,7 +21,6 @@ import (
 
 	"mcmgpu"
 	"mcmgpu/internal/cli"
-	"mcmgpu/internal/prof"
 	"mcmgpu/internal/report"
 )
 
@@ -74,8 +73,6 @@ func run() (code int) {
 		csv     = flag.Bool("csv", false, "emit CSV instead of text")
 		bars    = flag.Bool("bars", false, "render numeric columns as ASCII bar charts")
 		list    = flag.Bool("list", false, "list experiment ids")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -87,13 +84,12 @@ func run() (code int) {
 		return fail(err)
 	}
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := sh.Profile()
 	if err != nil {
 		return fail(err)
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
+		if stopProf() != nil {
 			code = 1
 		}
 	}()

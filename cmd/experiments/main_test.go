@@ -44,7 +44,7 @@ func readFile(t *testing.T, path string) string {
 	return string(b)
 }
 
-// TestFlagNames pins the flag set: the eight shared flags internal/cli
+// TestFlagNames pins the flag set: the ten shared flags internal/cli
 // registers plus the ones experiments owns.
 func TestFlagNames(t *testing.T) {
 	oldArgs, oldFlags, oldStderr := os.Args, flag.CommandLine, os.Stderr

@@ -239,6 +239,7 @@ func (s *server) submit(m client.Manifest) (*client.BatchStatus, int, error) {
 		req      client.JobRequest
 		job      runner.Job
 		key, id  string
+		held     bool // a live record or the quarantine answers it
 		storeHit bool
 		res      *core.Result
 	}
@@ -251,11 +252,24 @@ func (s *server) submit(m client.Manifest) (*client.BatchStatus, int, error) {
 		key := s.storeKey(job, limits)
 		items[i] = parsed{req: req, job: job, key: key, id: runstore.KeyID(key)}
 	}
-	// Probe the store outside the lock: warm cells become instantly-done
-	// jobs with no queue traffic. A store error here degrades to a queue
-	// slot (the worker recomputes), never to a failed submission.
+	// Probe the store outside the lock for the cells no live record and no
+	// quarantine entry already answers: warm cells become instantly-done
+	// jobs with no queue traffic, and a cell the server holds costs no
+	// blob read, checksum or decode. A record created between the two
+	// locked passes is still deduplicated below. A store error here
+	// degrades to a queue slot (the worker recomputes), never to a failed
+	// submission.
 	if s.store != nil {
+		s.mu.Lock()
 		for i := range items {
+			j, live := s.jobs[items[i].id]
+			items[i].held = live && j.state != client.StateCanceled || s.poisonedLocked(items[i].id) != nil
+		}
+		s.mu.Unlock()
+		for i := range items {
+			if items[i].held {
+				continue
+			}
 			if res, _, ok, err := s.store.Get(items[i].key); err == nil && ok {
 				items[i].storeHit = true
 				items[i].res = res

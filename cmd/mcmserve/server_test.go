@@ -170,9 +170,9 @@ func TestSubmitComputeThenWarm(t *testing.T) {
 
 // TestColdJobReadsStoreOnce pins a cold job's store traffic: the submit
 // probe misses, the worker reads the store once more and misses, and the
-// computed result is put once. A cell the store gains after the submit
-// probe is served by the worker's read, with source store and no
-// simulation.
+// computed result is put once, and a resubmit of the done cell reads
+// nothing more. A cell the store gains after the submit probe is served by
+// the worker's read, with source store and no simulation.
 func TestColdJobReadsStoreOnce(t *testing.T) {
 	s := newServerOpts(serverOptions{Store: mustOpenStore(t, t.TempDir()), Workers: 1, QueueCap: 16, Logf: t.Logf})
 	c, stop := testClient(t, s)
@@ -188,6 +188,19 @@ func TestColdJobReadsStoreOnce(t *testing.T) {
 	}
 	if st := s.store.Stats(); st.Hits != 0 || st.Misses != 2 || st.Puts != 1 {
 		t.Fatalf("one cold job: %d hits, %d misses, %d puts; want 0, 2, 1", st.Hits, st.Misses, st.Puts)
+	}
+
+	// A resubmit of the done cell is answered from its live record, with
+	// the record's source, and reads nothing from the store.
+	again, _, err := s.submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := again.Jobs[0]; !again.Done || js.State != client.StateDone || js.Source != client.SourceCompute {
+		t.Fatalf("resubmitted done job: %+v, want done/compute", js)
+	}
+	if st := s.store.Stats(); st.Hits != 0 || st.Misses != 2 || st.Puts != 1 {
+		t.Fatalf("a resubmit of a held cell read the store: %d hits, %d misses, %d puts; want 0, 2, 1", st.Hits, st.Misses, st.Puts)
 	}
 
 	// No worker runs until the store holds the cell the submit probe missed.

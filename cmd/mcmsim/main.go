@@ -27,7 +27,6 @@ import (
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
 	"mcmgpu/internal/metricstream"
-	"mcmgpu/internal/prof"
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/runner"
 	"mcmgpu/internal/workload"
@@ -62,8 +61,6 @@ func run() (code int) {
 		cfgF      = flag.String("config", "", "load the machine from a JSON file instead of -system")
 		dump      = flag.String("dump-config", "", "print the named system preset as JSON and exit")
 		asJSON    = flag.Bool("json", false, "emit results as JSON")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		maxCycles = flag.Uint64("max-cycles", 0, "per-run simulated-cycle budget (0 = none)")
 	)
 	flag.Parse()
@@ -76,13 +73,12 @@ func run() (code int) {
 		return fail(err)
 	}
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := sh.Profile()
 	if err != nil {
 		return fail(err)
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "mcmsim:", err)
+		if stopProf() != nil {
 			code = 1
 		}
 	}()

@@ -18,7 +18,7 @@ import (
 	"mcmgpu/internal/workload"
 )
 
-// TestFlagNames pins mcmsim's flag set: the eight shared flags internal/cli
+// TestFlagNames pins mcmsim's flag set: the ten shared flags internal/cli
 // registers plus mcmsim's own.
 func TestFlagNames(t *testing.T) {
 	oldArgs, oldFlags, oldStderr := os.Args, flag.CommandLine, os.Stderr

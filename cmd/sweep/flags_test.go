@@ -29,7 +29,7 @@ func runFlags(t *testing.T, args ...string) (int, string, *flag.FlagSet) {
 	return code, string(b), fs
 }
 
-// TestFlagNames pins the flag set: the eight shared flags internal/cli
+// TestFlagNames pins the flag set: the ten shared flags internal/cli
 // registers plus the ones sweep owns.
 func TestFlagNames(t *testing.T) {
 	code, _, fs := runFlags(t, "-scale", "0")
@@ -38,8 +38,8 @@ func TestFlagNames(t *testing.T) {
 	}
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"analytic-only", "audit", "bench-json", "csv", "j", "keep-going", "l15", "links",
-		"max-events", "metrics", "metrics-interval", "nocache", "optimized", "phase2-frac", "refine",
+	want := []string{"analytic-only", "audit", "bench-json", "cpuprofile", "csv", "j", "keep-going", "l15", "links",
+		"max-events", "memprofile", "metrics", "metrics-interval", "nocache", "optimized", "phase2-frac", "refine",
 		"scale", "server", "store", "tiled", "timeout", "workloads"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)

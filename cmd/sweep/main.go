@@ -109,6 +109,15 @@ func run() (code int) {
 	if err := sh.Validate(); err != nil {
 		return fail(err)
 	}
+	stopProf, err := sh.Profile()
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if stopProf() != nil {
+			code = 1
+		}
+	}()
 
 	linkVals, err := parseFloats(*links)
 	if err != nil {

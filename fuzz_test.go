@@ -54,12 +54,14 @@ func FuzzFaultSpec(f *testing.F) {
 // machine that validates: small enough to stay fast per fuzz exec, with
 // writes and multiple CTAs so every memory path is exercised. Its CTAs have
 // two warps, or one on a machine whose SMs hold only one, so every
-// validated config can host them.
+// validated config can host them. Its 2^15-line footprint is past the
+// bound of 16-bit way entries for a cache level of one set, so a fuzzed
+// geometry that small (the one-warp-sm seed's L1) runs 32-bit ones.
 func fuzzSpec(cfg *config.Config) *workload.Spec {
 	return &workload.Spec{
 		Name: "fuzz-probe", Category: workload.MemoryIntensive, Pattern: workload.PatStreaming,
 		CTAs: 8, WarpsPerCTA: min(2, cfg.WarpsPerSM), MemOpsPerWarp: 4, ComputePerMem: 2,
-		KernelIters: 1, FootprintLines: 256, WriteFraction: 0.3, LinesPerOp: 1, Seed: 1,
+		KernelIters: 1, FootprintLines: 1 << 15, WriteFraction: 0.3, LinesPerOp: 1, Seed: 1,
 	}
 }
 

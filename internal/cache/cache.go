@@ -7,6 +7,13 @@
 // cost of flushing at kernel boundaries are measured rather than assumed.
 // Timing is handled by the caller; this package only answers hit/miss and
 // eviction questions.
+//
+// A cache keeps its state in way entries of one of two widths (see Lines):
+// 16 bits whenever every tag it will see fits in 14 bits, which FitsNarrow
+// decides from the largest line address and the set count, and 32 bits
+// otherwise. The way arrays are the largest host structure of a simulated
+// machine, so the narrow width halves them. Both widths share one
+// implementation, written once over the entry type.
 package cache
 
 import (
@@ -17,25 +24,67 @@ import (
 	"mcmgpu/internal/stats"
 )
 
-// Way entry layout: each way is one uint32 holding tag<<2 | dirty | valid,
-// so an all-zero entry is an invalid way and a cleared array is an empty
-// cache. A 16-way set then fits one 64-byte host line. Tags therefore must
-// be below tagLimit (see Init).
+// Way entry layout: each way is one unsigned integer holding
+// tag<<2 | dirty | valid, so an all-zero entry is an invalid way and a
+// cleared array is an empty cache. An entry of 16 bits leaves 14 for the
+// tag and one of 32 bits leaves 30, so tags must be below tagLimit of the
+// entry type. A 16-way set of 32-bit entries fits one 64-byte host line,
+// and of 16-bit entries half of one.
 const (
 	flagValid = 1
 	flagDirty = 2
 	tagShift  = 2
-	tagLimit  = 1 << (32 - tagShift)
 )
+
+// entry is a way entry of either width.
+type entry interface{ uint16 | uint32 }
+
+// tagLimit returns the first tag an entry of type E cannot hold.
+func tagLimit[E entry]() uint64 { return uint64(^E(0)>>tagShift) + 1 }
+
+// Lines is a cache's way array: one entry per line of capacity, set-major
+// (set s occupies entries [s*ways, (s+1)*ways)), in one of two widths.
+// Narrow holds 16-bit entries, whose tags must be below 2^14, and Wide
+// 32-bit ones, whose tags must be below 2^30. Exactly one of the two is
+// non-empty.
+type Lines struct {
+	Narrow []uint16
+	Wide   []uint32
+}
+
+// Cut takes the next n entries off l and returns them as a way array of
+// their own, in l's width and with no room to grow into what follows. A
+// machine cuts every cache's way array from one slab this way.
+func (l *Lines) Cut(n int) Lines {
+	if len(l.Narrow) != 0 {
+		return Lines{Narrow: cut(&l.Narrow, n)}
+	}
+	return Lines{Wide: cut(&l.Wide, n)}
+}
+
+// cut takes the next n entries off *s.
+func cut[E entry](s *[]E, n int) []E {
+	w := (*s)[:n:n]
+	*s = (*s)[n:]
+	return w
+}
+
+// FitsNarrow reports whether a cache of the given set count, a power of
+// two, holds every line address up to last in 16-bit way entries: whether
+// last's tag, the largest among those addresses, is below 2^14.
+func FitsNarrow(last uint64, sets int) bool {
+	return last>>bits.TrailingZeros(uint(sets)) < tagLimit[uint16]()
+}
 
 // Cache is a set-associative cache with true LRU replacement.
 // Ways within a set are kept in recency order (index 0 = MRU), which is
 // cheap for the small associativities used here (4–16 ways).
 type Cache struct {
-	lines     []uint32 // way entries, set-major: set s occupies [s*ways, (s+1)*ways)
+	lines     Lines    // way entries, in the one width Init was given
 	filled    []uint32 // indices of the sets filled since the last flush
 	setMask   uint64
 	setShift  uint
+	tagLimit  uint64 // tagLimit of the entry type; a field keeps key inlinable
 	ways      int
 	writeBack bool
 
@@ -48,19 +97,23 @@ type Cache struct {
 }
 
 // Init readies c in place as an empty cache over lines, the caller's way
-// array: one entry per line of capacity, all zero. sets is the caller's
-// storage for the list of filled sets, one entry per set; its contents do
-// not matter. The cache owns both arrays from then on, and Init clears
-// every counter. With the given associativity the line count must yield a
-// power-of-two set count. Addresses passed to the cache are line addresses
-// (byte address divided by the line size) below 2^30, so every tag fits a
-// way entry whatever the set count; the cache itself is agnostic to the
-// line size. Taking the arrays, and a name format and index it formats only
-// when the name is read, lets a machine keep its caches in storage it
+// array: one entry per line of capacity, all zero, in either width. sets is
+// the caller's storage for the list of filled sets, one entry per set; its
+// contents do not matter. The cache owns both arrays from then on, and Init
+// clears every counter. With the given associativity the line count must
+// yield a power-of-two set count. Addresses passed to the cache are line
+// addresses (byte address divided by the line size) whose tags fit the
+// width: below 2^30 in 32-bit entries whatever the set count, and up to
+// FitsNarrow's bound in 16-bit ones. The cache itself is agnostic to the
+// line size. Taking the arrays, and a name format and index it formats
+// only when the name is read, lets a machine keep its caches in storage it
 // recycles, so Init allocates nothing.
-func (c *Cache) Init(format string, idx int, lines, sets []uint32, ways int, writeBack bool) {
+func (c *Cache) Init(format string, idx int, lines Lines, sets []uint32, ways int, writeBack bool) {
 	*c = Cache{format: format, idx: idx}
-	n := len(lines)
+	if len(lines.Narrow) != 0 && len(lines.Wide) != 0 {
+		panic(fmt.Sprintf("cache %q: way arrays of both widths", c.Name()))
+	}
+	n := len(lines.Narrow) + len(lines.Wide)
 	if n == 0 || ways <= 0 || n%ways != 0 {
 		panic(fmt.Sprintf("cache %q: bad geometry lines=%d ways=%d", c.Name(), n, ways))
 	}
@@ -75,6 +128,10 @@ func (c *Cache) Init(format string, idx int, lines, sets []uint32, ways int, wri
 	c.filled = sets[:0]
 	c.setMask = uint64(nSets - 1)
 	c.setShift = uint(bits.TrailingZeros(uint(nSets)))
+	c.tagLimit = tagLimit[uint32]()
+	if c.narrow() {
+		c.tagLimit = tagLimit[uint16]()
+	}
 	c.ways = ways
 	c.writeBack = writeBack
 }
@@ -97,21 +154,24 @@ type Result struct {
 	NeedsWriteback bool
 }
 
-// set returns the ways of addr's set, MRU first.
-func (c *Cache) set(addr uint64) []uint32 {
+// narrow reports whether c keeps 16-bit way entries.
+func (c *Cache) narrow() bool { return len(c.lines.Narrow) != 0 }
+
+// set returns the ways of addr's set in lines, c's way array, MRU first.
+func set[E entry](c *Cache, lines []E, addr uint64) []E {
 	i := int(addr&c.setMask) * c.ways
-	return c.lines[i : i+c.ways : i+c.ways]
+	return lines[i : i+c.ways : i+c.ways]
 }
 
 // key returns the valid, clean way entry for addr's tag; a way holds addr
 // exactly when its entry with the dirty bit masked off equals the key. A tag
 // the entry cannot hold means a caller broke Init's address bound.
-func (c *Cache) key(addr uint64) uint32 {
+func key[E entry](c *Cache, addr uint64) E {
 	tag := addr >> c.setShift
-	if tag >= tagLimit {
+	if tag >= c.tagLimit {
 		c.badAddr(addr)
 	}
-	return uint32(tag)<<tagShift | flagValid
+	return E(tag)<<tagShift | flagValid
 }
 
 // badAddr panics for a line address whose tag does not fit a way entry. It
@@ -123,7 +183,7 @@ func (c *Cache) badAddr(addr uint64) {
 }
 
 // find returns the way of s holding key, or -1.
-func find(s []uint32, key uint32) int {
+func find[E entry](s []E, key E) int {
 	for i, e := range s {
 		if e&^flagDirty == key {
 			return i
@@ -133,7 +193,7 @@ func find(s []uint32, key uint32) int {
 }
 
 // touch moves way i of set s to the MRU position.
-func touch(s []uint32, i int) {
+func touch[E entry](s []E, i int) {
 	if i == 0 {
 		return
 	}
@@ -148,8 +208,16 @@ func touch(s []uint32, i int) {
 // the write downstream). The returned Result reports any dirty victim that
 // must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	s := c.set(addr)
-	key := c.key(addr)
+	if c.narrow() {
+		return access(c, c.lines.Narrow, addr, write)
+	}
+	return access(c, c.lines.Wide, addr, write)
+}
+
+// access is Access on lines, c's way array.
+func access[E entry](c *Cache, lines []E, addr uint64, write bool) Result {
+	s := set(c, lines, addr)
+	key := key[E](c, addr)
 	if i := find(s, key); i >= 0 {
 		touch(s, i)
 		if write {
@@ -173,15 +241,23 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	if s[0] == 0 {
 		c.filled = append(c.filled, uint32(addr&c.setMask))
 	}
-	return c.fill(s, addr&c.setMask, key, write)
+	return fill(c, s, addr&c.setMask, key, write)
 }
 
 // Probe performs a read or write access without allocating on miss. It is
 // used for allocation-policy filtering (e.g. local accesses bypassing a
 // remote-only L1.5 must not disturb its contents or statistics).
 func (c *Cache) Probe(addr uint64, write bool) bool {
-	s := c.set(addr)
-	i := find(s, c.key(addr))
+	if c.narrow() {
+		return probe(c, c.lines.Narrow, addr, write)
+	}
+	return probe(c, c.lines.Wide, addr, write)
+}
+
+// probe is Probe on lines, c's way array.
+func probe[E entry](c *Cache, lines []E, addr uint64, write bool) bool {
+	s := set(c, lines, addr)
+	i := find(s, key[E](c, addr))
 	if i < 0 {
 		return false
 	}
@@ -192,10 +268,10 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	return true
 }
 
-// fill inserts key into set s (whose index is setIdx) as MRU, evicting the
-// LRU way. The victim's line address is reconstructed from its tag and the
-// shared set index.
-func (c *Cache) fill(s []uint32, setIdx uint64, key uint32, write bool) Result {
+// fill inserts key into set s (whose index is setIdx) of c as MRU, evicting
+// the LRU way. The victim's line address is reconstructed from its tag and
+// the shared set index.
+func fill[E entry](c *Cache, s []E, setIdx uint64, key E, write bool) Result {
 	var res Result
 	victim := s[len(s)-1]
 	if victim&flagValid != 0 {
@@ -221,10 +297,25 @@ func (c *Cache) fill(s []uint32, setIdx uint64, key uint32, write bool) Result {
 // write-back L2s only once their contents no longer matter, to hand back an
 // all-zero way array.
 func (c *Cache) Flush() {
-	for _, si := range c.filled {
-		clear(c.set(uint64(si)))
-	}
+	c.clearFilled()
 	c.filled = c.filled[:0]
+}
+
+// clearFilled clears the sets on c's flush list. It stays out of line so
+// that Flush inlines.
+func (c *Cache) clearFilled() {
+	if c.narrow() {
+		clearSets(c, c.lines.Narrow)
+	} else {
+		clearSets(c, c.lines.Wide)
+	}
+}
+
+// clearSets clears the sets on c's flush list in lines, c's way array.
+func clearSets[E entry](c *Cache, lines []E) {
+	for _, si := range c.filled {
+		clear(set(c, lines, uint64(si)))
+	}
 }
 
 // Accesses returns the total number of Access calls.
@@ -258,6 +349,15 @@ func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 // coherence), a filled set missing from the list Flush clears (it would
 // survive the flush), and hit counters exceeding access counters.
 func (c *Cache) Audit(r *audit.Reporter) {
+	if c.narrow() {
+		auditLines(c, c.lines.Narrow, r)
+	} else {
+		auditLines(c, c.lines.Wide, r)
+	}
+}
+
+// auditLines is Audit on lines, c's way array.
+func auditLines[E entry](c *Cache, lines []E, r *audit.Reporter) {
 	name := c.Name()
 	recorded := make([]bool, c.Sets())
 	for _, si := range c.filled {
@@ -265,7 +365,7 @@ func (c *Cache) Audit(r *audit.Reporter) {
 	}
 	occ := 0
 	for si := 0; si < c.Sets(); si++ {
-		s := c.set(uint64(si))
+		s := set(c, lines, uint64(si))
 		if s[0] != 0 && !recorded[si] {
 			r.Reportf("cache-filled-sets", name, "set %d holds lines but is not on the list Flush clears", si)
 		}
@@ -294,7 +394,7 @@ func (c *Cache) Audit(r *audit.Reporter) {
 			}
 		}
 	}
-	capacity := len(c.lines)
+	capacity := len(lines)
 	if occ > capacity {
 		r.Reportf("cache-occupancy", name, "%d valid lines exceed capacity %d", occ, capacity)
 	}

@@ -1,8 +1,9 @@
 // Package cli is the flag wiring the three simulation commands share.
-// experiments, sweep and mcmsim each register the eight flags below, keep
+// experiments, sweep and mcmsim each register the ten flags below, keep
 // only their own flags, and get the runner those flags describe from
 // Build: the budgets and deadline, the MCMGPU_FAULT plan, the run cache,
-// the -metrics output and the -store tier.
+// the -metrics output and the -store tier. Profile starts the
+// -cpuprofile and -memprofile profiles.
 package cli
 
 import (
@@ -17,6 +18,7 @@ import (
 	"mcmgpu/internal/faultinject"
 	"mcmgpu/internal/metrics"
 	"mcmgpu/internal/metricstream"
+	"mcmgpu/internal/prof"
 	"mcmgpu/internal/runner"
 	"mcmgpu/internal/runstore"
 )
@@ -33,6 +35,8 @@ type Flags struct {
 	Metrics         string
 	MetricsInterval uint64
 	Store           string
+	CPUProfile      string
+	MemProfile      string
 }
 
 // Register declares the shared flags on fs for the command named prog,
@@ -47,6 +51,8 @@ func Register(fs *flag.FlagSet, prog string) *Flags {
 	fs.StringVar(&f.Metrics, "metrics", "", "stream per-interval time-series samples of every run to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
 	fs.Uint64Var(&f.MetricsInterval, "metrics-interval", uint64(metrics.DefaultInterval), "sampling interval in cycles for -metrics")
 	fs.StringVar(&f.Store, "store", "", "durable run store directory: serve warm cells from disk and persist fresh ones")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write an allocation profile to this file on exit")
 	return f
 }
 
@@ -60,6 +66,23 @@ func (f *Flags) Validate() error {
 
 func (f *Flags) warnf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, f.prog+": "+format+"\n", args...)
+}
+
+// Profile starts the profiles -cpuprofile and -memprofile ask for (see
+// prof.Start). The stop function ends them and writes the allocation
+// profile; a failure is printed and returned, so the caller can exit 1.
+func (f *Flags) Profile() (stop func() error, err error) {
+	stopProf, err := prof.Start(f.CPUProfile, f.MemProfile)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		err := stopProf()
+		if err != nil {
+			f.warnf("%v", err)
+		}
+		return err
+	}, nil
 }
 
 // Build returns the runner the flags describe: the MCMGPU_FAULT plan, the

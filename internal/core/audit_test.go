@@ -176,10 +176,10 @@ func TestAuditReportsUndrainedMidKernel(t *testing.T) {
 // drained run of another geometry, with dirty L2 lines, handed back.
 func TestAuditCleanMachine(t *testing.T) {
 	emptySpares()
-	fresh := assembled(t, config.BaselineMCM())
+	fresh := assembled(t, config.BaselineMCM(), probeSpec(nil))
 	mustRun(t, config.OptimizedMCM(), probeSpec(func(s *workload.Spec) { s.WriteFraction = 0.4 }))
 	prev, _ := topSpare()
-	recycled := assembled(t, config.BaselineMCM())
+	recycled := assembled(t, config.BaselineMCM(), probeSpec(nil))
 	if recycled.sim != prev.sim {
 		t.Fatal("the second machine did not take the storage the drained run handed back")
 	}

@@ -142,7 +142,7 @@ func TestFaultStallFreezesClock(t *testing.T) {
 		name string
 		now  engine.Cycle
 	}{{evStall, "stall", 0}, {evSpin, "spin", 99}} {
-		m := assembled(t, config.BaselineMCM())
+		m := assembled(t, config.BaselineMCM(), probeSpec(nil))
 		m.sim.After(0, 0, tc.kind)
 		for i := 0; i < 100; i++ {
 			if !m.sim.Step() {
@@ -161,7 +161,7 @@ func TestFaultStallFreezesClock(t *testing.T) {
 // past, so the engine clamps one event per dispatch and the queue stays
 // live.
 func TestFaultClampClampsEveryEvent(t *testing.T) {
-	m := assembled(t, config.BaselineMCM())
+	m := assembled(t, config.BaselineMCM(), probeSpec(nil))
 	m.sim.RunUntil(1000)
 	m.sim.After(0, 0, evClamp)
 	for i := 0; i < 100; i++ {

@@ -5,24 +5,30 @@ import (
 	"runtime"
 	"sync"
 
+	"mcmgpu/internal/cache"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/engine"
 	"mcmgpu/internal/sm"
 )
 
-// storage is the part of a machine whose size grows with its geometry: one
-// slab every cache's way array is cut from, a second every cache's
-// filled-set list is cut from, the event engine (its node slab, far heap and
-// calendar), the records of the machine's SMs, modules and partitions, the
-// warp slab and the three context arenas below. The records hold every
-// component that comes one per SM, module or partition (issue resources,
-// caches, xbars, L2 banks, DRAM devices and their counters), and a run
-// re-initializes each one in place before its first kernel (see assemble),
-// clearing its counters, so nothing can leak from one cell into the next.
-// What New builds fresh is small and does not scale with the SMs: the NoC,
-// the page map, the energy meter and the machine itself.
+// storage is the part of a machine whose size grows with its geometry: a
+// slab every cache's way array is cut from, in one of two entry widths, a
+// second slab every cache's filled-set list is cut from, the event engine
+// (its node slab, far heap and calendar), the records of the machine's SMs,
+// modules and partitions, the warp slab and the three context arenas
+// below. The records hold every component that comes one per SM, module or
+// partition (issue resources, caches, xbars, L2 banks, DRAM devices and
+// their counters), and a run re-initializes each one in place before its
+// first kernel (see assemble), clearing its counters, so nothing can leak
+// from one cell into the next. What New builds fresh is small and does not
+// scale with the SMs: the NoC, the page map, the energy meter and the
+// machine itself.
 type storage struct {
-	slab []uint32 // way entries; all zero whenever no machine holds it
+	// slab holds the way entries: a 16-bit slab and a 32-bit one, each all
+	// zero whenever no machine holds it. A run uses one of them, which is
+	// then the only one non-empty; the other keeps its array for a later
+	// run of its width.
+	slab cache.Lines
 	sets []uint32 // set lists; their contents never matter
 	sim  *engine.Sim
 
@@ -55,28 +61,50 @@ var spares struct {
 }
 
 // takeStorage returns storage for a machine built from cfg whose caches
-// need lines way entries and sets set-list entries. It pops the top spare
-// and takes it as it is, since handBack left its slab all zero, growing a
-// new slab, set list or record slice when the spare's is too small. It
-// drops a spare whose slab is more than twice that size: a config with huge
-// caches must not pin its slab in a long-lived process. With no usable
-// spare it allocates fresh storage.
-func takeStorage(cfg *config.Config, lines, sets int) storage {
+// need lines way entries, 16-bit ones when narrow and 32-bit ones
+// otherwise, and sets set-list entries. It pops the top spare and takes it
+// as it is, since handBack left both its slabs all zero, growing a new
+// slab, set list or record slice when the spare's is too small. No slab
+// more than twice lines entries stays: a config with huge caches must not
+// pin its slab in a long-lived process. The rule applies to each slab on
+// its own. When the run's slab breaks it, the spare is dropped whole, as
+// its records are sized for the same huge config; when the other slab
+// does, only that slab goes. With no usable spare it allocates fresh
+// storage.
+func takeStorage(cfg *config.Config, lines, sets int, narrow bool) storage {
 	st, ok := popSpare()
-	if !ok || cap(st.slab) > 2*lines {
-		st = storage{slab: make([]uint32, lines), sets: make([]uint32, sets), sim: engine.New()}
+	used := cap(st.slab.Wide)
+	if narrow {
+		used = cap(st.slab.Narrow)
 	}
-	if cap(st.slab) < lines {
-		st.slab = make([]uint32, lines)
+	if !ok || used > 2*lines {
+		st = storage{sets: make([]uint32, sets), sim: engine.New()}
 	}
+	st.slab = cache.Lines{Narrow: ways(st.slab.Narrow, lines, narrow), Wide: ways(st.slab.Wide, lines, !narrow)}
 	if cap(st.sets) < sets {
 		st.sets = make([]uint32, sets)
 	}
-	st.slab, st.sets = st.slab[:lines], st.sets[:sets]
+	st.sets = st.sets[:sets]
 	st.sms = records(st.sms, cfg.TotalSMs())
 	st.mods = records(st.mods, cfg.Modules)
 	st.prts = records(st.prts, cfg.TotalPartitions())
 	return st
+}
+
+// ways returns a storage's slab of one width as a run takes it: n entries
+// on its array when the run uses it, or on a new one when that is too
+// small, and otherwise no entries, with its array kept for a later run of
+// that width unless it holds more than twice n.
+func ways[E uint16 | uint32](slab []E, n int, use bool) []E {
+	switch {
+	case use && cap(slab) < n:
+		return make([]E, n)
+	case use:
+		return slab[:n]
+	case cap(slab) > 2*n:
+		return nil
+	}
+	return slab[:0]
 }
 
 // records returns n records on rs's array when it has room for them, else
@@ -112,10 +140,11 @@ func popSpare() (storage, bool) {
 // and the engine is reset, which drops its handler, so the storage
 // references nothing of this machine.
 // The last kernel boundary flushed the L1s and L1.5s; flushing the L2s too
-// clears exactly the sets the run filled, so the slab goes back all zero
-// without a pass over the untouched rest. The machine drops its references
-// to the storage, and with it to every component record: a stale use
-// panics instead of reading another machine's state.
+// clears exactly the sets the run filled, so the slab it used goes back all
+// zero without a pass over the untouched rest, and the other was never
+// touched. The machine drops its references to the storage, and with it to
+// every component record: a stale use panics instead of reading another
+// machine's state.
 func (m *Machine) handBack() {
 	for i := range m.prts {
 		m.prts[i].l2.Flush()

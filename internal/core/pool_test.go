@@ -118,7 +118,7 @@ func TestResidentWarpsWithinLaunchBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := assembled(t, tc.cfg.Clone())
+			m := assembled(t, tc.cfg.Clone(), tc.spec)
 			wpc := tc.spec.WarpsPerCTA
 			bound := launchBound(tc.cfg, tc.spec) * wpc
 			peak := 0
@@ -195,7 +195,7 @@ func pointerField(t reflect.Type) string {
 // remote path (L1 miss, xbar, ring, memory-side L2, DRAM, response) incurs
 // zero heap allocations per event.
 func TestLoadPathSteadyStateAllocs(t *testing.T) {
-	m := assembled(t, config.BaselineMCM())
+	m := assembled(t, config.BaselineMCM(), probeSpec(func(s *workload.Spec) { s.FootprintLines = 1 << 22 }))
 	m.warps = slab(m.warps, 1) // warp 0, on SM 0
 
 	// Issue one load and drain. lines starts at 2 so loadComplete never

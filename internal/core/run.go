@@ -95,7 +95,8 @@ type warpCtx struct {
 // check only observes the simulation).
 //
 // RunWith takes the machine's storage from the spare stack only once spec
-// is valid, so a refused run leaves the stack as it was. A run that drains
+// is valid, so a refused run leaves the stack as it was. The spec also
+// sets the width of the caches' way entries (see narrowWays). A run that drains
 // and succeeds hands the storage back for the next run (see pool.go). A run
 // stopped by a budget, cancellation, an invariant violation or a panic
 // keeps it, and the GC takes it.
@@ -107,7 +108,7 @@ func (m *Machine) RunWith(spec *workload.Spec, opts RunOptions) (*Result, error)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m.assemble()
+	m.assemble(narrowWays(m.cfg, spec))
 	return m.run(spec, opts)
 }
 

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"mcmgpu/internal/audit"
+	"mcmgpu/internal/cache"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/faultinject"
 	"mcmgpu/internal/workload"
@@ -54,15 +55,38 @@ func spareCount() int {
 }
 
 // assembled returns a new machine for cfg holding its storage and records
-// as RunWith builds them before the first kernel. run runs it.
-func assembled(t testing.TB, cfg *config.Config) *Machine {
+// as RunWith builds them for spec before the first kernel, way width
+// included. run runs it.
+func assembled(t testing.TB, cfg *config.Config, spec *workload.Spec) *Machine {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.assemble()
+	m.assemble(narrowWays(cfg, spec))
 	return m
+}
+
+// wideSpec returns a probe kernel whose footprint is past the bound of
+// 16-bit way entries on every preset, so its runs take 32-bit ones: with
+// 32 CTAs over 2^23 lines, half of them stream through lines above 2^22,
+// whose L1 tags need more than 14 bits.
+func wideSpec() *workload.Spec {
+	return probeSpec(func(s *workload.Spec) { s.Name, s.CTAs, s.FootprintLines = "probe-wide", 32, 1<<23 })
+}
+
+// slabBytes returns the host bytes of l's arrays, both widths.
+func slabBytes(l cache.Lines) uint64 { return uint64(2*cap(l.Narrow) + 4*cap(l.Wide)) }
+
+// nonZero returns the index of the first non-zero entry in s's whole
+// array, or -1.
+func nonZero[E uint16 | uint32](s []E) int {
+	for i, e := range s[:cap(s)] {
+		if e != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // coldJSON runs spec on a machine built with the spare stack emptied first,
@@ -98,12 +122,14 @@ func resultJSON(t *testing.T, res *Result) string {
 // is more than twice the size it needs is dropped, and one whose slab is
 // too small keeps its engine, records and contexts and grows a new slab.
 // Whatever the run does with it, the spare leaves the stack, and New alone
-// leaves the stack as it was.
+// leaves the stack as it was. Runs with 32-bit way entries (probe-wide) sit
+// between runs with 16-bit ones, so a storage switches width, and both of
+// its slabs must be all zero after every drained step.
 func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 	a := config.BaselineMCM()
 	b, c, d, e := config.OptimizedMCM(), config.MustMonolithic(32), config.MultiGPUBaseline(), config.TiledRegionMCM()
 	write := probeSpec(func(s *workload.Spec) { s.Name, s.WriteFraction = "probe-write", 0.4 })
-	stream, conv := suiteCell(t, "Stream", 0.05), suiteCell(t, "NN-Conv", 0.05)
+	stream, conv, wide := suiteCell(t, "Stream", 0.05), suiteCell(t, "NN-Conv", 0.05), wideSpec()
 	const (
 		drain = iota
 		stop
@@ -117,9 +143,11 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 	}{
 		{a, write, drain, false}, // the spare starts empty
 		{b, conv, drain, true},
-		{a, stream, drain, true},
+		{a, wide, drain, true},   // a new 32-bit slab; the same engine and contexts
+		{a, stream, drain, true}, // back on the 16-bit slab
 		{c, write, drain, false}, // a's slab is 8x what c needs: dropped
 		{c, stream, drain, true},
+		{c, wide, drain, true},
 		{a, conv, drain, true}, // c's slab is too small: new slab, same engine and contexts
 		{b, write, stop, true},
 		{d, stream, drain, false}, // the stopped run kept its storage
@@ -162,10 +190,9 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 			if !ok || spareCount() != 1 {
 				t.Fatalf("step %d: drained run left %d storages on the stack, want its own", i, spareCount())
 			}
-			for j, e := range st.slab[:cap(st.slab)] {
-				if e != 0 {
-					t.Fatalf("step %d (%s on %s): handed-back slab holds way entry %#x at %d", i, s.spec.Name, s.cfg.Name, e, j)
-				}
+			if j, k := nonZero(st.slab.Narrow), nonZero(st.slab.Wide); j >= 0 || k >= 0 {
+				t.Fatalf("step %d (%s on %s): handed-back slabs hold a way entry at %d of the 16-bit one and %d of the 32-bit one",
+					i, s.spec.Name, s.cfg.Name, j, k)
 			}
 		case stop:
 			_, err := m.RunWith(s.spec, RunOptions{MaxEvents: 10_000, CheckEvery: 64})
@@ -202,7 +229,7 @@ func TestSpareLeaksNothingBetweenCells(t *testing.T) {
 // The L2 ways follow the L1.5 ways in the slab (see assemble).
 func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled, sets int) {
 	t.Helper()
-	m := assembled(t, cfg.Clone())
+	m := assembled(t, cfg.Clone(), spec)
 	m.spec = spec
 	m.setupPlacement()
 	if err := m.runKernel(); err != nil {
@@ -212,13 +239,14 @@ func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled
 	if cfg.L15.Enabled() {
 		off = cfg.Modules * cfg.L15.Lines()
 	}
-	l2 := m.slab[off : off+cfg.TotalPartitions()*cfg.L2.Lines()]
-	for i := 0; i < len(l2); i += cfg.L2.Ways {
-		if l2[i] != 0 {
+	sets = cfg.TotalPartitions() * cfg.L2.Lines() / cfg.L2.Ways
+	for s := range sets {
+		i := off + s*cfg.L2.Ways
+		if len(m.slab.Narrow) != 0 && m.slab.Narrow[i] != 0 || len(m.slab.Wide) != 0 && m.slab.Wide[i] != 0 {
 			filled++
 		}
 	}
-	return filled, len(l2) / cfg.L2.Ways
+	return filled, sets
 }
 
 // TestHandBackDropsMachineReferences pins what a machine keeps after its
@@ -228,12 +256,12 @@ func l2SetsFilled(t *testing.T, cfg *config.Config, spec *workload.Spec) (filled
 // machine's records, and its engine no longer references the machine.
 func TestHandBackDropsMachineReferences(t *testing.T) {
 	emptySpares()
-	m := assembled(t, config.BaselineMCM())
+	m := assembled(t, config.BaselineMCM(), probeSpec(nil))
 	sms, mods, prts := m.sms, m.mods, m.prts
 	if _, err := m.run(probeSpec(nil), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if m.sim != nil || m.slab != nil || m.sets != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
+	if m.sim != nil || m.slab.Narrow != nil || m.slab.Wide != nil || m.sets != nil || m.sms != nil || m.mods != nil || m.prts != nil ||
 		m.warps != nil || m.ctas.slots != nil || m.loads.slots != nil || m.stores.slots != nil {
 		t.Fatal("machine still references storage it handed back")
 	}
@@ -256,8 +284,9 @@ func TestHandBackDropsMachineReferences(t *testing.T) {
 // sequential run's. The specs have 4, 16 and 24 warps per CTA, the suite's
 // shapes, so a recycled warp slab is re-blocked from one shape to another,
 // and one is an irregular, store-heavy kernel whose 8-line ops draw
-// diverged lanes as they issue, across store-buffer parks. CI runs it under
-// the race detector with -count=10.
+// diverged lanes as they issue, across store-buffer parks. One takes
+// 32-bit way entries and the rest 16-bit ones, so a storage also switches
+// width between cells. CI runs it under the race detector with -count=10.
 func TestConcurrentCellsMatchSequential(t *testing.T) {
 	cfgs := []*config.Config{
 		config.BaselineMCM(), config.OptimizedMCM(), config.MustMonolithic(32),
@@ -273,6 +302,7 @@ func TestConcurrentCellsMatchSequential(t *testing.T) {
 			s.LinesPerOp, s.WriteFraction, s.ReuseProb = 8, 0.7, 0.3
 			s.RandomFraction, s.ScatterLines, s.SharedLines = 0.5, 1024, 256
 		}),
+		wideSpec(),
 	}
 	type cell struct {
 		cfg  *config.Config
@@ -395,7 +425,7 @@ func TestUnrunMachinesLeaveTheSpare(t *testing.T) {
 		}
 	}
 	objects, bytes := cellAllocs(t, cfg, spec)
-	if st, _ := topSpare(); unsafe.SliceData(st.slab) != unsafe.SliceData(prev.slab) {
+	if st, _ := topSpare(); unsafe.SliceData(st.slab.Narrow) != unsafe.SliceData(prev.slab.Narrow) {
 		t.Fatal("the cell after three unrun machines did not run on the storage the warm cell handed back")
 	}
 	if objects > baselineWarmObjects || bytes > warmCellBytes {
@@ -423,7 +453,7 @@ func TestRefusedRunLeavesTheSpare(t *testing.T) {
 		t.Fatalf("RunWith of a spec with no CTAs returned %v, want %v", err, want)
 	}
 	if top, ok := topSpare(); !ok || spareCount() != 1 || top.sim != prev.sim ||
-		unsafe.SliceData(top.slab) != unsafe.SliceData(prev.slab) {
+		unsafe.SliceData(top.slab.Narrow) != unsafe.SliceData(prev.slab.Narrow) {
 		t.Fatal("a refused run changed the spare stack")
 	}
 	if m.sim != nil {
@@ -448,7 +478,7 @@ func warmCells(t *testing.T, cfg *config.Config, spec *workload.Spec, n int, eac
 	// Two machines that both hold their storage before either hands one
 	// back leave two storages on the stack.
 	emptySpares()
-	a, b := assembled(t, cfg.Clone()), assembled(t, cfg.Clone())
+	a, b := assembled(t, cfg.Clone(), spec), assembled(t, cfg.Clone(), spec)
 	for _, m := range []*Machine{a, b} {
 		if _, err := m.run(spec, RunOptions{}); err != nil {
 			t.Fatal(err)
@@ -540,7 +570,7 @@ func TestRefusedRunsBesideWarmCellsAllocate(t *testing.T) {
 		total, st = warmCells(t, cfg, spec, 20, func() { finished <- struct{}{} })
 	}()
 	n := <-refused
-	limit := 4 * uint64(cap(st.slab)+cap(st.sets))
+	limit := slabBytes(st.slab) + 4*uint64(cap(st.sets))
 	t.Logf("40 warm cells beside %d refused runs allocated %d bytes; one storage's slabs hold %d bytes", n, total, limit)
 	if total >= limit {
 		t.Errorf("40 warm cells beside %d refused runs allocated %d bytes, not less than the %d bytes of one storage's slabs",
@@ -552,7 +582,7 @@ func TestRefusedRunsBesideWarmCellsAllocate(t *testing.T) {
 // records and arenas: a lower bound of one storage's size, since it leaves
 // out the engine.
 func storageBytes(st *storage) uint64 {
-	n := 4*cap(st.slab) + 4*cap(st.sets) +
+	n := int(slabBytes(st.slab)) + 4*cap(st.sets) +
 		cap(st.sms)*int(unsafe.Sizeof(st.sms[0])) +
 		cap(st.mods)*int(unsafe.Sizeof(st.mods[0])) +
 		cap(st.prts)*int(unsafe.Sizeof(st.prts[0])) +
@@ -573,7 +603,7 @@ func TestSpareStackBound(t *testing.T) {
 	cfg, spec := config.BaselineMCM(), probeSpec(nil)
 	ms := make([]*Machine, 8)
 	for i := range ms {
-		ms[i] = assembled(t, cfg.Clone())
+		ms[i] = assembled(t, cfg.Clone(), spec)
 	}
 	var done sync.WaitGroup
 	for _, m := range ms {
@@ -623,10 +653,10 @@ func TestPoppedSlotCleared(t *testing.T) {
 func TestComponentNames(t *testing.T) {
 	cfg := config.MustMCMGPMs(8) // 8 modules of 32 SMs, an L1.5 each, 8 partitions
 	emptySpares()
-	cold := assembled(t, cfg.Clone())
+	cold := assembled(t, cfg.Clone(), probeSpec(nil))
 	mustRun(t, config.OptimizedMCM(), probeSpec(nil))
 	prev, _ := topSpare()
-	warm := assembled(t, cfg.Clone())
+	warm := assembled(t, cfg.Clone(), probeSpec(nil))
 	if warm.sim != prev.sim || &warm.sms[0] != &prev.sms[0] {
 		t.Fatal("the second machine did not take the storage and records the drained run handed back")
 	}

@@ -1,8 +1,8 @@
 // Package prof wires CPU and heap profiling into the command-line tools.
-// Both cmd/experiments and cmd/mcmsim expose -cpuprofile/-memprofile flags
-// backed by Start; the resulting files feed `go tool pprof`, which is how
-// the event-engine hot path was measured and is how future regressions get
-// diagnosed without ad-hoc instrumentation.
+// internal/cli registers -cpuprofile and -memprofile for experiments, sweep
+// and mcmsim alike and backs them with Start; the resulting files feed `go
+// tool pprof`, which is how the event-engine hot path was measured and is
+// how future regressions get diagnosed without ad-hoc instrumentation.
 package prof
 
 import (

@@ -57,10 +57,10 @@ type SM struct {
 // Init readies s in place as idle SM id belonging to the given module,
 // clearing its counters; its issue resource and L1 are part of it and are
 // initialized with it. l1 is the L1's way array, cfg.L1.Lines() zeroed
-// entries, and l1Sets its set-list storage, one entry per set (see
-// cache.Cache.Init). The store-waiter FIFO keeps its capacity, so an SM
-// record a machine reuses allocates nothing.
-func (s *SM) Init(id, module int, cfg *config.Config, l1, l1Sets []uint32) {
+// entries of either width, and l1Sets its set-list storage, one entry per
+// set (see cache.Cache.Init). The store-waiter FIFO keeps its capacity, so
+// an SM record a machine reuses allocates nothing.
+func (s *SM) Init(id, module int, cfg *config.Config, l1 cache.Lines, l1Sets []uint32) {
 	maxCTAs := cfg.MaxCTAsPerSM
 	if maxCTAs <= 0 {
 		maxCTAs = cfg.WarpsPerSM // effectively warp-limited

@@ -3,6 +3,7 @@ package sm
 import (
 	"testing"
 
+	"mcmgpu/internal/cache"
 	"mcmgpu/internal/config"
 )
 
@@ -14,7 +15,7 @@ func newSM(t *testing.T) *SM {
 // initSM initializes SM 3 of module 1 for cfg over fresh L1 arrays.
 func initSM(cfg *config.Config) *SM {
 	s := new(SM)
-	s.Init(3, 1, cfg, make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
+	s.Init(3, 1, cfg, cache.Lines{Narrow: make([]uint16, cfg.L1.Lines())}, make([]uint32, cfg.L1.Lines()/cfg.L1.Ways))
 	return s
 }
 
@@ -113,7 +114,7 @@ func TestCounters(t *testing.T) {
 // index, the store-waiter FIFO keeps its array, and Init allocates nothing.
 func TestInitResetsInPlace(t *testing.T) {
 	cfg := config.BaselineMCM()
-	l1, sets := make([]uint32, cfg.L1.Lines()), make([]uint32, cfg.L1.Lines()/cfg.L1.Ways)
+	l1, sets := cache.Lines{Narrow: make([]uint16, cfg.L1.Lines())}, make([]uint32, cfg.L1.Lines()/cfg.L1.Ways)
 	s := new(SM)
 	s.Init(3, 1, cfg, l1, sets)
 	s.HostCTA(4)

@@ -109,9 +109,12 @@ func (p Pattern) String() string {
 }
 
 // MaxFootprintLines bounds Spec.FootprintLines. Every line address a stream
-// generates lies below the footprint, so the bound lets the stream, the
-// caches' 32-bit way entries and the page table hold line addresses in 32
-// bits or fewer. The largest shipped workload is 2,048 times smaller.
+// generates lies below the footprint, so the bound lets the stream and the
+// page table hold line addresses in 32 bits, and the caches' 32-bit way
+// entries hold every tag whatever the set count. A run whose last footprint
+// line has a tag that fits 14 bits at every level takes 16-bit way entries
+// instead (see cache.FitsNarrow); every shipped workload does. The largest
+// shipped workload is 2,048 times smaller than the bound.
 const MaxFootprintLines = 1 << 30
 
 // maxMemOpsPerWarp bounds Spec.MemOpsPerWarp so that a CTA's op count after
