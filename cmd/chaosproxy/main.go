@@ -1,6 +1,6 @@
 // Command chaosproxy fronts one mcmserve backend with a deterministic
 // fault-injecting reverse proxy (internal/chaosproxy): dropped connections,
-// responses truncated mid-NDJSON, synthetic 5xx/429 bursts, latency spikes,
+// responses truncated mid-body, synthetic 5xx/429 bursts, latency spikes,
 // and black-holed requests, armed via the net-* family of the
 // internal/faultinject plan grammar. It exists to prove the client-side
 // failover machinery against real network damage — in CI smoke tests and in
@@ -15,7 +15,7 @@
 // Usage:
 //
 //	chaosproxy -backend http://127.0.0.1:8037 -addr :8038 \
-//	  -faults 'net-drop@1#2,net-truncate@4#1:/watch,net-5xx@7#3,net-429@11#1'
+//	  -faults 'net-drop@1#2,net-truncate@4#1:/v1/batches/b,net-5xx@7#3,net-429@11#1'
 //	sweep -server http://good:8037,http://127.0.0.1:8038   # pool rides through
 package main
 

@@ -42,14 +42,14 @@ func TestChaosEndToEnd(t *testing.T) {
 
 	// Each plan targets its own endpoint so the fault windows are
 	// positions in independent request sequences — deterministic no matter
-	// how submissions, watches, and fetches interleave:
+	// how submissions, polls, and fetches interleave:
 	//   - B's first submission answers 429 (client honors Retry-After),
-	//   - B's first watch stream is severed, the second truncated mid-NDJSON,
+	//   - B's first batch poll is severed, the second truncated mid-body,
 	//   - B's first result fetch answers 503, the retry eats a latency spike.
 	plans, err := faultinject.ParseList(
 		"net-429@0#1:/v1/batches," +
-			"net-drop@0#1:/watch," +
-			"net-truncate@1#1:/watch," +
+			"net-drop@0#1:/v1/batches/b," +
+			"net-truncate@1#1:/v1/batches/b," +
 			"net-5xx@0#1:/result," +
 			"net-latency@1#1:/result")
 	if err != nil {
@@ -87,10 +87,9 @@ func TestChaosEndToEnd(t *testing.T) {
 	pool := client.NewPool(
 		[]string{tsA.URL, tsProxy.URL, tsC.URL},
 		&client.Client{
-			Retries:          3,
-			Backoff:          5 * time.Millisecond,
-			WatchIdleTimeout: 5 * time.Second,
-			Logf:             t.Logf,
+			Retries: 3,
+			Backoff: 5 * time.Millisecond,
+			Logf:    t.Logf,
 		})
 	pool.ProbeTimeout = 500 * time.Millisecond
 	pool.ProbeInterval = 100 * time.Millisecond

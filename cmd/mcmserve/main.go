@@ -33,7 +33,7 @@
 //	mcmsim -dump-config mcm-baseline > sys.json
 //	curl -s -X POST localhost:8037/v1/batches -d \
 //	  '{"jobs":[{"system":'"$(cat sys.json)"',"workload":"Stream","scale":0.1}]}'
-//	curl -s localhost:8037/v1/batches/b000001/watch   # live NDJSON progress
+//	curl -s localhost:8037/v1/batches/b000001   # snapshot; poll until "done": true
 package main
 
 import (

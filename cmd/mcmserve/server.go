@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
@@ -35,11 +34,6 @@ const pendingFile = "pending.json"
 // or every new server would simulate it again to rediscover the same
 // poison.
 const poisonedFile = "poisoned.json"
-
-// watchKeepalive is how often a watch stream resends the latest snapshot
-// even without a state change, so a client's idle watchdog can tell a
-// quiet batch from a dead connection.
-const watchKeepalive = 2 * time.Second
 
 // poisonRecord is one quarantined job as persisted in poisoned.json.
 type poisonRecord struct {
@@ -166,7 +160,6 @@ func newServerOpts(o serverOptions) *server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/batches", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/batches/{id}", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/batches/{id}/watch", s.handleWatch)
 	s.mux.HandleFunc("POST /v1/batches/{id}/cancel", s.handleCancelBatch)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -565,50 +558,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bs := s.batchStatusLocked(b)
 	s.mu.Unlock()
 	writeJSON(w, bs)
-}
-
-// handleWatch streams batch status as NDJSON: one snapshot per state
-// change, a keepalive resend of the latest snapshot every couple of
-// seconds while nothing changes, and a final snapshot when the batch is
-// done. The keepalive is what lets a client-side idle watchdog tell a
-// quiet batch from a dead connection. curl .../watch renders a live view.
-func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	var last []byte
-	var lastSent time.Time
-	for {
-		s.mu.Lock()
-		b, ok := s.batches[id]
-		if !ok {
-			s.mu.Unlock()
-			httpError(w, http.StatusNotFound, "no such batch")
-			return
-		}
-		bs := s.batchStatusLocked(b)
-		s.mu.Unlock()
-		cur, _ := json.Marshal(bs)
-		if !bytes.Equal(cur, last) || time.Since(lastSent) >= watchKeepalive {
-			last = cur
-			lastSent = time.Now()
-			if err := enc.Encode(bs); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if bs.Done {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -438,39 +438,6 @@ func TestDegradedMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestWatchStreamsProgress: the watch endpoint emits NDJSON snapshots and
-// terminates with a done batch.
-func TestWatchStreamsProgress(t *testing.T) {
-	s := newServerOpts(serverOptions{Workers: 1, QueueCap: 16, Logf: t.Logf})
-	ts := httptest.NewServer(s.mux)
-	defer ts.Close()
-	c := &client.Client{BaseURL: ts.URL, Backoff: 5 * time.Millisecond, Logf: t.Logf}
-	bs, err := c.Submit(context.Background(), testManifest(t, "Stream"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/v1/batches/" + bs.ID + "/watch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	var last client.BatchStatus
-	n := 0
-	for dec.More() {
-		if err := dec.Decode(&last); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("watch emitted no snapshots")
-	}
-	if !last.Done || last.Jobs[0].State != client.StateDone {
-		t.Fatalf("final watch snapshot not done: %+v", last)
-	}
-}
-
 // TestReadyzDistinctFromHealthz: a draining or saturated server fails
 // readiness (with a Retry-After) while still passing liveness — the
 // signal a pool uses to route around it without declaring it dead.
@@ -642,38 +609,5 @@ func TestPoisonQuarantineLifecycle(t *testing.T) {
 	js := bs.Jobs[0]
 	if js.State != client.StateFailed || !js.Poisoned || js.Attempts != 1 || js.Error == "" {
 		t.Fatalf("poisoned resubmit: %+v, want instant structured failure", js)
-	}
-}
-
-// TestWatchKeepalive: a stream over an unchanging batch still emits
-// periodic snapshots, so a client idle watchdog can tell quiet from dead.
-func TestWatchKeepalive(t *testing.T) {
-	s := newServerOpts(serverOptions{QueueCap: 16, Logf: t.Logf}) // no workers: the batch never changes
-	ts := httptest.NewServer(s.mux)
-	defer ts.Close()
-	bs, code, err := s.submit(testManifest(t, "Stream"))
-	if err != nil {
-		t.Fatalf("submit: code %d err %v", code, err)
-	}
-	_ = code
-	ctx, cancel := context.WithTimeout(context.Background(), 2*watchKeepalive+time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/batches/"+bs.ID+"/watch", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	n := 0
-	for n < 2 {
-		var snap client.BatchStatus
-		if err := dec.Decode(&snap); err != nil {
-			break
-		}
-		n++
-	}
-	if n < 2 {
-		t.Fatalf("unchanging batch sent %d snapshots in %v, want >= 2 keepalives", n, 2*watchKeepalive+time.Second)
 	}
 }

@@ -37,7 +37,7 @@
 //	sweep -store /var/lib/mcmgpu         # durable cross-process result reuse
 //	sweep -server http://mcmserve:8037   # run phase 2 on the shared service
 //	sweep -server http://a:8037,http://b:8037,http://c:8037   # fault-tolerant pool
-//	sweep -workloads m-intensive -csv out.csv -bench-json BENCH_sweep.json
+//	sweep -workloads m-intensive -csv out.csv -bench-json phases.json
 package main
 
 import (

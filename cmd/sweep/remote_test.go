@@ -16,15 +16,14 @@ import (
 )
 
 // TestRemoteHonorsTimeout: -timeout bounds the remote phase as it bounds
-// the local one. The stub backend is ready, accepts the batch, and streams
-// a watch that never reaches done; run must give up at the deadline and
-// exit 1 with an error naming it.
+// the local one. The stub backend is ready, accepts the batch, and answers
+// every poll with a snapshot that never reaches done; run must give up at
+// the deadline and exit 1 with an error naming it.
 func TestRemoteHonorsTimeout(t *testing.T) {
 	var (
 		mu    sync.Mutex
 		batch = client.BatchStatus{ID: "b1"}
 	)
-	stop := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/readyz":
@@ -42,22 +41,16 @@ func TestRemoteHonorsTimeout(t *testing.T) {
 			bs := batch
 			mu.Unlock()
 			json.NewEncoder(w).Encode(bs)
-		case r.URL.Path == "/v1/batches/b1/watch":
+		case r.URL.Path == "/v1/batches/b1":
 			mu.Lock()
 			bs := batch
 			mu.Unlock()
 			json.NewEncoder(w).Encode(bs)
-			w.(http.Flusher).Flush()
-			select {
-			case <-r.Context().Done():
-			case <-stop:
-			}
 		default:
 			http.NotFound(w, r)
 		}
 	}))
 	defer ts.Close()
-	defer close(stop) // runs first: releases a watch a hung run left open
 
 	oldArgs, oldFlags, oldStderr := os.Args, flag.CommandLine, os.Stderr
 	defer func() { os.Args, flag.CommandLine, os.Stderr = oldArgs, oldFlags, oldStderr }()

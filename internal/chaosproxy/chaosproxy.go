@@ -2,8 +2,8 @@
 // testing the client/service execution plane under network damage. It sits
 // in front of one backend (an mcmserve instance, usually) and injects the
 // net-* fault family from internal/faultinject into matching requests:
-// dropped connections, responses truncated mid-body (mid-NDJSON included),
-// synthetic 5xx/429 bursts, latency spikes, and fully black-holed requests.
+// dropped connections, responses truncated mid-body, synthetic 5xx/429
+// bursts, latency spikes, and fully black-holed requests.
 //
 // Faults are deterministic, not probabilistic: each plan keeps its own
 // counter of matching requests and fires on a contiguous window of them
@@ -45,7 +45,7 @@ type Proxy struct {
 	Plans []faultinject.Plan
 	// TruncateBytes is how many body bytes a net-truncate response forwards
 	// before cutting the connection (default 120 — enough to land mid-way
-	// through any status object or NDJSON line).
+	// through any status object).
 	TruncateBytes int
 	// Latency is the delay a net-latency fault injects (default 250ms).
 	Latency time.Duration
@@ -251,28 +251,7 @@ func (p *Proxy) forwardReq(w http.ResponseWriter, r *http.Request, truncate bool
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
-}
-
-// flushCopy streams body to w, flushing after every read so NDJSON
-// progress streams pass through the proxy live instead of buffering.
-func flushCopy(w http.ResponseWriter, body io.Reader) {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+	io.Copy(w, resp.Body)
 }
 
 // truncate writes the backend response onto the hijacked connection with

@@ -12,8 +12,9 @@ import (
 	"mcmgpu/internal/faultinject"
 )
 
-// testBackend serves a fixed JSON body on /ok and a flushed NDJSON stream
-// on /stream — the two response shapes the real service produces.
+// testBackend serves a fixed-length JSON body on /ok and a chunked body on
+// /stream — the two framings the real service's responses arrive in (a Go
+// server sends a body larger than its response buffer chunked).
 func testBackend() *httptest.Server {
 	mux := http.NewServeMux()
 	body := `{"ok":true,"pad":"` + strings.Repeat("x", 400) + `"}`
@@ -118,9 +119,8 @@ func TestTruncateContentLength(t *testing.T) {
 	}
 }
 
-// TestTruncateStream: a chunked NDJSON stream cut mid-line ends in an
-// unexpected EOF after some complete lines — the exact mid-stream
-// disconnect the resumable watch client must survive.
+// TestTruncateStream: a chunked body cut mid-way ends in an unexpected EOF
+// after the bytes before the cut, never in a clean short read.
 func TestTruncateStream(t *testing.T) {
 	bk := testBackend()
 	defer bk.Close()

@@ -97,8 +97,8 @@ const (
 	// restricts the fault to request paths containing that substring. Net
 	// plans never match simulation runs or store operations, so arming one
 	// perturbs only the wire — which is what lets tests prove the client's
-	// retry, failover, hedging and stream-resume paths each fire without
-	// also perturbing the simulations they protect.
+	// retry, failover and hedging paths each fire without also perturbing
+	// the simulations they protect.
 
 	// NetDrop closes the TCP connection before writing any response bytes —
 	// the wire artifact of a crashed backend or a broken middlebox. The
@@ -106,7 +106,7 @@ const (
 	NetDrop
 	// NetTruncate forwards the backend's response but cuts the body short
 	// and closes the connection, preserving the original framing so the
-	// client observes an unexpected EOF mid-body — a torn NDJSON stream or
+	// client observes an unexpected EOF mid-body — a torn batch snapshot or
 	// a half-delivered result JSON. Decode failures must be treated as
 	// retryable transport damage, never as a terminal answer.
 	NetTruncate
@@ -299,8 +299,8 @@ func (p Plan) MatchesStore(key string) bool {
 
 // MatchesNet reports whether a net plan applies to a request on the given
 // URL path. The plan's filter (the part after ':') is a substring match so
-// one plan can target one endpoint family ("net-drop@0:/watch") without
-// spelling out full URLs.
+// one plan can target one endpoint family ("net-drop@0:/v1/batches/b",
+// every batch poll) without spelling out full URLs.
 func (p Plan) MatchesNet(path string) bool {
 	return p.IsNet() && (p.Workload == "" || strings.Contains(path, p.Workload))
 }
@@ -340,7 +340,7 @@ func (p Plan) String() string {
 // the same shape with store-operation counts and key filters:
 // "store-torn-write@3", "store-eio@0:Stream". Net kinds count proxied
 // requests, accept an optional burst length after '#', and filter on the
-// request path: "net-drop@2#3", "net-truncate@0:/watch". An empty string is
+// request path: "net-drop@2#3", "net-truncate@0:/result". An empty string is
 // the disabled plan.
 func Parse(s string) (Plan, error) {
 	if s == "" {

@@ -169,7 +169,7 @@ func TestNetFamilyParseRoundTrip(t *testing.T) {
 	}{
 		{"net-drop@0", Plan{Kind: NetDrop}},
 		{"net-drop@2#3", Plan{Kind: NetDrop, AtEvent: 2, Times: 3}},
-		{"net-truncate@1#1:/watch", Plan{Kind: NetTruncate, AtEvent: 1, Times: 1, Workload: "/watch"}},
+		{"net-truncate@1#1:/v1/batches/b", Plan{Kind: NetTruncate, AtEvent: 1, Times: 1, Workload: "/v1/batches/b"}},
 		{"net-5xx@4#2", Plan{Kind: Net5xx, AtEvent: 4, Times: 2}},
 		{"net-429@0#1", Plan{Kind: Net429, Times: 1}},
 		{"net-latency@3:/result", Plan{Kind: NetLatency, AtEvent: 3, Workload: "/result"}},
@@ -231,8 +231,8 @@ func TestNetPlansNeverMatchSimulationsOrStore(t *testing.T) {
 	if !netp.MatchesNet("/v1/batches") {
 		t.Error("unfiltered net plan did not match a request path")
 	}
-	filtered := Plan{Kind: NetTruncate, Workload: "/watch"}
-	if !filtered.MatchesNet("/v1/batches/b1/watch") {
+	filtered := Plan{Kind: NetTruncate, Workload: "/v1/batches/b"}
+	if !filtered.MatchesNet("/v1/batches/b000001") {
 		t.Error("path filter did not match")
 	}
 	if filtered.MatchesNet("/v1/jobs/x/result") {

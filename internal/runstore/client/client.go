@@ -164,7 +164,10 @@ type Client struct {
 	// HTTP is the underlying client; nil means a default with Timeout as
 	// the per-request bound.
 	HTTP *http.Client
-	// Timeout bounds each HTTP request when HTTP is nil (default 30s).
+	// Timeout bounds each HTTP request when HTTP is nil (default 30s). A
+	// pool's batch polls are ordinary requests, so this is also how long a
+	// backend that stops answering mid-shard, with its connections still
+	// open, can hold the shard before it fails over.
 	Timeout time.Duration
 	// Retries is how many times a failed request is retried (default 4).
 	// Only transport errors, 429 and 5xx responses are retried; the
@@ -174,11 +177,6 @@ type Client struct {
 	// retry doubles it, and every delay gets up to 50% uniform jitter so
 	// synchronized clients do not stampede a recovering server.
 	Backoff time.Duration
-	// WatchIdleTimeout is how long a watch stream may go silent before
-	// WatchBatch declares the connection dead and reconnects (default
-	// 15s; the server keepalives every ~2s, so only a genuinely dead
-	// connection trips this).
-	WatchIdleTimeout time.Duration
 	// Logf, when non-nil, receives retry diagnostics.
 	Logf func(format string, args ...interface{})
 

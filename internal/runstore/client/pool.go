@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -35,11 +36,12 @@ type PoolStats struct {
 }
 
 // Pool executes manifests across several mcmserve backends sharing one
-// run store. It shards distinct jobs across healthy backends, watches
-// each shard's batch, and — because job IDs are content-derived and the
-// store is shared — freely resubmits any shard whose backend dies
-// mid-run: the surviving backends serve already-computed cells as store
-// hits, so a failover never duplicates a simulation.
+// run store. It shards distinct jobs across healthy backends, polls each
+// shard's batch snapshot until every job is terminal, and — because job
+// IDs are content-derived and the store is shared — freely resubmits any
+// shard whose backend dies mid-run: the surviving backends serve
+// already-computed cells as store hits, so a failover never duplicates a
+// simulation.
 //
 // Health is judged per backend: a readiness probe before every round plus
 // a circuit breaker that opens after repeated failures and re-admits
@@ -47,8 +49,6 @@ type PoolStats struct {
 // against a second backend; the first answer wins.
 type Pool struct {
 	Backends []*Backend
-	// MaxRounds bounds the submit → watch → failover loop (default 10).
-	MaxRounds int
 	// HedgeAfter is how long a result fetch may dawdle before a hedge
 	// fires at another backend (default 2s; <= 0 with 2+ backends still
 	// defaults — set Backends to one entry to disable hedging).
@@ -66,8 +66,8 @@ type Pool struct {
 }
 
 // NewPool builds a pool over the given backend URLs. base is a template
-// (nil for defaults): its Retries, Backoff, Timeout, WatchIdleTimeout
-// and Logf are copied into every backend's client.
+// (nil for defaults): its Retries, Backoff, Timeout and Logf are copied
+// into every backend's client.
 func NewPool(urls []string, base *Client) *Pool {
 	if base == nil {
 		base = &Client{}
@@ -75,13 +75,12 @@ func NewPool(urls []string, base *Client) *Pool {
 	p := &Pool{Logf: base.Logf}
 	for _, u := range urls {
 		c := &Client{
-			BaseURL:          u,
-			HTTP:             base.HTTP,
-			Timeout:          base.Timeout,
-			Retries:          base.Retries,
-			Backoff:          base.Backoff,
-			WatchIdleTimeout: base.WatchIdleTimeout,
-			Logf:             base.Logf,
+			BaseURL: u,
+			HTTP:    base.HTTP,
+			Timeout: base.Timeout,
+			Retries: base.Retries,
+			Backoff: base.Backoff,
+			Logf:    base.Logf,
 		}
 		p.Backends = append(p.Backends, &Backend{URL: u, Client: c, Breaker: &Breaker{}})
 	}
@@ -99,13 +98,6 @@ func (p *Pool) logf(format string, args ...interface{}) {
 	if p.Logf != nil {
 		p.Logf(format, args...)
 	}
-}
-
-func (p *Pool) maxRounds() int {
-	if p.MaxRounds > 0 {
-		return p.MaxRounds
-	}
-	return 10
 }
 
 func (p *Pool) hedgeAfter() time.Duration {
@@ -128,6 +120,13 @@ func (p *Pool) probeTimeout() time.Duration {
 	}
 	return 2 * time.Second
 }
+
+// maxRounds bounds the submit → follow → failover loop.
+const maxRounds = 10
+
+// followEvery is how often a shard's batch snapshot is re-read while any
+// of its jobs is still queued or running.
+const followEvery = 100 * time.Millisecond
 
 // jobKey is the pool's local identity for a job request — the same
 // content the server hashes into the job ID, so two requests with one key
@@ -182,7 +181,7 @@ func (p *Pool) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus
 
 	// Background prober: while the run is in flight, open breakers get
 	// their half-open probe traffic from here, so a backend that recovers
-	// mid-watch is ready for the next round or hedge without waiting for
+	// mid-shard is ready for the next round or hedge without waiting for
 	// round scheduling to rediscover it.
 	probeCtx, stopProber := context.WithCancel(ctx)
 	defer stopProber()
@@ -199,7 +198,7 @@ func (p *Pool) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus
 		}
 	}()
 
-	for round := 0; round < p.maxRounds(); round++ {
+	for round := 0; round < maxRounds; round++ {
 		mu.Lock()
 		var remaining []string
 		for _, k := range keys {
@@ -242,7 +241,7 @@ func (p *Pool) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus
 		}
 
 		// Shard remaining jobs round-robin and run every shard
-		// concurrently: submit, watch to completion, fetch results.
+		// concurrently: submit, follow to completion, fetch results.
 		shards := make([][]string, len(ready))
 		for i, k := range remaining {
 			shards[i%len(ready)] = append(shards[i%len(ready)], k)
@@ -282,13 +281,13 @@ func (p *Pool) Run(ctx context.Context, m Manifest) ([]*core.Result, []JobStatus
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		return nil, nil, fmt.Errorf("pool: %d jobs unfinished after %d rounds (first: %s)",
-			len(missing), p.maxRounds(), missing[0])
+			len(missing), maxRounds, missing[0])
 	}
 	return out, sts, nil
 }
 
 // runShard runs one backend's share of a round: submit the shard
-// manifest, watch the batch to completion, fetch every done job's result
+// manifest, follow the batch to completion, fetch every done job's result
 // (hedged), and record terminal statuses. Any failure leaves the shard's
 // unfinished jobs in remaining for the next round.
 func (p *Pool) runShard(ctx context.Context, be *Backend, shard []string, reqs map[string]JobRequest, m Manifest, mu *sync.Mutex, statuses map[string]JobStatus, results map[string]*core.Result) {
@@ -297,13 +296,16 @@ func (p *Pool) runShard(ctx context.Context, be *Backend, shard []string, reqs m
 		sm.Jobs = append(sm.Jobs, reqs[k])
 	}
 	bs, err := be.Client.Submit(ctx, sm)
+	if err == nil && len(bs.Jobs) != len(shard) {
+		err = fmt.Errorf("batch %s lists %d jobs, not the %d submitted", bs.ID, len(bs.Jobs), len(shard))
+	}
 	if err != nil {
 		p.shardFailed(be, "submit", err)
 		return
 	}
-	final, err := be.Client.WatchBatch(ctx, bs.ID, nil)
+	jobs, err := follow(ctx, be.Client, bs)
 	if err != nil {
-		p.shardFailed(be, "watch", err)
+		p.shardFailed(be, "follow", err)
 		return
 	}
 	be.Breaker.Record(true)
@@ -311,7 +313,7 @@ func (p *Pool) runShard(ctx context.Context, be *Backend, shard []string, reqs m
 	// Fetch results before recording statuses: a job is only "finished"
 	// for the pool once its result is actually in hand, so a backend that
 	// dies between done and fetch still fails over cleanly.
-	for i, js := range final.Jobs {
+	for i, js := range jobs {
 		k := shard[i]
 		if js.State != StateDone {
 			mu.Lock()
@@ -329,6 +331,37 @@ func (p *Pool) runShard(ctx context.Context, be *Backend, shard []string, reqs m
 		results[k] = res
 		mu.Unlock()
 	}
+}
+
+// follow polls the submitted batch every followEvery until all its jobs
+// are terminal, and returns their statuses in submission order; a batch
+// the submit response already shows finished is not polled. Every
+// snapshot must list exactly the submitted job IDs in order: a backend
+// restarted under the same URL numbers its batches afresh, so the same
+// batch ID can name another client's jobs there, and following it would
+// hand this shard their results. A terminal state never regresses, even
+// when a snapshot is behind one already seen.
+func follow(ctx context.Context, c *Client, sub *BatchStatus) ([]JobStatus, error) {
+	jobs := sub.Jobs
+	for slices.ContainsFunc(jobs, func(js JobStatus) bool { return !js.Done() }) {
+		if err := sleepCtx(ctx, followEvery); err != nil {
+			return nil, err
+		}
+		bs, err := c.Batch(ctx, sub.ID)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.EqualFunc(jobs, bs.Jobs, func(a, b JobStatus) bool { return a.ID == b.ID }) {
+			return nil, fmt.Errorf("batch %s no longer lists the %d jobs submitted to it", sub.ID, len(jobs))
+		}
+		for i, js := range jobs {
+			if js.Done() && !bs.Jobs[i].Done() {
+				bs.Jobs[i] = js
+			}
+		}
+		jobs = bs.Jobs
+	}
+	return jobs, nil
 }
 
 func (p *Pool) shardFailed(be *Backend, op string, err error) {

@@ -30,9 +30,9 @@ func newFakeStore() *fakeStore {
 	return &fakeStore{results: map[string]*core.Result{}}
 }
 
-// fakeBackend is a minimal mcmserve: content-derived job IDs, batches,
-// watch streams, results served from the shared fake store. Knobs let
-// tests script slow results and sudden death.
+// fakeBackend is a minimal mcmserve: content-derived job IDs, batch
+// snapshots, results served from the shared fake store. Knobs let tests
+// script slow jobs, slow results and sudden death.
 type fakeBackend struct {
 	store *fakeStore
 	ts    *httptest.Server
@@ -42,6 +42,7 @@ type fakeBackend struct {
 	jobs    map[string]fakeJob
 	nbatch  int
 	submits atomic.Int32
+	polls   atomic.Int32
 
 	// resultDelay stalls every result fetch — the hedge-timer trigger.
 	resultDelay time.Duration
@@ -133,35 +134,8 @@ func (b *fakeBackend) status(id string) *BatchStatus {
 }
 
 func (b *fakeBackend) handleBatch(w http.ResponseWriter, r *http.Request) {
+	b.polls.Add(1)
 	rest := r.URL.Path[len("/v1/batches/"):]
-	if n := len(rest) - len("/watch"); n > 0 && rest[n:] == "/watch" {
-		id := rest[:n]
-		b.mu.Lock()
-		_, ok := b.batches[id]
-		b.mu.Unlock()
-		if !ok {
-			http.Error(w, `{"error":"no such batch"}`, 404)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fl := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		for {
-			bs := b.status(id)
-			if enc.Encode(bs) != nil {
-				return
-			}
-			fl.Flush()
-			if bs.Done {
-				return
-			}
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-	}
 	b.mu.Lock()
 	_, ok := b.batches[rest]
 	b.mu.Unlock()
@@ -208,7 +182,7 @@ func poolManifest(n int) Manifest {
 }
 
 func fastPool(urls ...string) *Pool {
-	p := NewPool(urls, &Client{Retries: 3, Backoff: 5 * time.Millisecond, WatchIdleTimeout: 2 * time.Second})
+	p := NewPool(urls, &Client{Retries: 3, Backoff: 5 * time.Millisecond})
 	p.ProbeTimeout = 500 * time.Millisecond
 	p.ProbeInterval = 100 * time.Millisecond
 	return p
@@ -229,7 +203,8 @@ func checkRun(t *testing.T, res []*core.Result, sts []JobStatus, err error, n in
 	}
 }
 
-// TestPoolSingleBackend: the degenerate pool is just a client.
+// TestPoolSingleBackend: the degenerate pool is just a client. Its jobs
+// finish at submit, so the shard is never polled.
 func TestPoolSingleBackend(t *testing.T) {
 	b := newFakeBackend(t, newFakeStore())
 	p := fastPool(b.ts.URL)
@@ -237,6 +212,9 @@ func TestPoolSingleBackend(t *testing.T) {
 	checkRun(t, res, sts, err, 3)
 	if st := p.Stats(); st.Failovers != 0 || st.Resubmits != 0 {
 		t.Fatalf("healthy single-backend run reported faults: %+v", st)
+	}
+	if n := b.polls.Load(); n != 0 {
+		t.Fatalf("a shard done at submit was polled %d times", n)
 	}
 }
 
@@ -267,12 +245,13 @@ func TestPoolFailoverOnBackendDeath(t *testing.T) {
 // actually fired.
 func TestPoolSurvivesChaos(t *testing.T) {
 	b := newFakeBackend(t, newFakeStore())
+	b.jobLatency = 200 * time.Millisecond // still running at submit, so polled
 	// Per-endpoint filters keep the windows deterministic no matter how
-	// many requests the run makes in total: the first watch connection
-	// drops, the first submit gets a 429, the first two result fetches
-	// 503, the fourth result fetch is truncated mid-body.
+	// many requests the run makes in total: the first batch poll drops,
+	// the first submit gets a 429, the first two result fetches 503, the
+	// fourth result fetch is truncated mid-body.
 	plans, err := faultinject.ParseList(
-		"net-429@0#1:/v1/batches,net-drop@0#1:/watch,net-5xx@0#2:/result,net-truncate@3#1:/result")
+		"net-429@0#1:/v1/batches,net-drop@0#1:/v1/batches/b,net-5xx@0#2:/result,net-truncate@3#1:/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +330,13 @@ func TestPoolRoutesAroundBlackhole(t *testing.T) {
 	}
 }
 
-// TestWatchBatchResumesAfterCuts: the watch stream is truncated mid-NDJSON
-// twice; the client reconnects, reconciles, and still observes the batch
-// to completion. This is the resumable-stream contract under the exact
-// damage a dying connection produces.
-func TestWatchBatchResumesAfterCuts(t *testing.T) {
+// TestFollowResumesAfterCuts: the first two polls of a running batch are
+// truncated mid-body; the client's retries absorb both and the follow
+// still observes the batch to completion.
+func TestFollowResumesAfterCuts(t *testing.T) {
 	b := newFakeBackend(t, newFakeStore())
 	b.jobLatency = 300 * time.Millisecond
-	plans, err := faultinject.ParseList("net-truncate@0#2:/watch")
+	plans, err := faultinject.ParseList("net-truncate@0#2:/v1/batches/b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +345,7 @@ func TestWatchBatchResumesAfterCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy.Logf = t.Logf
+	proxy.TruncateBytes = 16
 	ts := httptest.NewServer(proxy)
 	defer ts.Close()
 	defer proxy.Close()
@@ -376,62 +355,154 @@ func TestWatchBatchResumesAfterCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snapshots atomic.Int32
-	final, err := c.WatchBatch(context.Background(), bs.ID, func(*BatchStatus) { snapshots.Add(1) })
+	jobs, err := follow(context.Background(), c, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !final.Done {
-		t.Fatalf("watch returned a non-done batch: %+v", final)
+	if len(jobs) != 2 {
+		t.Fatalf("follow returned %d jobs, want 2", len(jobs))
 	}
-	for _, js := range final.Jobs {
+	for _, js := range jobs {
 		if js.State != StateDone {
 			t.Fatalf("job %s finished %q", js.ID, js.State)
 		}
 	}
-	if snapshots.Load() == 0 {
-		t.Fatal("watch delivered no snapshots")
-	}
 	if st := proxy.Stats(); st.Injected["net-truncate"] != 2 {
-		t.Fatalf("want 2 truncated watch streams, got %+v", st)
+		t.Fatalf("want 2 truncated polls, got %+v", st)
 	}
 }
 
-// TestWatchBatchTerminalStatesStick: after a reconnect lands on a server
-// whose view is behind, jobs the client already saw finish must not
-// regress to running.
-func TestWatchBatchTerminalStatesStick(t *testing.T) {
-	// A hand-rolled backend: first watch connection reports the job done
-	// then dies; the second reports it queued (a stale view) forever. The
-	// client must surface done from the first stream.
-	var conns atomic.Int32
+// TestFollowTerminalStatesStick: a poll that lands on a view behind one
+// already seen must not regress a finished job to queued.
+func TestFollowTerminalStatesStick(t *testing.T) {
+	// A hand-rolled backend: the first poll reports j1 done; every later
+	// one reports it queued again (a stale view) beside a done j2. The
+	// follow must surface done for both.
+	var polls atomic.Int32
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/batches/b1/watch", func(w http.ResponseWriter, r *http.Request) {
-		fl := w.(http.Flusher)
-		if conns.Add(1) == 1 {
+	mux.HandleFunc("/v1/batches/b1", func(w http.ResponseWriter, r *http.Request) {
+		if polls.Add(1) == 1 {
 			fmt.Fprintln(w, `{"id":"b1","jobs":[{"id":"j1","state":"done"},{"id":"j2","state":"running"}],"done":false}`)
-			fl.Flush()
-			panic(http.ErrAbortHandler) // sever mid-stream
+			return
 		}
 		fmt.Fprintln(w, `{"id":"b1","jobs":[{"id":"j1","state":"queued"},{"id":"j2","state":"done"}],"done":false}`)
-		fl.Flush()
-		fmt.Fprintln(w, `{"id":"b1","jobs":[{"id":"j1","state":"queued"},{"id":"j2","state":"done"}],"done":true}`)
-		fl.Flush()
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	c := &Client{BaseURL: ts.URL, Retries: 3, Backoff: 5 * time.Millisecond, Logf: t.Logf}
-	final, err := c.WatchBatch(context.Background(), "b1", nil)
+	sub := &BatchStatus{ID: "b1", Jobs: []JobStatus{{ID: "j1", State: StateQueued}, {ID: "j2", State: StateQueued}}}
+	jobs, err := follow(context.Background(), c, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !final.Done {
-		t.Fatalf("final snapshot not done: %+v", final)
-	}
-	for _, js := range final.Jobs {
+	for _, js := range jobs {
 		if js.State != StateDone {
-			t.Fatalf("job %s regressed to %q after reconnect", js.ID, js.State)
+			t.Fatalf("job %s regressed to %q after a stale poll", js.ID, js.State)
 		}
 	}
+	if n := polls.Load(); n != 2 {
+		t.Fatalf("%d polls, want 2", n)
+	}
+}
+
+// restartedBackend is a backend that restarts under its URL right after
+// accepting the pool's first batch. The new process numbers its batches
+// afresh, and its first one holds another client's drained jobs, all done:
+// every poll of the pool's batch ID answers with that foreign batch. The
+// pool's resubmission is accepted and done at once, and results are served
+// for every job ID, the foreign ones included. With miscount set, the
+// first submit answer itself is wrong instead: done, with the first
+// foreign job listed after the pool's own.
+func restartedBackend(t *testing.T, foreign int, miscount bool) *httptest.Server {
+	t.Helper()
+	other := &BatchStatus{ID: "b000001", Done: true}
+	results := map[string]*core.Result{}
+	for i := 0; i < foreign; i++ {
+		id := fmt.Sprint("other", i)
+		other.Jobs = append(other.Jobs, JobStatus{ID: id, State: StateDone})
+		results[id] = &core.Result{Workload: id, Cycles: 1}
+	}
+	var (
+		mu      sync.Mutex
+		submits int
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
+		var m Manifest
+		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+			http.Error(w, `{"error":"bad manifest"}`, 400)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		submits++
+		bs := BatchStatus{ID: fmt.Sprintf("b%06d", submits), Done: submits > 1 || miscount}
+		for _, j := range m.Jobs {
+			js := JobStatus{ID: fakeID(j), State: StateQueued}
+			if bs.Done {
+				js.State = StateDone
+				results[js.ID] = &core.Result{Workload: j.Workload, Cycles: 1}
+			}
+			bs.Jobs = append(bs.Jobs, js)
+		}
+		if submits == 1 && miscount {
+			bs.Jobs = append(bs.Jobs, other.Jobs[0])
+		}
+		json.NewEncoder(w).Encode(bs)
+	})
+	mux.HandleFunc("GET /v1/batches/", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(other)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		res, ok := results[r.PathValue("id")]
+		mu.Unlock()
+		if !ok {
+			http.Error(w, `{"error":"no result"}`, 404)
+			return
+		}
+		json.NewEncoder(w).Encode(res)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// checkForeignBatchRefused runs a 2-job manifest against a backend whose
+// first batch is swapped for a foreign one: the shard must fail over, and
+// every job must end with its own result after the resubmission.
+func checkForeignBatchRefused(t *testing.T, foreign int, miscount bool) {
+	t.Helper()
+	p := fastPool(restartedBackend(t, foreign, miscount).URL)
+	m := poolManifest(2)
+	res, sts, err := p.Run(context.Background(), m)
+	checkRun(t, res, sts, err, 2)
+	for i, r := range res {
+		if r.Workload != m.Jobs[i].Workload {
+			t.Fatalf("job %d (%s) got the result of %s", i, m.Jobs[i].Workload, r.Workload)
+		}
+	}
+	if st := p.Stats(); st.Failovers != 1 || st.Resubmits != 2 {
+		t.Fatalf("foreign batch: %+v, want 1 failover and 2 resubmits", st)
+	}
+}
+
+// TestFollowRejectsLongerForeignBatch: a foreign batch with more jobs than
+// the shard must fail the shard over, not index past it.
+func TestFollowRejectsLongerForeignBatch(t *testing.T) {
+	checkForeignBatchRefused(t, 3, false)
+}
+
+// TestFollowRejectsSameLengthForeignBatch: a foreign batch as long as the
+// shard must fail the shard over, not hand its jobs the foreign results.
+func TestFollowRejectsSameLengthForeignBatch(t *testing.T) {
+	checkForeignBatchRefused(t, 2, false)
+}
+
+// TestFollowRejectsMiscountedSubmit: a submit answer listing more jobs
+// than were submitted must fail the shard over, not index past it.
+func TestFollowRejectsMiscountedSubmit(t *testing.T) {
+	checkForeignBatchRefused(t, 1, true)
 }

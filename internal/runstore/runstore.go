@@ -33,7 +33,7 @@
 // Concurrency: one Store value is safe for concurrent use. Multiple
 // processes may share a directory — writes are atomic renames and blobs
 // are content-addressed, so concurrent writers of the same key converge on
-// identical bytes — but eviction accounting is per-process.
+// identical bytes — but each process counts only the entries it has seen.
 package runstore
 
 import (
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -76,9 +75,9 @@ type Entry struct {
 	// Metrics is the SHA-256 (hex) of the metrics-stream blob, when the
 	// result was stored with one.
 	Metrics string `json:"metrics,omitempty"`
-	// Size is the total blob bytes the entry accounts for (eviction).
+	// Size is the total blob bytes the entry accounts for (Stats.Bytes).
 	Size int64 `json:"size"`
-	// Unix is the entry's creation time; eviction removes oldest first.
+	// Unix is the entry's creation time.
 	Unix int64 `json:"unix"`
 	// Sum is the SHA-256 (hex) over the other fields. It makes entry files
 	// self-verifying: a bit flip that leaves the JSON parseable — flipping
@@ -113,8 +112,6 @@ type Stats struct {
 	GetErrors, PutErrors uint64
 	// SlowOps counts operations delayed by an armed store-slow-io fault.
 	SlowOps uint64
-	// Evicted counts entries removed by the size bound.
-	Evicted uint64
 	// Entries and Bytes describe the current index.
 	Entries int
 	Bytes   int64
@@ -123,17 +120,16 @@ type Stats struct {
 // String renders the one-line summary the CLIs print next to the memo
 // cache stats.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d hits, %d misses, %d puts, %d entries (%d bytes), %d corrupt, %d quarantined, %d evicted, %d io errors",
-		s.Hits, s.Misses, s.Puts, s.Entries, s.Bytes, s.Corrupt, s.Quarantined, s.Evicted, s.GetErrors+s.PutErrors)
+	return fmt.Sprintf("%d hits, %d misses, %d puts, %d entries (%d bytes), %d corrupt, %d quarantined, %d io errors",
+		s.Hits, s.Misses, s.Puts, s.Entries, s.Bytes, s.Corrupt, s.Quarantined, s.GetErrors+s.PutErrors)
 }
 
 // Store is one open run store. Construct with Open; the zero value is not
 // usable.
 type Store struct {
-	dir      string
-	logf     func(format string, args ...interface{})
-	maxBytes int64
-	fault    faultinject.Plan
+	dir   string
+	logf  func(format string, args ...interface{})
+	fault faultinject.Plan
 
 	mu       sync.Mutex
 	index    map[string]*Entry // by KeyID(entry.Key)
@@ -154,13 +150,6 @@ func WithLogf(f func(format string, args ...interface{})) Option {
 			s.logf = f
 		}
 	}
-}
-
-// withMaxBytes bounds the store's blob bytes; Put evicts oldest entries
-// first until under the bound. 0 (the default) means unbounded. No caller
-// outside the package's tests sets a bound.
-func withMaxBytes(n int64) Option {
-	return func(s *Store) { s.maxBytes = n }
 }
 
 // WithFault arms a store fault plan (see internal/faultinject). Non-store
@@ -527,7 +516,6 @@ func (s *Store) Put(key string, res *core.Result, metricsStream []byte) error {
 	s.index[id] = e
 	s.bytes += e.Size
 	s.stats.Puts++
-	s.evictLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -628,55 +616,6 @@ func (s *Store) dropEntry(id string, e Entry, why string) {
 	}
 	s.quarantineLocked(s.path("index", id), why)
 	s.stats.Misses++
-}
-
-// evictLocked removes oldest-first entries until the store is under its
-// byte bound. Blobs are deleted only when no surviving entry references
-// them (content addressing means entries can share blobs). Callers hold
-// mu.
-func (s *Store) evictLocked() {
-	if s.maxBytes <= 0 || s.bytes <= s.maxBytes {
-		return
-	}
-	type aged struct {
-		id string
-		e  *Entry
-	}
-	order := make([]aged, 0, len(s.index))
-	for id, e := range s.index {
-		order = append(order, aged{id, e})
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].e.Unix != order[b].e.Unix {
-			return order[a].e.Unix < order[b].e.Unix
-		}
-		return order[a].id < order[b].id
-	})
-	for _, v := range order {
-		if s.bytes <= s.maxBytes || len(s.index) <= 1 {
-			return
-		}
-		delete(s.index, v.id)
-		s.bytes -= v.e.Size
-		os.Remove(s.path("index", v.id))
-		for _, sum := range []string{v.e.Result, v.e.Metrics} {
-			if sum != "" && !s.blobReferencedLocked(sum) {
-				os.Remove(s.blobPath(sum))
-			}
-		}
-		s.stats.Evicted++
-		s.logf("runstore: evicted %s (%d bytes) to stay under %d bytes", v.id, v.e.Size, s.maxBytes)
-	}
-}
-
-// blobReferencedLocked reports whether any indexed entry references sum.
-func (s *Store) blobReferencedLocked(sum string) bool {
-	for _, e := range s.index {
-		if e.Result == sum || e.Metrics == sum {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -247,46 +247,6 @@ func TestKeyFilterRestrictsFault(t *testing.T) {
 	}
 }
 
-// TestEviction proves the size bound evicts oldest-first and keeps the
-// store consistent.
-func TestEviction(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, withMaxBytes(1500))
-	var keys []string
-	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
-		keys = append(keys, k)
-		if err := s.Put(k, fakeResult(k), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Evicted == 0 {
-		t.Fatalf("nothing evicted under a %d-byte bound (%d bytes held)", 1500, st.Bytes)
-	}
-	if st.Bytes > 1500 && st.Entries > 1 {
-		t.Fatalf("store over bound after eviction: %+v", st)
-	}
-	// Whatever survived must still verify; whatever was evicted must be a
-	// clean miss. Reopen to prove the on-disk state matches the index.
-	s2 := mustOpen(t, dir)
-	surviving := 0
-	for _, k := range keys {
-		got, _, ok, err := s2.Get(k)
-		if err != nil {
-			t.Fatalf("Get(%s) after eviction: %v", k, err)
-		}
-		if ok {
-			surviving++
-			if !reflect.DeepEqual(got, fakeResult(k)) {
-				t.Fatalf("surviving entry %s diverged", k)
-			}
-		}
-	}
-	if surviving == 0 || surviving == len(keys) {
-		t.Fatalf("eviction kept %d of %d entries", surviving, len(keys))
-	}
-}
-
 // TestMetricsBlobCorruptionDropsWholeEntry: a verified result with a
 // corrupt metrics blob must not be half-served.
 func TestMetricsBlobCorruptionDropsWholeEntry(t *testing.T) {
